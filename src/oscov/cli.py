@@ -17,7 +17,6 @@ digits, and every command is deterministic given its configuration and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -63,10 +62,6 @@ def _add_common(sub: argparse.ArgumentParser, figure: bool = True):
         )
     sub.add_argument("--out", default=".", help="output directory (default: .)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    sub.add_argument(
-        "--threads", type=int, default=0,
-        help="cap BLAS/LAPACK threads (0 = leave library defaults)",
-    )
 
 
 def build_parser() -> _Parser:
@@ -504,28 +499,16 @@ def main(argv=None) -> int:
         parser.print_help()
         return _EXIT_CONFIG
 
-    stack = contextlib.ExitStack()
-    if args.threads and args.threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            stack.enter_context(threadpool_limits(limits=args.threads))
-        except ImportError:
-            # the hint still reaches BLAS pools spawned after this point
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, str(args.threads))
-
     from .errors import DomainError, OscovError
 
-    with stack:
-        try:
-            return _COMMANDS[args.command](args)
-        except (_UsageError, DomainError, OSError) as exc:
-            print(f"oscov {args.command}: {exc}", file=sys.stderr)
-            return _EXIT_CONFIG
-        except OscovError as exc:
-            print(f"oscov {args.command}: {exc}", file=sys.stderr)
-            return _EXIT_NUMERICAL
+    try:
+        return _COMMANDS[args.command](args)
+    except (_UsageError, DomainError, OSError) as exc:
+        print(f"oscov {args.command}: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except OscovError as exc:
+        print(f"oscov {args.command}: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

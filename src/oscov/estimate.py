@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
@@ -100,6 +101,8 @@ class EmpiricalVariogram:
             raise DomainError("gamma and counts must be equal-length vectors")
         if gamma.size == 0:
             raise EmptyBinError("variogram has no populated bins")
+        if not np.all(np.isfinite(gamma)):
+            raise DomainError("semivariance estimates must be finite")
         if np.any(gamma < 0.0):
             raise DomainError("semivariance estimates cannot be negative")
         if np.any(counts < 1):
@@ -221,36 +224,63 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _sq_diff_sum(z: np.ndarray, shift: tuple[int, ...]) -> tuple[float, int]:
-    """Sum of squared increments and pair count for one integer lattice shift."""
-    head, tail = [], []
-    for h, count in zip(shift, z.shape):
-        if h >= 0:
-            head.append(slice(None, count - h))
-            tail.append(slice(h, None))
-        else:
-            head.append(slice(-h, None))
-            tail.append(slice(None, count + h))
-    diff = z[tuple(tail)] - z[tuple(head)]
-    return float(np.sum(diff * diff)), diff.size
+def _lag_table(f: FieldRealization, max_step: int, r_max: float):
+    """Squared-increment sums and pair counts for every lattice shift in reach.
 
+    Row ``m`` holds time shift ``m`` (0 to ``max_step``); the columns are the
+    signed spatial shifts with ``|h_i| <= min(n_i - 1, r_max / ds_i)``, in C
+    order, and ``dist`` holds their lengths.  Entry ``(m, h)`` is
+    ``sum_x (z(x+h) - z(x))^2`` over the in-grid pairs and its pair count
+    ``prod(n_i - |h_i|)``; the origin entry is zero, since a node never pairs
+    with itself.
 
-def _grid_offsets(grid, r_max: float):
-    """All signed spatial offsets with distance <= r_max, excluding the origin.
-
-    Returns integer offset rows and their distances.  Offsets are bounded by
-    the axis sizes, so every returned shift has at least one in-grid pair.
+    The sums come from ``A(h) + B(h) - 2 X(h)`` (Marcotte 1996): ``X`` is
+    the autocorrelation of the mean-removed field from one real FFT, each
+    axis padded by its reach (up to a fast FFT length) so that no kept shift
+    wraps, and ``A``, ``B`` are box sums of ``z^2`` over the two overlap
+    regions, taken from prefix sums.
     """
-    axes = []
-    for n, s in zip(grid.ns, grid.ds):
-        reach = min(n - 1, int(math.floor(r_max / s + 1e-9)))
-        axes.append(np.arange(-reach, reach + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    g = f.grid
+    if not np.all(np.isfinite(f.values)):
+        raise DomainError("field holds non-finite values")
+    reach = (max_step,) + tuple(
+        min(n - 1, int(math.floor(r_max / s + 1e-9))) for n, s in zip(g.ns, g.ds)
+    )
+    shifts = [np.arange(-r, r + 1) for r in reach]
+    z = f.values - f.values.mean()
+    axes = tuple(range(z.ndim))
+    padded = tuple(next_fast_len(n + r, real=True) for n, r in zip(z.shape, reach))
+    spec = np.fft.rfftn(z, s=padded, axes=axes)
+    spec = spec.real**2 + spec.imag**2
+    cross = np.fft.irfftn(spec, s=padded, axes=axes)
+    del spec
+    # negative shifts index from the end, where the circular correlation keeps them
+    cross = cross[np.ix_(*shifts)]
+
+    # B(h): sums of z^2 over the nodes x whose partner x + h is in the grid;
+    # A(h), the sum over the partners, is B(-h)
+    box = z * z
+    del z
+    for axis, (n, h) in enumerate(zip(g.shape, shifts)):
+        prefix = np.zeros(box.shape[:axis] + (n + 1,) + box.shape[axis + 1:])
+        np.cumsum(box, axis=axis, out=prefix[(slice(None),) * axis + (slice(1, None),)])
+        box = np.take(prefix, n - np.maximum(h, 0), axis=axis) - np.take(
+            prefix, np.maximum(-h, 0), axis=axis
+        )
+    sums = (box + np.flip(box) - 2.0 * cross)[reach[0]:]
+    counts = np.ones((), dtype=np.int64)
+    for n, h in zip(g.shape, shifts):
+        counts = np.multiply.outer(counts, n - np.abs(h))
+    counts = counts[reach[0]:]
+    origin = (0,) + tuple(reach[1:])
+    sums[origin] = 0.0
+    counts[origin] = 0
+
+    mesh = np.meshgrid(*shifts[1:], indexing="ij")
     offsets = np.stack([m.ravel() for m in mesh], axis=1)
-    steps = np.asarray(grid.ds)
-    dist = np.sqrt(((offsets * steps) ** 2).sum(axis=1))
-    keep = (dist <= r_max) & ~np.all(offsets == 0, axis=1)
-    return offsets[keep], dist[keep]
+    dist = np.sqrt(((offsets * np.asarray(g.ds)) ** 2).sum(axis=1))
+    k = dist.size
+    return sums.reshape(-1, k), counts.reshape(-1, k), dist
 
 
 def _drop_empty(kind, centers_r, centers_t, gamma, counts, tolerance):
@@ -360,32 +390,16 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
     tolerance = float(tolerance)
 
     if isinstance(data, FieldRealization):
-        g = data.grid
-        z = data.values
-        offsets, dist = _grid_offsets(g, float(bins.max()) + tolerance)
-        sums = np.zeros(bins.size)
-        counts = np.zeros(bins.size, dtype=np.int64)
-        # half-space representatives: each unordered pair once
-        lead = np.zeros(offsets.shape[0], dtype=bool)
-        for axis in range(offsets.shape[1]):
-            col = offsets[:, axis]
-            undecided = ~lead & np.all(offsets[:, :axis] == 0, axis=1)
-            lead |= undecided & (col > 0)
-        cache: dict[tuple[int, ...], tuple[float, int]] = {}
-        for k, center in enumerate(bins):
-            members = np.nonzero(
-                lead & (dist >= center - tolerance) & (dist <= center + tolerance)
-            )[0]
-            for idx in members:
-                shift = (0,) + tuple(int(h) for h in offsets[idx])
-                if shift not in cache:
-                    cache[shift] = _sq_diff_sum(z, shift)
-                s, n = cache[shift]
-                sums[k] += s
-                counts[k] += n
-        gamma_num = 0.5 * sums
+        # the full row counts each unordered pair twice, once per sign of h
+        sums, counts, dist = _lag_table(data, 0, float(bins.max()) + tolerance)
+        members = (dist >= bins[:, None] - tolerance) & (dist <= bins[:, None] + tolerance)
         return _drop_empty(
-            VariogramKind.SPATIAL_MARGINAL, bins, None, gamma_num, counts, tolerance
+            VariogramKind.SPATIAL_MARGINAL,
+            bins,
+            None,
+            0.25 * (members * sums[0]).sum(axis=1),
+            (members * counts[0]).sum(axis=1) // 2,
+            tolerance,
         )
 
     coords, _, values, _, groups = _slice_groups(data)
@@ -425,20 +439,17 @@ def temporal_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVar
     bins = np.sort(np.atleast_1d(np.asarray(bins, dtype=float)))
 
     if isinstance(data, FieldRealization):
-        g = data.grid
-        z = data.values
-        steps = _as_time_steps(bins, g.dt)
-        sums = np.zeros(bins.size)
-        counts = np.zeros(bins.size, dtype=np.int64)
-        for k, m in enumerate(steps):
-            if m == 0 or m >= g.nt:
-                continue
-            shift = (m,) + (0,) * g.dim
-            s, n = _sq_diff_sum(z, shift)
-            sums[k] += s
-            counts[k] += n
+        # lags of zero or beyond the grid read the origin entry, which is empty
+        steps = np.array(_as_time_steps(bins, data.grid.dt), dtype=np.int64)
+        steps[steps >= data.grid.nt] = 0
+        sums, counts, _ = _lag_table(data, int(steps.max(initial=0)), 0.0)
         return _drop_empty(
-            VariogramKind.TEMPORAL_MARGINAL, None, bins, 0.5 * sums, counts, 0.0
+            VariogramKind.TEMPORAL_MARGINAL,
+            None,
+            bins,
+            0.5 * sums[steps, 0],
+            counts[steps, 0],
+            0.0,
         )
 
     if tolerance is None:
@@ -516,28 +527,23 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
     counts = np.zeros(len(pairs), dtype=np.int64)
 
     if isinstance(data, FieldRealization):
-        g = data.grid
-        z = data.values
-        offsets, dist = _grid_offsets(g, float(r_bins.max()) + tolerance)
-        # bin membership per spatial class, origin handled separately
-        members = {
-            rk: np.nonzero((dist >= rk - tolerance) & (dist <= rk + tolerance))[0]
-            for rk in r_bins
-        }
-        zero_in = {rk: (rk - tolerance <= 0.0 <= rk + tolerance) for rk in r_bins}
-        for i, (rk, tm) in enumerate(pairs):
-            m = _as_time_steps([tm], g.dt)[0]
-            if m >= g.nt:
-                continue
-            shifts = [(m,) + tuple(int(h) for h in offsets[j]) for j in members[rk]]
-            if zero_in[rk] and (m > 0):
-                shifts.append((m,) + (0,) * g.dim)
-            for shift in shifts:
-                s, n = _sq_diff_sum(z, shift)
-                sums[i] += s
-                counts[i] += n
+        steps = np.array(_as_time_steps(centers_t, data.grid.dt), dtype=np.int64)
+        inside = steps < data.grid.nt
+        steps[~inside] = 0
+        table, pair_counts, dist = _lag_table(
+            data, int(steps.max(initial=0)), float(r_bins.max()) + tolerance
+        )
+        members = (dist >= centers_r[:, None] - tolerance) & (
+            dist <= centers_r[:, None] + tolerance
+        )
+        members &= inside[:, None]  # lags past the time axis read row 0
         return _drop_empty(
-            VariogramKind.SPACE_TIME, centers_r, centers_t, 0.5 * sums, counts, tolerance
+            VariogramKind.SPACE_TIME,
+            centers_r,
+            centers_t,
+            0.5 * (members * table[steps]).sum(axis=1),
+            (members * pair_counts[steps]).sum(axis=1),
+            tolerance,
         )
 
     coords = np.array([p.s for p in data.points], dtype=float)
@@ -581,12 +587,14 @@ def model_variogram(m: KernelModel, r, tau) -> np.ndarray | float:
     r_arr = np.asarray(r, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
     scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
-    r_b, tau_b = np.broadcast_arrays(r_arr, tau_arr)
-    cov = np.asarray(m.covariance(r_b, tau_b), dtype=float)
-    sill = m.variance()
-    off_origin = (r_b != 0.0) | (tau_b != 0.0)
-    out = sill - cov + m.nugget * off_origin
+    out = _semivariance(m, *np.broadcast_arrays(r_arr, tau_arr), m.variance())
     return float(out.reshape(())) if scalar else out
+
+
+def _semivariance(m: KernelModel, r: np.ndarray, tau: np.ndarray, sill: float) -> np.ndarray:
+    """Model semivariance at equal-shape lag arrays, given ``sill = C(0, 0)``."""
+    cov = np.asarray(m.covariance(r, tau), dtype=float)
+    return sill - cov + m.nugget * ((r != 0.0) | (tau != 0.0))
 
 
 def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
@@ -596,18 +604,17 @@ def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
     below 1e-12 of the sill are skipped (their relative error is meaningless)
     and reported through the result's ``n_skipped``.
     """
-    r, tau = v.lags()
-    gam_model = np.asarray(model_variogram(m, r, tau), dtype=float)
-    floor = _WLS_FLOOR * (m.variance() + m.nugget)
-    usable = gam_model > floor
-    n_skipped = int((~usable).sum())
-    if not np.any(usable):
+    sill = m.variance()
+    gam_model = _semivariance(m, *v.lags(), sill)
+    usable = gam_model > _WLS_FLOOR * (sill + m.nugget)
+    n_used = int(np.count_nonzero(usable))
+    if n_used == 0:
         raise AllBinsSkipped(
             "model variogram vanishes on every bin; nothing to fit against"
         )
     ratio = v.gamma[usable] / gam_model[usable]
-    value = float(np.sum(v.counts[usable] * (ratio - 1.0) ** 2))
-    return WlsObjective(value, n_skipped=n_skipped, n_used=int(usable.sum()))
+    value = float((v.counts[usable] * (ratio - 1.0) ** 2).sum())
+    return WlsObjective(value, n_skipped=usable.size - n_used, n_used=n_used)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,8 @@ def load_field(bin_path: str) -> FieldRealization:
             f"{bin_path}: {raw.size} values on disk but the sidecar says "
             f"{int(np.prod(shape))}"
         )
+    if not np.all(np.isfinite(raw)):
+        raise DomainError(f"{bin_path}: field values are not all finite")
     values = raw.reshape(shape)
     return FieldRealization(
         values=values, grid=grid, provenance=sidecar.get("provenance", {})

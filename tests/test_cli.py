@@ -242,6 +242,19 @@ def test_variogram_with_unreachable_bins_exits_numerical(tmp_path, sim_dir):
     assert "empty" in res.stderr
 
 
+def test_variogram_on_a_nan_field_exits_config(tmp_path, sim_dir):
+    values = np.fromfile(sim_dir / "field.bin", dtype="<f8")
+    values[7] = np.nan
+    values.tofile(tmp_path / "field.bin")
+    (tmp_path / "field.json").write_text((sim_dir / "field.json").read_text())
+    res = run_cli(
+        "variogram", "--field", tmp_path / "field.bin", "--kind", "spatial",
+        "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert "not all finite" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_variogram_requires_input(tmp_path):
     res = run_cli("variogram", "--kind", "spatial", "--out", tmp_path)
     assert res.returncode == 1

@@ -24,6 +24,7 @@ from oscov.estimate import (
     EmpiricalVariogram,
     VariogramKind,
     WlsObjective,
+    _lag_table,
     default_spatial_bins,
     default_temporal_bins,
     fit_full,
@@ -145,6 +146,122 @@ def test_joint_estimate_matches_pair_loops(tiny_field):
             gam, cnt = got[(rk, round(m * dt, 6))]
             assert gam == pytest.approx(num / (2.0 * count), rel=1e-12)
             assert cnt == count
+
+
+# Grids for the lag-sum table: 1-d and 2-d space, unequal counts and steps.
+TABLE_GRIDS = (
+    GridSpec(ns=(6,), ds=(0.7,), nt=5, dt=0.3),
+    GridSpec(ns=(4, 3), ds=(1.0, 1.6), nt=4, dt=0.5),
+)
+
+
+def _random_field(g: GridSpec) -> FieldRealization:
+    z = 3.0 + np.random.default_rng(g.n_total).standard_normal(g.shape)
+    return FieldRealization(values=z, grid=g, provenance={})
+
+
+def _shift_pairs(f: FieldRealization):
+    """Brute force over every node x and nonzero shift h = (m, h_1, ..., h_d)
+    with m >= 0 and x + h in the grid: ``{h: (sum (z[x+h] - z[x])^2, count)}``."""
+    g, z = f.grid, f.values
+    out = {}
+    for x in np.ndindex(g.shape):
+        for y in np.ndindex(g.shape):
+            h = tuple(b - a for a, b in zip(x, y))
+            if h[0] < 0 or not any(h):
+                continue
+            s, n = out.get(h, (0.0, 0))
+            out[h] = (s + (z[y] - z[x]) ** 2, n + 1)
+    return out
+
+
+@pytest.mark.parametrize("g", TABLE_GRIDS, ids=("1d", "2d"))
+def test_lag_table_matches_shifted_differences(g):
+    f = _random_field(g)
+    # the reach covers every shift up to n_i - 1 on every axis
+    sums, counts, dist = _lag_table(f, g.nt - 1, 1e6)
+    offsets = list(np.ndindex(*(2 * n - 1 for n in g.ns)))
+    assert sums.shape == counts.shape == (g.nt, len(offsets)) == (g.nt, dist.size)
+    brute = _shift_pairs(f)
+    for m in range(g.nt):
+        for k, idx in enumerate(offsets):
+            h = (m,) + tuple(i - (n - 1) for i, n in zip(idx, g.ns))
+            s, n = brute.get(h, (0.0, 0))
+            assert counts[m, k] == n
+            assert sums[m, k] == pytest.approx(s, rel=1e-12, abs=0.0)
+            steps = np.asarray(h[1:]) * np.asarray(g.ds)
+            assert dist[k] == pytest.approx(math.sqrt(float(steps @ steps)), rel=1e-15)
+
+
+@pytest.mark.parametrize("g", TABLE_GRIDS, ids=("1d", "2d"))
+def test_gridded_estimators_match_brute_force_bins(g):
+    f = _random_field(g)
+    tol = 0.45 * min(g.ds)
+    pairs = [
+        (h[0], math.sqrt(sum((hi * si) ** 2 for hi, si in zip(h[1:], g.ds))), s, n)
+        for h, (s, n) in _shift_pairs(f).items()
+    ]
+
+    def brute(select):
+        s = sum(p[2] for p in pairs if select(p[0], p[1]))
+        n = sum(p[3] for p in pairs if select(p[0], p[1]))
+        return s, n
+
+    def check(v, expected, n_empty, record):
+        kept = [(key, s, n) for key, (s, n) in expected.items() if n > 0]
+        assert len(record) == n_empty == len(expected) - len(kept)
+        assert all(issubclass(w.category, EmptyBin) for w in record)
+        assert len(v) == len(kept)
+        for (key, s, n), gam, cnt in zip(kept, v.gamma, v.counts):
+            assert cnt == n
+            assert gam == pytest.approx(s / (2.0 * n), rel=1e-12)
+
+    # the corner shift n_i - 1 is the longest in the grid: lags past it drop;
+    # each unordered pair counts once
+    corner = math.sqrt(sum(((n - 1) * s) ** 2 for n, s in zip(g.ns, g.ds)))
+    r_bins = np.array([0.0, min(g.ds), corner, corner + 1.0])
+    spatial = {}
+    for rk in r_bins:
+        s, n = brute(lambda m, d: m == 0 and rk - tol <= d <= rk + tol)
+        spatial[rk] = (s / 2.0, n // 2)
+    with pytest.warns(EmptyBin) as record:
+        v = spatial_marginal_variogram(f, bins=r_bins, tolerance=tol)
+    check(v, spatial, 2, record)
+    assert np.array_equal(v.r, r_bins[1:3])
+
+    # temporal lags of zero or past the time axis drop
+    steps = [0, 1, g.nt - 1, g.nt]
+    temporal = {m: brute(lambda mm, d, m=m: m > 0 and mm == m and d == 0.0) for m in steps}
+    with pytest.warns(EmptyBin) as record:
+        v = temporal_marginal_variogram(f, bins=g.dt * np.array(steps))
+    check(v, temporal, 2, record)
+
+    # joint lags: the origin class and every class past an axis drop
+    tau_bins = g.dt * np.array([0, 1, g.nt - 1, g.nt])
+    joint = {}
+    for m in (0, 1, g.nt - 1, g.nt):
+        for rk in r_bins:
+            if not (rk == 0.0 and m == 0):
+                joint[(m, rk)] = brute(
+                    lambda mm, d, m=m, rk=rk: mm == m and rk - tol <= d <= rk + tol
+                )
+    n_empty = sum(n == 0 for _, n in joint.values())
+    with pytest.warns(EmptyBin) as record:
+        v = space_time_variogram(f, r_bins=r_bins, tau_bins=tau_bins, tolerance=tol)
+    check(v, joint, n_empty, record)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize(
+    "estimator",
+    (spatial_marginal_variogram, temporal_marginal_variogram, space_time_variogram),
+)
+def test_gridded_estimators_reject_non_finite_fields(tiny_field, estimator, bad):
+    f = tiny_field[0]
+    z = f.values.copy()
+    z[2, 1, 3] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        estimator(FieldRealization(values=z, grid=f.grid, provenance={}))
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +693,11 @@ def test_all_bins_unreachable_raises(tiny_field):
     with pytest.warns(EmptyBin):
         with pytest.raises(EmptyBinError):
             spatial_marginal_variogram(f, bins=np.array([50.0, 80.0]), tolerance=0.5)
+    # the origin class alone is no bin at all
+    with pytest.raises(EmptyBinError):
+        space_time_variogram(f, r_bins=np.array([0.0]), tau_bins=np.array([0.0]))
+    with pytest.raises(EmptyBinError):
+        temporal_marginal_variogram(f, bins=np.array([]))
 
 
 def test_temporal_zero_and_overlong_bins_drop(tiny_field):
@@ -631,6 +753,11 @@ def test_variogram_container_validation():
         EmpiricalVariogram(
             kind=VariogramKind.SPATIAL_MARGINAL, gamma=[], counts=[], r=[]
         )
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            EmpiricalVariogram(
+                kind=VariogramKind.SPATIAL_MARGINAL, gamma=[0.5, bad], counts=[3, 4], r=[1, 2]
+            )
 
 
 def test_variogram_json_round_trip(tiny_field):

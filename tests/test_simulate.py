@@ -254,3 +254,9 @@ def test_field_load_errors(tmp_path):
         fh.write(b"\x00" * 8)  # truncated payload
     with pytest.raises(DomainError):
         load_field(bin_path)
+
+    values = np.zeros(g.shape)
+    values[1, 2, 3] = np.nan
+    values.astype("<f8").tofile(bin_path)
+    with pytest.raises(DomainError, match="not all finite"):
+        load_field(bin_path)
