@@ -47,7 +47,6 @@ from .kernel_core import (
 )
 from .spectral import (
     AdmissibilityReport,
-    QuadratureScheme,
     QuadratureSpec,
     admissibility_scan,
     bessel_j,

@@ -61,7 +61,6 @@ def _add_common(sub: argparse.ArgumentParser, figure: bool = True):
             help="named preset instead of --model",
         )
     sub.add_argument("--out", default=".", help="output directory (default: .)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
 
 def build_parser() -> _Parser:
@@ -82,6 +81,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nt", type=int, default=128, help="temporal node count")
     p.add_argument("--dt", type=float, default=1.0, help="temporal spacing")
     p.add_argument("--prefix", default="field", help="output file stem")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
     p = subs.add_parser("variogram", help="empirical variogram")
     _add_common(p, figure=False)
@@ -169,36 +169,11 @@ def _out_path(args, name: str) -> str:
 
 
 def _load_query_csv(path):
-    """Read query points from CSV with header ``s1,...,sd,t`` (z ignored)."""
-    import csv
+    """Read query points from CSV with header ``s1,...,sd,t`` (a z column is ignored)."""
+    from .gp import SpaceTimePoint, _read_csv_table
 
-    from .errors import DomainError
-    from .gp import SpaceTimePoint
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DomainError(f"{path}: empty query file")
-    header = [c.strip() for c in rows[0]]
-    drop_z = header and header[-1] == "z"
-    if drop_z:
-        header = header[:-1]
-    if len(header) < 2 or header[-1] != "t":
-        raise DomainError(f"{path}: expected header 's1,...,sd,t', got {','.join(rows[0])}")
-    d = len(header) - 1
-    if header[:d] != [f"s{i + 1}" for i in range(d)]:
-        raise DomainError(f"{path}: spatial columns must be s1,...,s{d}")
-    points = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        vals = [float(c) for c in (row[:-1] if drop_z else row)]
-        if len(vals) != d + 1:
-            raise DomainError(f"{path}: row does not match the {d + 1}-column header")
-        points.append(SpaceTimePoint(tuple(vals[:d]), vals[d]))
-    if not points:
-        raise DomainError(f"{path}: query file contains zero points")
-    return points
+    d, table = _read_csv_table(path, [("t",), ("t", "z")], "query points")
+    return [SpaceTimePoint(tuple(row[:d]), row[d]) for row in table]
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +400,12 @@ def _check_ode_order(m) -> dict:
 def _check_gram_psd(m, seed: int) -> dict:
     import numpy as np
 
-    from .gp import SpaceTimePoint, gram
+    from .gp import SpaceTimeDataset, gram
 
-    rng = np.random.default_rng(seed)
-    pts = [
-        SpaceTimePoint(tuple(rng.uniform(0.0, 4.0, m.dim)), float(rng.uniform(0.0, 4.0)))
-        for _ in range(60)
-    ]
-    k = gram(m, pts).matrix
+    # row i holds point i's coordinates, then its time
+    draws = np.random.default_rng(seed).uniform(0.0, 4.0, (60, m.dim + 1))
+    data = SpaceTimeDataset.from_arrays(draws[:, :-1], draws[:, -1], np.zeros(60))
+    k = gram(m, data).matrix
     eig_min = float(np.linalg.eigvalsh(k).min())
     trace = float(np.trace(k))
     return {"passed": bool(eig_min >= -1e-8 * trace), "min_eigenvalue": eig_min, "trace": trace}

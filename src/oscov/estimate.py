@@ -36,7 +36,6 @@ from .errors import (
     OptimizerStalled,
     OscovError,
 )
-from .gp import SpaceTimeDataset
 from .kernel_core import (
     Dispersion,
     KernelModel,
@@ -310,7 +309,7 @@ def _drop_empty(kind, centers_r, centers_t, gamma, counts, tolerance):
 def _default_spatial_tolerance(data) -> float:
     if isinstance(data, FieldRealization):
         return 0.5 * min(data.grid.ds)
-    coords = np.array([p.s for p in data.points], dtype=float)
+    coords = data.coords
     n = coords.shape[0]
     if n < 2:
         raise DomainError("need at least two points for spatial lags")
@@ -329,8 +328,7 @@ def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
         r_cap = 0.5 * min(n * s for n, s in zip(g.ns, g.ds))
         count = min(n_bins, int(r_cap / step))
         return step * np.arange(1, max(count, 1) + 1)
-    coords = np.array([p.s for p in data.points], dtype=float)
-    d = pdist(coords)
+    d = pdist(data.coords)
     if d.size == 0:
         raise DomainError("need at least two points for spatial lags")
     lo, hi = np.quantile(d[d > 0], [0.02, 0.6])
@@ -343,12 +341,18 @@ def default_temporal_bins(data, n_bins: int = 40) -> np.ndarray:
         g = data.grid
         count = min(n_bins, g.nt - 1)
         return g.dt * np.arange(1, count + 1)
-    times = np.unique([p.t for p in data.points])
+    times = np.unique(data.times)
     if times.size < 2:
         raise DomainError("need at least two distinct times for temporal lags")
-    gaps = np.abs(times[:, None] - times[None, :])[np.triu_indices(times.size, 1)]
+    gaps = pdist(times[:, None], "cityblock")
     lo, hi = np.quantile(gaps, [0.02, 0.6])
     return np.linspace(lo, hi, min(n_bins, 12))
+
+
+def _half_median_gap(times: np.ndarray) -> float:
+    """Half the median gap between distinct times; zero for a single time."""
+    gaps = np.diff(np.unique(times))
+    return 0.5 * float(np.median(gaps)) if gaps.size else 0.0
 
 
 def _as_time_steps(tau_bins, dt: float) -> list[int]:
@@ -364,13 +368,77 @@ def _as_time_steps(tau_bins, dt: float) -> list[int]:
     return steps
 
 
-def _slice_groups(data: SpaceTimeDataset):
-    coords = np.array([p.s for p in data.points], dtype=float)
-    times = np.array([p.t for p in data.points], dtype=float)
-    values = np.asarray(data.values, dtype=float)
-    uniq, inverse = np.unique(times, return_inverse=True)
-    groups = [np.nonzero(inverse == i)[0] for i in range(uniq.size)]
-    return coords, times, values, uniq, groups
+def _ragged(lengths: np.ndarray, starts: np.ndarray):
+    """Flattened runs: run ``k`` counts up from ``starts[k]`` for ``lengths[k]`` steps.
+
+    Returns the run index and the value of every element.
+    """
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    values = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return owner, values + np.arange(owner.size)
+
+
+def _pairs(labels: np.ndarray):
+    """Indices ``(i, j)``, ``i < j``, of every pair of points with equal labels."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    n = labels.size
+    partners = np.searchsorted(ranked, ranked, side="right") - np.arange(1, n + 1)
+    a, b = _ragged(partners, np.arange(1, n + 1))
+    return order[a], order[b]
+
+
+def _windows(lags: np.ndarray, centers: np.ndarray, tol: float):
+    """Every (lag, window) combination with ``c - tol <= lag <= c + tol``.
+
+    ``centers`` must be ascending, so the windows holding a lag are a
+    contiguous run found by two binary searches.  Returns the lag index and
+    the window index of each combination.
+    """
+    first = np.searchsorted(centers + tol, lags, side="left")
+    stop = np.searchsorted(centers - tol, lags, side="right")
+    return _ragged(np.maximum(stop - first, 0), first)
+
+
+def _window_sums(groups, n_groups: int, lags, sq, centers, tol: float):
+    """Sums of ``sq`` and item counts per (group, window), shape ``(n_groups, bins)``.
+
+    Item ``p`` belongs to group ``groups[p]`` and counts in every window that
+    holds ``lags[p]``.
+    """
+    item, k = _windows(lags, centers, tol)
+    key = groups[item] * centers.size + k
+    size = n_groups * centers.size
+    sums = np.bincount(key, weights=sq[item], minlength=size)
+    counts = np.bincount(key, minlength=size)
+    return sums.reshape(n_groups, -1), counts.reshape(n_groups, -1)
+
+
+def _group_average(labels, values, lags_of, bins, tolerance: float):
+    """Semivariance per bin, averaged over the groups of points sharing a label.
+
+    Pairs form within groups only; ``lags_of(i, j)`` gives their lags.  Each
+    group's ratio ``sum / (2 n)`` counts in the bins it populates, and a bin's
+    estimate is the mean of those ratios.  Returns the estimate times the
+    pair count (the sums :func:`_drop_empty` divides) and the pair count.
+    """
+    uniq, labels = np.unique(labels, axis=0, return_inverse=True)
+    labels = labels.ravel()
+    i, j = _pairs(labels)
+    sums, counts = _window_sums(
+        labels[i], len(uniq), lags_of(i, j), (values[i] - values[j]) ** 2, bins, tolerance
+    )
+    hit = counts > 0
+    ratios = np.where(hit, sums / (2.0 * np.maximum(counts, 1)), 0.0)
+    hits = hit.sum(axis=0)
+    total = counts.sum(axis=0)
+    gamma = np.where(hits > 0, ratios.sum(axis=0) / np.maximum(hits, 1), 0.0)
+    return gamma * np.maximum(total, 1), total
+
+
+def _pair_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the pairs ``(i, j)``, summed axis by axis like ``cdist``."""
+    return np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords.T))
 
 
 def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVariogram:
@@ -402,34 +470,11 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
             tolerance,
         )
 
-    coords, _, values, _, groups = _slice_groups(data)
-    ratio_sum = np.zeros(bins.size)
-    slice_hits = np.zeros(bins.size, dtype=np.int64)
-    counts = np.zeros(bins.size, dtype=np.int64)
-    for idx in groups:
-        if idx.size < 2:
-            continue
-        pts = coords[idx]
-        vals = values[idx]
-        iu = np.triu_indices(idx.size, 1)
-        d = cdist(pts, pts)[iu]
-        sq = (vals[:, None] - vals[None, :])[iu] ** 2
-        for k, center in enumerate(bins):
-            mask = (d >= center - tolerance) & (d <= center + tolerance)
-            n = int(mask.sum())
-            if n:
-                ratio_sum[k] += float(sq[mask].sum()) / (2.0 * n)
-                slice_hits[k] += 1
-                counts[k] += n
-    gamma = np.where(slice_hits > 0, ratio_sum / np.maximum(slice_hits, 1), 0.0)
-    return _drop_empty(
-        VariogramKind.SPATIAL_MARGINAL,
-        bins,
-        None,
-        gamma * np.maximum(counts, 1),  # _drop_empty divides by counts
-        counts,
-        tolerance,
+    coords = data.coords
+    sums, counts = _group_average(
+        data.times, data.values, lambda i, j: _pair_distances(coords, i, j), bins, tolerance
     )
+    return _drop_empty(VariogramKind.SPATIAL_MARGINAL, bins, None, sums, counts, tolerance)
 
 
 def temporal_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVariogram:
@@ -452,43 +497,12 @@ def temporal_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVar
             0.0,
         )
 
-    if tolerance is None:
-        times = np.unique([p.t for p in data.points])
-        diffs = np.diff(times)
-        tolerance = 0.5 * float(np.median(diffs)) if diffs.size else 0.0
-    tolerance = float(tolerance)
-    coords = np.array([p.s for p in data.points], dtype=float)
-    times = np.array([p.t for p in data.points], dtype=float)
-    values = np.asarray(data.values, dtype=float)
-    _, inverse = np.unique(coords, axis=0, return_inverse=True)
-    ratio_sum = np.zeros(bins.size)
-    loc_hits = np.zeros(bins.size, dtype=np.int64)
-    counts = np.zeros(bins.size, dtype=np.int64)
-    for loc in range(inverse.max() + 1):
-        idx = np.nonzero(inverse == loc)[0]
-        if idx.size < 2:
-            continue
-        t = times[idx]
-        v = values[idx]
-        iu = np.triu_indices(idx.size, 1)
-        dt = np.abs(t[:, None] - t[None, :])[iu]
-        sq = (v[:, None] - v[None, :])[iu] ** 2
-        for k, center in enumerate(bins):
-            mask = (dt >= center - tolerance) & (dt <= center + tolerance)
-            n = int(mask.sum())
-            if n:
-                ratio_sum[k] += float(sq[mask].sum()) / (2.0 * n)
-                loc_hits[k] += 1
-                counts[k] += n
-    gamma = np.where(loc_hits > 0, ratio_sum / np.maximum(loc_hits, 1), 0.0)
-    return _drop_empty(
-        VariogramKind.TEMPORAL_MARGINAL,
-        None,
-        bins,
-        gamma * np.maximum(counts, 1),
-        counts,
-        tolerance,
+    times = data.times
+    tolerance = _half_median_gap(times) if tolerance is None else float(tolerance)
+    sums, counts = _group_average(
+        data.coords, data.values, lambda i, j: np.abs(times[i] - times[j]), bins, tolerance
     )
+    return _drop_empty(VariogramKind.TEMPORAL_MARGINAL, None, bins, sums, counts, tolerance)
 
 
 def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> EmpiricalVariogram:
@@ -515,16 +529,10 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
         tolerance = _default_spatial_tolerance(data)
     tolerance = float(tolerance)
 
-    pairs = [
-        (rk, tm)
-        for tm in tau_bins
-        for rk in r_bins
-        if not (rk == 0.0 and tm == 0.0)
-    ]
-    centers_r = np.array([p[0] for p in pairs])
-    centers_t = np.array([p[1] for p in pairs])
-    sums = np.zeros(len(pairs))
-    counts = np.zeros(len(pairs), dtype=np.int64)
+    # bins in tau-major order, without the (0, 0) class
+    grid_t, grid_r = np.meshgrid(tau_bins, r_bins, indexing="ij")
+    keep = ~((grid_r == 0.0) & (grid_t == 0.0)).ravel()
+    centers_r, centers_t = grid_r.ravel()[keep], grid_t.ravel()[keep]
 
     if isinstance(data, FieldRealization):
         steps = np.array(_as_time_steps(centers_t, data.grid.dt), dtype=np.int64)
@@ -546,30 +554,22 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
             tolerance,
         )
 
-    coords = np.array([p.s for p in data.points], dtype=float)
-    times = np.array([p.t for p in data.points], dtype=float)
-    values = np.asarray(data.values, dtype=float)
-    uniq_t = np.unique(times)
-    diffs = np.diff(uniq_t)
-    t_tol = 0.5 * float(np.median(diffs)) if diffs.size else 0.0
-    n_pts = coords.shape[0]
-    iu = np.triu_indices(n_pts, 1)
-    d = cdist(coords, coords)[iu]
-    dt = np.abs(times[:, None] - times[None, :])[iu]
-    sq = (values[:, None] - values[None, :])[iu] ** 2
-    for i, (rk, tm) in enumerate(pairs):
-        mask = (
-            (d >= rk - tolerance)
-            & (d <= rk + tolerance)
-            & (np.abs(dt - tm) <= t_tol)
-        )
-        if rk == 0.0 and tm == 0.0:
-            continue
-        n = int(mask.sum())
-        sums[i] = float(sq[mask].sum()) * 0.5
-        counts[i] = n
+    # the temporal window of each pair is its group for the spatial windows
+    times, values = data.times, data.values
+    i, j = _pairs(np.zeros(len(times), dtype=np.int64))
+    it, kt = _windows(np.abs(times[i] - times[j]), tau_bins, _half_median_gap(times))
+    i, j = i[it], j[it]
+    sums, counts = _window_sums(
+        kt, tau_bins.size, _pair_distances(data.coords, i, j), (values[i] - values[j]) ** 2,
+        r_bins, tolerance,
+    )
     return _drop_empty(
-        VariogramKind.SPACE_TIME, centers_r, centers_t, sums, counts, tolerance
+        VariogramKind.SPACE_TIME,
+        centers_r,
+        centers_t,
+        0.5 * sums.ravel()[keep],
+        counts.ravel()[keep],
+        tolerance,
     )
 
 
@@ -878,19 +878,15 @@ def _spatial_theta0(v, family, dispersion, dim) -> dict:
     else:
         eps0 = r_half / math.sqrt(2.0 ** (2.0 / (dim + 1)) - 1.0)
     eps0 = max(eps0, 1e-12)
-    if family == "ldho":
-        if Dispersion(dispersion) is Dispersion.QUADRATIC:
-            c00 = amp * (4.0 * math.pi * eps0) ** (0.5 * dim)
-        else:
-            gd = math.gamma(0.5 * (dim + 1))
-            c00 = amp * math.pi ** (0.5 * (dim + 1)) * eps0**dim / gd
-        return {"c0": c00, "epsilon": eps0, "nugget": nugget0}
+    # c0 (or sigma0_sq) that puts the spatial marginal at r = 0 on amp
     if Dispersion(dispersion) is Dispersion.QUADRATIC:
-        s00 = amp * (4.0 * math.pi * eps0) ** (0.5 * dim)
+        a0 = amp * (4.0 * math.pi * eps0) ** (0.5 * dim)
     else:
         gd = math.gamma(0.5 * (dim + 1))
-        s00 = amp * math.pi ** (0.5 * (dim + 1)) * eps0**dim / gd
-    return {"sigma0_sq": s00, "beta": eps0, "nugget": nugget0}
+        a0 = amp * math.pi ** (0.5 * (dim + 1)) * eps0**dim / gd
+    if family == "ldho":
+        return {"c0": a0, "epsilon": eps0, "nugget": nugget0}
+    return {"sigma0_sq": a0, "beta": eps0, "nugget": nugget0}
 
 
 def _temporal_frequency_guess(v: EmpiricalVariogram, sill: float) -> float | None:

@@ -67,16 +67,21 @@ class SpaceTimePoint:
         return len(self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeDataset:
     """Observations ``z_i`` of a weakly stationary field at scattered points.
 
+    The arrays are validated once (non-finite entries raise
+    :class:`DomainError`), copied, and stored read-only.
+
     Parameters
     ----------
-    points : tuple of SpaceTimePoint
-        Sample locations.  All points must share one spatial dimension.
-    values : tuple of float
-        Observed values, one per point.
+    coords : array of shape (n, d)
+        Sample locations, one row per observation.
+    times : array of shape (n,)
+        Sample times.
+    values : array of shape (n,)
+        Observed values.
     mean : float, optional
         Known constant mean of the process.  Defaults to zero.
 
@@ -87,52 +92,45 @@ class SpaceTimeDataset:
     not on the data.
     """
 
-    points: tuple[SpaceTimePoint, ...]
-    values: tuple[float, ...]
+    coords: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
     mean: float = 0.0
 
     def __post_init__(self):
-        pts = tuple(
-            p if isinstance(p, SpaceTimePoint) else SpaceTimePoint(*p) for p in self.points
-        )
-        vals = tuple(float(v) for v in self.values)
-        if len(pts) == 0:
+        coords = np.atleast_2d(np.array(self.coords, dtype=float))
+        times = np.array(self.times, dtype=float).ravel()
+        values = np.array(self.values, dtype=float).ravel()
+        n = times.size
+        if n == 0:
             raise DomainError("a dataset needs at least one observation")
-        if len(pts) != len(vals):
-            raise DomainError(
-                f"{len(pts)} points but {len(vals)} values; they must pair up"
-            )
-        d = pts[0].dim
-        for p in pts[1:]:
-            if p.dim != d:
-                raise DimensionMismatch(
-                    f"points mix spatial dimensions {d} and {p.dim}"
-                )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mean", float(self.mean))
+        if coords.ndim != 2 or coords.shape[1] == 0:
+            raise DomainError("coordinates must be an (n, d) array with d >= 1")
+        if coords.shape[0] != n:
+            raise DimensionMismatch(f"{coords.shape[0]} coordinate rows but {n} times")
+        if values.size != n:
+            raise DomainError(f"{n} points but {values.size} values; they must pair up")
+        mean = float(self.mean)
+        if not np.isfinite(mean):
+            raise DomainError(f"dataset mean {mean} is not finite")
+        for name, arr in (("coords", coords), ("times", times), ("values", values)):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"dataset {name} are not all finite")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mean", mean)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.times.size
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.coords.shape[1]
 
     @classmethod
     def from_arrays(cls, coords, times, values, mean: float = 0.0) -> "SpaceTimeDataset":
         """Build a dataset from an ``(n, d)`` coordinate array and flat vectors."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        times = np.asarray(times, dtype=float).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if coords.shape[0] != times.size:
-            raise DimensionMismatch(
-                f"{coords.shape[0]} coordinate rows but {times.size} times"
-            )
-        pts = tuple(
-            SpaceTimePoint(tuple(row), t) for row, t in zip(coords, times)
-        )
-        return cls(points=pts, values=tuple(values), mean=mean)
+        return cls(coords, times, values, mean)
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,16 @@ class GramMatrix:
         return self.matrix.shape[0]
 
 
-def _point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
+def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and times of a dataset or of a sequence of SpaceTimePoint."""
+    if isinstance(points, SpaceTimeDataset):
+        return points.coords, points.times
     pts = [p if isinstance(p, SpaceTimePoint) else SpaceTimePoint(*p) for p in points]
     if len(pts) == 0:
         raise DomainError("need at least one point")
+    dims = sorted({p.dim for p in pts})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"points mix spatial dimensions {dims[0]} and {dims[-1]}")
     coords = np.array([p.s for p in pts], dtype=float)
     times = np.array([p.t for p in pts], dtype=float)
     return coords, times
@@ -173,38 +177,31 @@ def _check_dim(m: KernelModel, coords: np.ndarray, what: str) -> None:
 def gram(m: KernelModel, points) -> GramMatrix:
     """Covariance (Gram) matrix ``K_ij = C(|s_i - s_j|, t_i - t_j)``.
 
-    The nugget is added on the diagonal.  Only the upper triangle is
-    evaluated; the lower one is mirrored, so the result is exactly symmetric.
+    ``points`` is a :class:`SpaceTimeDataset` or a sequence of
+    :class:`SpaceTimePoint`.  The kernel is evaluated once per unordered pair
+    and mirrored, so the result is exactly symmetric; the diagonal holds
+    ``C(0, 0)`` plus the nugget.
     """
-    coords, times = _point_arrays(points)
+    coords, times = _arrays(points)
     _check_dim(m, coords, "sample")
-    n = coords.shape[0]
-    r = squareform(pdist(coords)) if n > 1 else np.zeros((1, 1))
-    dt = times[:, None] - times[None, :]
-    iu = np.triu_indices(n)
-    upper = np.asarray(m.covariance(r[iu], dt[iu]), dtype=float)
-    K = np.zeros((n, n))
-    K[iu] = upper
-    K = K + K.T - np.diag(np.diag(K))
-    K[np.diag_indices(n)] += m.nugget
+    upper = m.covariance(pdist(coords), pdist(times[:, None], "cityblock"))
+    K = squareform(np.asarray(upper, dtype=float))
+    np.fill_diagonal(K, float(m.covariance(0.0, 0.0)) + m.nugget)
     return GramMatrix(matrix=K, model_key=m.model_key())
 
 
 def _find_duplicates(coords: np.ndarray, times: np.ndarray) -> tuple[int, int] | None:
     """First pair of sample points that coincide within rounding, if any."""
     n = coords.shape[0]
-    if n < 2:
-        return None
     s_tol = _DUPLICATE_RTOL * (1.0 + float(np.abs(coords).max()))
     t_tol = _DUPLICATE_RTOL * (1.0 + float(np.abs(times).max()))
-    r = squareform(pdist(coords))
-    dt = np.abs(times[:, None] - times[None, :])
-    dup = (r <= s_tol) & (dt <= t_tol)
-    dup[np.tril_indices(n)] = False
-    hits = np.argwhere(dup)
-    if hits.size:
-        return int(hits[0, 0]), int(hits[0, 1])
-    return None
+    dup = (pdist(coords) <= s_tol) & (pdist(times[:, None], "cityblock") <= t_tol)
+    hits = np.flatnonzero(dup)
+    if hits.size == 0:
+        return None
+    # condensed order is the row-major order of the pairs i < j
+    i, j = np.triu_indices(n, 1)
+    return int(i[hits[0]]), int(j[hits[0]])
 
 
 _PIVOT_RE = re.compile(r"(\d+)")
@@ -272,9 +269,9 @@ def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, 
     NegativeVariance
         If a predictive variance undershoots zero beyond rounding slack.
     """
-    coords, times = _point_arrays(data.points)
+    coords, times = data.coords, data.times
     _check_dim(m, coords, "sample")
-    q_coords, q_times = _point_arrays(query)
+    q_coords, q_times = _arrays(query)
     _check_dim(m, q_coords, "query")
 
     if m.nugget == 0.0:
@@ -285,11 +282,9 @@ def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, 
                 "nugget the Gram matrix is singular"
             )
 
-    K = gram(m, data.points).matrix
+    K = gram(m, data).matrix
     factor = _chol_with_jitter(K, m)
-
-    z = np.asarray(data.values, dtype=float)
-    alpha = cho_solve(factor, z - data.mean)
+    alpha = cho_solve(factor, data.values - data.mean)
 
     r_star = cdist(q_coords, coords)
     dt_star = q_times[:, None] - times[None, :]
@@ -341,33 +336,41 @@ def prediction_ratio(m: KernelModel, obs: SpaceTimePoint, query: SpaceTimePoint)
 # ---------------------------------------------------------------------------
 
 
-def load_dataset_csv(path, mean: float = 0.0) -> SpaceTimeDataset:
-    """Read a dataset from CSV with header ``s1,...,sd,t,z``."""
+def _read_csv_table(path, tails, what: str) -> tuple[int, np.ndarray]:
+    """Spatial dimension and numeric body of a CSV file with header
+    ``s1,...,sd`` followed by one of the column-name sequences in ``tails``.
+
+    Blank lines are skipped; every row must be as wide as the header and
+    every cell a finite number.  ``what`` names the rows in error messages.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
     if not rows:
-        raise DomainError(f"{path}: empty dataset file")
+        raise DomainError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
-    if len(header) < 3 or header[-2:] != ["t", "z"]:
-        raise DomainError(
-            f"{path}: expected header 's1,...,sd,t,z', got {','.join(header)}"
-        )
-    d = len(header) - 2
-    expected = [f"s{i + 1}" for i in range(d)]
-    if header[:d] != expected:
-        raise DomainError(
-            f"{path}: spatial columns must be {','.join(expected)}, got "
-            f"{','.join(header[:d])}"
-        )
-    body = [r for r in rows[1:] if r]
-    if not body:
-        raise DomainError(f"{path}: dataset contains zero observations")
+    for tail in tails:
+        d = len(header) - len(tail)
+        if d >= 1 and header == [f"s{i + 1}" for i in range(d)] + list(tail):
+            break
+    else:
+        expected = " or ".join("s1,...,sd," + ",".join(tail) for tail in tails)
+        raise DomainError(f"{path}: expected header {expected}, got {','.join(header)}")
+    if len(rows) == 1:
+        raise DomainError(f"{path}: contains zero {what}")
+    if any(len(r) != len(header) for r in rows[1:]):
+        raise DomainError(f"{path}: rows do not match the {len(header)}-column header")
     try:
-        table = np.array([[float(c) for c in r] for r in body], dtype=float)
+        table = np.array([[float(c) for c in r] for r in rows[1:]], dtype=float)
     except ValueError as exc:
         raise DomainError(f"{path}: non-numeric cell ({exc})") from exc
-    if table.ndim != 2 or table.shape[1] != d + 2:
-        raise DomainError(f"{path}: rows do not match the {d + 2}-column header")
+    if not np.all(np.isfinite(table)):
+        raise DomainError(f"{path}: cells are not all finite")
+    return d, table
+
+
+def load_dataset_csv(path, mean: float = 0.0) -> SpaceTimeDataset:
+    """Read a dataset from CSV with header ``s1,...,sd,t,z``."""
+    d, table = _read_csv_table(path, [("t", "z")], "observations")
     return SpaceTimeDataset.from_arrays(
         table[:, :d], table[:, d], table[:, d + 1], mean=mean
     )
@@ -375,7 +378,7 @@ def load_dataset_csv(path, mean: float = 0.0) -> SpaceTimeDataset:
 
 def write_predictions_csv(path, query, means, variances) -> None:
     """Write predictions as CSV with header ``s1,...,sd,t,mean,variance``."""
-    coords, times = _point_arrays(query)
+    coords, times = _arrays(query)
     d = coords.shape[1]
     means = np.asarray(means, dtype=float).ravel()
     variances = np.asarray(variances, dtype=float).ravel()

@@ -18,7 +18,7 @@ Bessel factor is replaced by its series limit, giving a plain radial moment.
 
 from __future__ import annotations
 
-import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +38,6 @@ from .kernel_core import (
 )
 
 __all__ = [
-    "QuadratureScheme",
     "QuadratureSpec",
     "AdmissibilityReport",
     "bessel_j",
@@ -201,24 +200,18 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-class QuadratureScheme(enum.Enum):
-    ADAPTIVE_PANEL = "adaptive_panel"
-    FIXED_GAUSS_LEGENDRE = "fixed_gauss_legendre"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Configuration of the radial transform quadrature.
 
     ``max_wavenumber = None`` asks the oracle to locate the cutoff itself by
     expanding until the mode amplitude falls below 1e-16 of its ``k = 0``
-    value.  ``node_count`` is the total evaluation budget for the adaptive
-    scheme and the rule size for the fixed scheme; at least 64.
+    value.  ``node_count`` is the total evaluation budget of the adaptive
+    panel scheme; at least 64.
     """
 
     max_wavenumber: float | None = None
     node_count: int = 65536
-    scheme: QuadratureScheme = QuadratureScheme.ADAPTIVE_PANEL
     abs_tol: float = 1e-15
     rel_tol: float = 1e-9
 
@@ -229,27 +222,16 @@ class QuadratureSpec:
             raise DomainError("node_count must be an integer >= 64")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
             raise DomainError("tolerances must be >= 0")
-        if not isinstance(self.scheme, QuadratureScheme):
-            object.__setattr__(self, "scheme", QuadratureScheme(self.scheme))
-        if (
-            self.scheme is QuadratureScheme.FIXED_GAUSS_LEGENDRE
-            and self.node_count > 4096
-        ):
-            # the fixed scheme materializes its rule via an n x n companion
-            # matrix, so huge orders are a memory bomb, not a budget
-            raise DomainError(
-                "fixed Gauss-Legendre rules support node_count <= 4096; "
-                "use the adaptive scheme for larger evaluation budgets"
-            )
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _panel_rules():
+    """The 32- and 16-node Gauss-Legendre rules of the per-panel error estimate.
 
-
-def _gl_rule(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    Built on first use, not at import: the eigenvalue solve behind each rule
+    would add time and memory to every process that imports the package.
+    """
+    return np.polynomial.legendre.leggauss(32), np.polynomial.legendre.leggauss(16)
 
 
 def _auto_kmax(mode, tau) -> float:
@@ -316,8 +298,7 @@ def _initial_breakpoints(integrand, k_max: float, node_budget: int) -> np.ndarra
 
 def _panel_sums(integrand, lo: np.ndarray, hi: np.ndarray):
     """32- and 16-node Gauss-Legendre sums on each [lo, hi] panel."""
-    x32, w32 = _gl_rule(32)
-    x16, w16 = _gl_rule(16)
+    (x32, w32), (x16, w16) = _panel_rules()
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     n32 = (mid + half * x32[None, :]).ravel()
@@ -348,14 +329,13 @@ def hankel_ift_oracle(
     r, tau : float
         Evaluation lag.
     spec : QuadratureSpec, optional
-        Scheme, cutoff, budget and tolerances.
+        Cutoff, evaluation budget and tolerances.
 
     Returns
     -------
     (value, error_estimate) : tuple of float
         The transform value and a conservative quadrature error estimate
-        (sum of per-panel 16-vs-32-node differences, or the difference
-        between the full- and half-order rules for the fixed scheme).
+        (sum of per-panel 16-vs-32-node differences).
 
     Raises
     ------
@@ -372,22 +352,6 @@ def hankel_ift_oracle(
 
     k_max = spec.max_wavenumber or _auto_kmax(mode, tau)
     integrand, pref = _integrand_factory(mode, int(d), float(r), float(tau))
-
-    if spec.scheme is QuadratureScheme.FIXED_GAUSS_LEGENDRE:
-        n = int(spec.node_count)
-        x_f, w_f = _gl_rule(n)
-        x_h, w_h = _gl_rule(n // 2)
-        half = 0.5 * k_max
-        val_f = float(np.dot(integrand(half * (x_f + 1.0)), w_f) * half)
-        val_h = float(np.dot(integrand(half * (x_h + 1.0)), w_h) * half)
-        err = abs(val_f - val_h)
-        value, error = pref * val_f, pref * err
-        if error > max(spec.abs_tol, spec.rel_tol * abs(value)):
-            raise QuadratureFailure(
-                f"fixed rule with {n} nodes reached error {error:.3e} "
-                f"for value {value:.6e}; tolerance not met"
-            )
-        return value, error
 
     points = _initial_breakpoints(integrand, k_max, spec.node_count)
     lo, hi = points[:-1], points[1:]

@@ -87,6 +87,10 @@ def test_no_command_prints_help_and_exits_config():
 def test_unknown_flag_exits_config():
     res = run_cli("eval", "--no-such-flag")
     assert res.returncode == 1
+    # only `simulate` draws random numbers, so only it takes a seed
+    res = run_cli("fit", "--seed", "3")
+    assert res.returncode == 1
+    assert "unrecognized arguments: --seed" in res.stderr
 
 
 def test_eval_requires_a_model(tmp_path):
@@ -333,6 +337,16 @@ def test_predict_with_zero_observations_names_the_file(tmp_path):
     assert res.returncode == 1
     assert "empty.csv" in res.stderr and "zero observations" in res.stderr
 
+    nan_data = tmp_path / "nan.csv"
+    nan_data.write_text("s1,s2,t,z\n0.0,0.0,0.0,1.0\n1.0,0.0,0.5,nan\n")
+    res = run_cli(
+        "predict", "--figure", "fig1", "--data", nan_data, "--query", query,
+        "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert "nan.csv" in res.stderr and "not all finite" in res.stderr
+    assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
+
 
 def test_predict_rejects_malformed_query_header(tmp_path):
     data = tmp_path / "obs.csv"
@@ -345,6 +359,17 @@ def test_predict_rejects_malformed_query_header(tmp_path):
     )
     assert res.returncode == 1
     assert "header" in res.stderr
+
+    # malformed cells under a good header
+    for cell, message in (("oops", "non-numeric cell"), ("nan", "not all finite")):
+        query.write_text(f"s1,s2,t\n0.0,0.0,0.5\n0.0,{cell},0.5\n")
+        res = run_cli(
+            "predict", "--figure", "fig1", "--data", data, "--query", query,
+            "--out", tmp_path,
+        )
+        assert res.returncode == 1
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

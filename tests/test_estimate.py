@@ -269,72 +269,126 @@ def test_gridded_estimators_reject_non_finite_fields(tiny_field, estimator, bad)
 # ---------------------------------------------------------------------------
 
 
-def test_scattered_spatial_averages_slice_ratios(scattered_data):
-    data, locs, times, coords, t, values = scattered_data
-    bins = np.array([1.5, 2.5])
-    tol = 0.7
-    v = spatial_marginal_variogram(data, bins=bins, tolerance=tol)
-    d_loc = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
-    iu = np.triu_indices(locs.shape[0], 1)
-    for rk, gam, cnt in zip(v.r, v.gamma, v.counts):
-        in_bin = (d_loc[iu] >= rk - tol) & (d_loc[iu] <= rk + tol)
+@pytest.fixture(scope="module")
+def grid_aligned_data():
+    """Six lattice locations (spacing 0.5) observed at uneven subsets of four times.
+
+    Time slices hold 5, 4, 3 and 3 points and locations 4, 2, 2, 3, 1 and 3.
+    Distances and time gaps are exact binary fractions, so with half-widths
+    0.5 in space and 0.25 in time many of them sit exactly on a window edge,
+    and neighbouring windows overlap: one pair counts in several bins.
+    """
+    locs = np.array([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 1.5), (1.5, 2.0), (0.5, 0.5)])
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    seen = np.array(
+        [[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 0, 1]],
+        dtype=bool,
+    )
+    loc_idx, time_idx = np.nonzero(seen)
+    coords, t = locs[loc_idx], times[time_idx]
+    values = np.random.default_rng(5).standard_normal(coords.shape[0])
+    data = SpaceTimeDataset.from_arrays(coords, t, values)
+    return data, locs, times, coords, t, values
+
+
+def _pair_lags(coords, t, values):
+    """Distance, time gap and squared increment of every pair i < j."""
+    iu = np.triu_indices(coords.shape[0], 1)
+    d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)[iu]
+    gaps = np.abs(t[:, None] - t[None, :])[iu]
+    sq = (values[:, None] - values[None, :])[iu] ** 2
+    return d, gaps, sq
+
+
+def test_scattered_spatial_averages_slice_ratios(scattered_data, grid_aligned_data):
+    for inputs, bins, tol in (
+        (scattered_data, [1.5, 2.5], 0.7),
+        (grid_aligned_data, [0.5, 1.0, 1.5, 2.5], 0.5),
+    ):
+        _check_spatial_against_slice_loops(inputs, bins, tol)
+
+
+def _check_spatial_against_slice_loops(inputs, bins, tol):
+    data, locs, times, coords, t, values = inputs
+    v = spatial_marginal_variogram(data, bins=np.array(bins), tolerance=tol)
+    expected = []
+    for rk in bins:
         ratios, n_total = [], 0
         for tk in times:
-            vals = values[t == tk]
-            sq = (vals[:, None] - vals[None, :])[iu] ** 2
+            d, _, sq = _pair_lags(coords[t == tk], t[t == tk], values[t == tk])
+            in_bin = (d >= rk - tol) & (d <= rk + tol)
             n = int(in_bin.sum())
             if n:
                 ratios.append(float(sq[in_bin].sum()) / (2.0 * n))
                 n_total += n
-        assert gam == pytest.approx(np.mean(ratios), rel=1e-12)
-        assert cnt == n_total
+        if n_total:
+            expected.append((rk, np.mean(ratios), n_total))
+    assert len(v) == len(expected)
+    for (rk, gam, cnt), got in zip(expected, zip(v.r, v.gamma, v.counts)):
+        assert got[0] == rk
+        assert got[1] == pytest.approx(gam, rel=1e-12)
+        assert got[2] == cnt
 
 
-def test_scattered_temporal_averages_location_ratios(scattered_data):
-    data, locs, times, coords, t, values = scattered_data
-    v = temporal_marginal_variogram(data, bins=np.array([1.0, 2.0]))
+def test_scattered_temporal_averages_location_ratios(scattered_data, grid_aligned_data):
+    for inputs, bins, tol in (
+        (scattered_data, [1.0, 2.0], 0.5),
+        (grid_aligned_data, [0.5, 0.75, 1.0], 0.25),
+    ):
+        _check_temporal_against_location_loops(inputs, bins, tol)
+
+
+def _check_temporal_against_location_loops(inputs, bins, tol):
+    data, locs, times, coords, t, values = inputs
+    v = temporal_marginal_variogram(data, bins=np.array(bins))
     # default tolerance: half the median gap between distinct times
-    tol = 0.5
-    for tauk, gam, cnt in zip(v.tau, v.gamma, v.counts):
+    assert v.tolerance == tol
+    expected = []
+    for tauk in bins:
         ratios, n_total = [], 0
         for loc in locs:
             sel = np.all(coords == loc, axis=1)
-            tv, vv = t[sel], values[sel]
-            iu = np.triu_indices(tv.size, 1)
-            gaps = np.abs(tv[:, None] - tv[None, :])[iu]
-            sq = (vv[:, None] - vv[None, :])[iu] ** 2
+            _, gaps, sq = _pair_lags(coords[sel], t[sel], values[sel])
             in_bin = np.abs(gaps - tauk) <= tol
             n = int(in_bin.sum())
             if n:
                 ratios.append(float(sq[in_bin].sum()) / (2.0 * n))
                 n_total += n
-        assert gam == pytest.approx(np.mean(ratios), rel=1e-12)
-        assert cnt == n_total
+        if n_total:
+            expected.append((tauk, np.mean(ratios), n_total))
+    assert len(v) == len(expected)
+    for (tauk, gam, cnt), got in zip(expected, zip(v.tau, v.gamma, v.counts)):
+        assert got[0] == tauk
+        assert got[1] == pytest.approx(gam, rel=1e-12)
+        assert got[2] == cnt
 
 
-def test_scattered_joint_matches_pair_mask(scattered_data):
-    data, locs, times, coords, t, values = scattered_data
-    tol = 0.7
-    t_tol = 0.5  # half the median gap between distinct times
+def test_scattered_joint_matches_pair_mask(scattered_data, grid_aligned_data):
+    # t_tol is the default: half the median gap between distinct times
+    for inputs, r_bins, tau_bins, tol, t_tol in (
+        (scattered_data, [0.0, 1.5], [0.0, 1.0], 0.7, 0.5),
+        (grid_aligned_data, [0.0, 0.5, 1.0], [0.0, 0.25, 0.5], 0.5, 0.25),
+    ):
+        _check_joint_against_pair_mask(inputs, r_bins, tau_bins, tol, t_tol)
+
+
+def _check_joint_against_pair_mask(inputs, r_bins, tau_bins, tol, t_tol):
+    data, locs, times, coords, t, values = inputs
     v = space_time_variogram(
-        data,
-        r_bins=np.array([0.0, 1.5]),
-        tau_bins=np.array([0.0, 1.0]),
-        tolerance=tol,
+        data, r_bins=np.array(r_bins), tau_bins=np.array(tau_bins), tolerance=tol
     )
-    got = {
-        (round(r, 6), round(tk, 6)): (gam, cnt)
-        for r, tk, gam, cnt in zip(v.r, v.tau, v.gamma, v.counts)
-    }
-    assert (0.0, 0.0) not in got
-    iu = np.triu_indices(coords.shape[0], 1)
-    d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)[iu]
-    gaps = np.abs(t[:, None] - t[None, :])[iu]
-    sq = (values[:, None] - values[None, :])[iu] ** 2
-    for (rk, tm), (gam, cnt) in got.items():
-        mask = (d >= rk - tol) & (d <= rk + tol) & (np.abs(gaps - tm) <= t_tol)
-        assert cnt == int(mask.sum())
-        assert gam == pytest.approx(float(sq[mask].sum()) / (2.0 * cnt), rel=1e-12)
+    d, gaps, sq = _pair_lags(coords, t, values)
+    expected = []
+    for tm in tau_bins:  # bins run tau-major
+        for rk in r_bins:
+            mask = (d >= rk - tol) & (d <= rk + tol) & (np.abs(gaps - tm) <= t_tol)
+            if (rk, tm) != (0.0, 0.0) and mask.any():
+                expected.append((rk, tm, float(sq[mask].sum()) / (2.0 * mask.sum()), mask.sum()))
+    assert len(v) == len(expected)
+    for (rk, tm, gam, cnt), got in zip(expected, zip(v.r, v.tau, v.gamma, v.counts)):
+        assert (got[0], got[1]) == (rk, tm)
+        assert got[2] == pytest.approx(gam, rel=1e-12)
+        assert got[3] == cnt
 
 
 def test_white_noise_semivariance_is_unbiased():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from oscov import (
     DimensionMismatch,
@@ -27,10 +28,18 @@ from oscov.gp import _chol_with_jitter
 UNDER = LdhoParams(2.0, 3.0, 1.5 * math.pi, 1.0, 0.4)
 
 
-def random_points(rng, n, dim, box=10.0, t_span=20.0):
+def random_arrays(rng, n, dim, box=10.0, t_span=20.0):
     coords = rng.uniform(0.0, box, (n, dim))
     times = rng.uniform(0.0, t_span, n)
+    return coords, times
+
+
+def points_of(coords, times):
     return [SpaceTimePoint(tuple(c), float(t)) for c, t in zip(coords, times)]
+
+
+def random_points(rng, n, dim, box=10.0, t_span=20.0):
+    return points_of(*random_arrays(rng, n, dim, box, t_span))
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +67,17 @@ def test_gram_coincident_pair_is_rank_one():
 def test_gram_symmetry_and_diagonal():
     rng = np.random.default_rng(7)
     m = KernelModel(UNDER, nugget=0.2)
-    pts = random_points(rng, 40, 2)
-    K = gram(m, pts).matrix
+    coords, times = random_arrays(rng, 40, 2)
+    K = gram(m, points_of(coords, times)).matrix
     assert np.array_equal(K, K.T)
     assert np.allclose(np.diag(K), m.variance() + 0.2, rtol=1e-14)
+    # bit for bit the full kernel matrix plus the nugget on the diagonal,
+    # from a point list and from a dataset alike
+    brute = m.covariance(cdist(coords, coords), times[:, None] - times[None, :])
+    brute[np.diag_indices(40)] += 0.2
+    assert np.array_equal(K, brute)
+    data = SpaceTimeDataset.from_arrays(coords, times, np.zeros(40))
+    assert np.array_equal(gram(m, data).matrix, brute)
 
 
 def test_gram_psd_for_all_variants(variants_2d):
@@ -77,6 +93,12 @@ def test_gram_dimension_mismatch():
     m = KernelModel(UNDER)  # dim 2
     with pytest.raises(DimensionMismatch):
         gram(m, [SpaceTimePoint((1.0, 2.0, 3.0), 0.0)])
+    mixed = [SpaceTimePoint((1.0,), 0.0), SpaceTimePoint((1.0, 2.0), 0.0)]
+    with pytest.raises(DimensionMismatch):
+        gram(m, mixed)
+    data = SpaceTimeDataset.from_arrays([[1.0, 2.0]], [0.0], [1.0])
+    with pytest.raises(DimensionMismatch):
+        predict(m, data, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +109,10 @@ def test_gram_dimension_mismatch():
 def test_prediction_interpolates_noise_free_data():
     rng = np.random.default_rng(3)
     m = KernelModel(UNDER, nugget=0.0)
-    pts = random_points(rng, 25, 2)
+    coords, times = random_arrays(rng, 25, 2)
     values = rng.normal(0.0, 1.0, 25)
-    data = SpaceTimeDataset(points=tuple(pts), values=tuple(values))
-    means, variances = predict(m, data, pts)
+    data = SpaceTimeDataset.from_arrays(coords, times, values)
+    means, variances = predict(m, data, points_of(coords, times))
     scale = float(np.max(np.abs(values)))
     assert np.max(np.abs(means - values)) <= 1e-8 * scale
     assert np.all(variances >= 0.0)
@@ -100,9 +122,9 @@ def test_prediction_interpolates_noise_free_data():
 def test_prediction_reverts_to_prior_far_away():
     rng = np.random.default_rng(5)
     m = KernelModel(UNDER, nugget=0.1)
-    pts = random_points(rng, 15, 2)
+    coords, times = random_arrays(rng, 15, 2)
     values = rng.normal(2.5, 1.0, 15)
-    data = SpaceTimeDataset(points=tuple(pts), values=tuple(values), mean=2.5)
+    data = SpaceTimeDataset.from_arrays(coords, times, values, mean=2.5)
     far = [SpaceTimePoint((500.0, 500.0), 1000.0)]
     means, variances = predict(m, data, far)
     prior = m.variance() + m.nugget
@@ -113,16 +135,14 @@ def test_prediction_reverts_to_prior_far_away():
 def test_prediction_permutation_equivariance():
     rng = np.random.default_rng(19)
     m = KernelModel(UNDER, nugget=0.05)
-    pts = random_points(rng, 40, 2)
+    coords, times = random_arrays(rng, 40, 2)
     values = rng.normal(0.0, 1.0, 40)
     queries = random_points(rng, 7, 2)
-    data = SpaceTimeDataset(points=tuple(pts), values=tuple(values))
+    data = SpaceTimeDataset.from_arrays(coords, times, values)
     base_means, base_vars = predict(m, data, queries)
 
     perm = rng.permutation(40)
-    shuffled = SpaceTimeDataset(
-        points=tuple(pts[i] for i in perm), values=tuple(values[i] for i in perm)
-    )
+    shuffled = SpaceTimeDataset.from_arrays(coords[perm], times[perm], values[perm])
     perm_means, perm_vars = predict(m, shuffled, queries)
     scale = float(np.max(np.abs(base_means)))
     assert np.max(np.abs(perm_means - base_means)) <= 1e-12 * max(scale, 1.0)
@@ -130,9 +150,10 @@ def test_prediction_permutation_equivariance():
 
 
 def test_duplicate_points_need_a_nugget():
-    p = SpaceTimePoint((1.0, 2.0), 0.5)
     q = SpaceTimePoint((4.0, 1.0), 2.0)
-    data = SpaceTimeDataset(points=(p, p, q), values=(1.0, 1.0, 2.0))
+    data = SpaceTimeDataset.from_arrays(
+        [(1.0, 2.0), (1.0, 2.0), q.s], [0.5, 0.5, q.t], [1.0, 1.0, 2.0]
+    )
     with pytest.raises(DomainError):
         predict(KernelModel(UNDER, nugget=0.0), data, [q])
     means, variances = predict(KernelModel(UNDER, nugget=0.2), data, [q])
@@ -148,9 +169,7 @@ def test_factorization_failure_names_a_pivot():
 
 def test_prediction_dimension_mismatch():
     m = KernelModel(UNDER)
-    data = SpaceTimeDataset(
-        points=(SpaceTimePoint((1.0, 2.0), 0.0),), values=(1.0,)
-    )
+    data = SpaceTimeDataset.from_arrays([[1.0, 2.0]], [0.0], [1.0])
     with pytest.raises(DimensionMismatch):
         predict(m, data, [SpaceTimePoint((1.0,), 0.0)])
 
@@ -197,7 +216,7 @@ def test_prediction_ratio_equals_predictor_ratio():
                 (obs.s[0] + rng.uniform(0.1, 1.5), obs.s[1] + rng.uniform(0.1, 1.5)),
                 obs.t + rng.uniform(0.02, 0.12),
             )
-            data = SpaceTimeDataset(points=(obs,), values=(obs_value,), mean=mean)
+            data = SpaceTimeDataset.from_arrays([obs.s], [obs.t], [obs_value], mean=mean)
             full_mean, _ = predict(m, data, [query])
             sur_mean, _ = predict(surrogate, data, [query])
             direct = (full_mean[0] - mean) / (sur_mean[0] - mean)
@@ -215,16 +234,24 @@ def test_prediction_ratio_equals_predictor_ratio():
 
 def test_dataset_validation():
     with pytest.raises(DomainError):
-        SpaceTimeDataset(points=(), values=())
+        SpaceTimeDataset.from_arrays(np.zeros((0, 1)), [], [])
     with pytest.raises(DomainError):
-        SpaceTimeDataset(
-            points=(SpaceTimePoint((1.0,), 0.0),), values=(1.0, 2.0)
-        )
+        SpaceTimeDataset.from_arrays([[1.0]], [0.0], [1.0, 2.0])
     with pytest.raises(DimensionMismatch):
-        SpaceTimeDataset(
-            points=(SpaceTimePoint((1.0,), 0.0), SpaceTimePoint((1.0, 2.0), 0.0)),
-            values=(1.0, 2.0),
-        )
+        SpaceTimeDataset.from_arrays([[1.0], [2.0]], [0.0], [1.0, 2.0])
+    good = ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0], [1.0, 2.0])
+    for pos, bad in ((0, [[0.0, np.nan], [2.0, 3.0]]), (1, [0.0, np.inf]), (2, [np.nan, 2.0])):
+        args = list(good)
+        args[pos] = bad
+        with pytest.raises(DomainError, match="not all finite"):
+            SpaceTimeDataset.from_arrays(*args)
+    with pytest.raises(DomainError, match="not finite"):
+        SpaceTimeDataset.from_arrays(*good, mean=np.nan)
+    # the dataset keeps read-only copies of its arrays
+    coords = np.array(good[0])
+    data = SpaceTimeDataset.from_arrays(coords, *good[1:])
+    coords[0, 0] = 9.0
+    assert data.coords[0, 0] == 0.0 and not data.values.flags.writeable
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -238,8 +265,9 @@ def test_dataset_csv_round_trip(tmp_path):
     assert len(data) == 2
     assert data.dim == 2
     assert data.mean == 0.3
-    assert data.points[1] == SpaceTimePoint((2.0, 0.0), 0.5)
-    assert data.values == (1.125, -0.75)
+    assert np.array_equal(data.coords, [[0.5, 1.5], [2.0, 0.0]])
+    assert np.array_equal(data.times, [0.25, 0.5])
+    assert np.array_equal(data.values, [1.125, -0.75])
 
 
 def test_dataset_csv_errors(tmp_path):
@@ -258,13 +286,24 @@ def test_dataset_csv_errors(tmp_path):
     with pytest.raises(DomainError):
         load_dataset_csv(bad_cell)
 
+    for cell in ("nan", "inf"):
+        nan_cell = tmp_path / f"{cell}.csv"
+        nan_cell.write_text(f"s1,t,z\n1,2,3\n1,3,{cell}\n")
+        with pytest.raises(DomainError, match="not all finite"):
+            load_dataset_csv(nan_cell)
+
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("s1,t,z\n1,2\n")
+    with pytest.raises(DomainError, match="3-column header"):
+        load_dataset_csv(short_row)
+
 
 def test_predictions_csv(tmp_path):
     rng = np.random.default_rng(2)
     m = preset_model("fig1")
-    pts = random_points(rng, 10, 2)
+    coords, times = random_arrays(rng, 10, 2)
     values = rng.normal(0.0, 0.3, 10)
-    data = SpaceTimeDataset(points=tuple(pts), values=tuple(values))
+    data = SpaceTimeDataset.from_arrays(coords, times, values)
     queries = random_points(rng, 4, 2)
     means, variances = predict(m, data, queries)
     out = tmp_path / "pred.csv"

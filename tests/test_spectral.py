@@ -15,7 +15,6 @@ from oscov import (
     LdhoParams,
     OuParams,
     QuadratureFailure,
-    QuadratureScheme,
     QuadratureSpec,
     admissibility_scan,
     bessel_j,
@@ -221,16 +220,6 @@ def test_oracle_matches_ou_closed_form():
     assert abs(val - closed) <= max(1e-6 * v0, 5 * err)
 
 
-def test_oracle_fixed_scheme_agrees_with_adaptive():
-    mode = partial(temporal_fourier_mode, UNDER)
-    adaptive, _ = hankel_ift_oracle(mode, 2, 1.0, 0.5)
-    fixed_spec = QuadratureSpec(
-        scheme=QuadratureScheme.FIXED_GAUSS_LEGENDRE, node_count=1024
-    )
-    fixed, _ = hankel_ift_oracle(mode, 2, 1.0, 0.5, spec=fixed_spec)
-    assert fixed == pytest.approx(adaptive, rel=1e-8)
-
-
 def test_oracle_rejects_bad_inputs():
     mode = partial(temporal_fourier_mode, UNDER)
     with pytest.raises(DomainError):
@@ -253,9 +242,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_wavenumber=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        # the fixed scheme builds its rule directly; huge orders are rejected
-        QuadratureSpec(scheme=QuadratureScheme.FIXED_GAUSS_LEGENDRE)
 
 
 # ---------------------------------------------------------------------------
