@@ -42,6 +42,8 @@ from .kernel_core import (
     LdhoParams,
     OuParams,
     Regime,
+    classify_regime,
+    damped_frequency,
 )
 from .simulate import FieldRealization
 
@@ -667,183 +669,146 @@ def _nelder_mead(func, x0: np.ndarray, budget: int = _MAX_EVALS):
     return x_best, f_best, evals, converged, trace
 
 
-def _objective_factory(build_model, variogram, bounds):
-    """Wrap model construction + WLS into a penalized vector objective."""
+# Search-vector order of each fit branch: a stage searches the names it does
+# not fix, in this order.
+_BRANCH_PARAMS = {
+    "underdamped": ("c0", "epsilon", "omega_d", "tau_c", "interaction", "nugget"),
+    "critical": ("c0", "epsilon", "tau_c", "interaction", "nugget"),
+    "overdamped": ("c0", "epsilon", "damping_ratio", "tau_c", "interaction", "nugget"),
+    "ou": ("sigma0_sq", "beta", "tau_c", "scale", "nugget"),
+}
+_LDHO_BRANCHES = ("underdamped", "critical", "overdamped")
 
-    def func(x):
-        try:
-            theta = build_model.from_vector(x)
-        except (OscovError, ValueError, OverflowError, FloatingPointError):
-            return float("inf")
-        for name, value in theta.items():
-            lo, hi = bounds.get(name, (0.0, float("inf")))
-            if not (lo <= value <= hi) or not math.isfinite(value):
-                return float("inf")
-        try:
-            m = build_model.to_model(theta)
-            return float(wls_objective(m, variogram))
-        except (OscovError, ValueError, OverflowError, FloatingPointError):
-            return float("inf")
-
-    return func
+# The spatial stage fits one branch per family with its temporal constants
+# fixed at placeholders: the spatial marginal is independent of them in
+# every regime.
+_SPATIAL_STAGE = {
+    "ldho": ("underdamped", {"omega_d": 1.0, "tau_c": 1.0, "interaction": 1.0}),
+    "ou": ("ou", {"tau_c": 1.0, "scale": 1.0}),
+}
 
 
-class _Parametrization:
-    """Maps between named positive hyperparameters and search vectors.
+def _branch_model(branch: str, dispersion, dim: int, theta: dict) -> KernelModel:
+    """The model of one fit branch from the full set of its named parameters.
 
-    Plain parameters travel through ``log``; a parameter named in
-    ``logistic`` is a ratio in (0, 1) and travels through ``log(u/(1-u))``.
+    O-U models pin ``a = 1``; the overdamped branch carries its damped
+    frequency as ``damping_ratio = 2 tau_c omega_d`` in (0, 1).
     """
+    if branch == "ou":
+        params = OuParams(
+            sigma0_sq=theta["sigma0_sq"],
+            tau_c=theta["tau_c"],
+            a=1.0,
+            scale=theta["scale"],
+            beta=theta["beta"],
+            dispersion=dispersion,
+            dim=dim,
+        )
+    else:
+        tau_c = theta["tau_c"]
+        if branch == "underdamped":
+            omega_d = theta["omega_d"]
+        elif branch == "critical":
+            omega_d = 0.0
+        else:
+            omega_d = theta["damping_ratio"] / (2.0 * tau_c)
+        params = LdhoParams.from_damped_frequency(
+            c0=theta["c0"],
+            tau_c=tau_c,
+            omega_d=omega_d,
+            regime=branch,
+            epsilon=theta["epsilon"],
+            interaction=theta["interaction"],
+            dispersion=dispersion,
+            dim=dim,
+        )
+    return KernelModel(params=params, nugget=theta["nugget"])
 
-    def __init__(self, names, to_model, logistic=()):
-        self.names = list(names)
-        self.to_model = to_model
-        self.logistic = set(logistic)
 
-    def to_vector(self, theta: dict) -> np.ndarray:
-        out = []
-        for name in self.names:
-            v = float(theta[name])
-            if name in self.logistic:
-                v = min(max(v, 1e-12), 1.0 - 1e-12)
-                out.append(math.log(v / (1.0 - v)))
-            else:
-                out.append(math.log(max(v, 1e-300)))
-        return np.array(out)
+def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
+    """Simplex search over the branch's parameters not in ``fixed``, from one start.
 
-    def from_vector(self, x) -> dict:
+    Plain parameters travel through ``log``; ``damping_ratio`` is a ratio in
+    (0, 1) and travels through ``log(u/(1-u))``.  ``bounds`` overrides the
+    default bounds (a factor 1e3 either side of the start) and applies to the
+    searched parameters only.  Returns the searched parameters at the best
+    point (the start when the search fails to improve on it), the objective,
+    the evaluation count, a convergence flag and the per-stage trace.
+    """
+    names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
+    bounds = {**_default_bounds(theta0), **(bounds or {})}
+
+    def from_vector(x) -> dict:
         theta = {}
-        for name, xi in zip(self.names, np.asarray(x, dtype=float)):
-            if name in self.logistic:
+        for name, xi in zip(names, np.asarray(x, dtype=float)):
+            if name == "damping_ratio":
                 theta[name] = 1.0 / (1.0 + math.exp(-xi))
             else:
                 theta[name] = math.exp(xi)
         return theta
 
+    def func(x):
+        try:
+            theta = from_vector(x)
+            for name, value in theta.items():
+                lo, hi = bounds.get(name, (0.0, float("inf")))
+                if not (lo <= value <= hi) or not math.isfinite(value):
+                    return float("inf")
+            m = _branch_model(branch, dispersion, dim, {**fixed, **theta})
+            return float(wls_objective(m, variogram))
+        except (OscovError, ValueError, OverflowError, FloatingPointError):
+            return float("inf")
 
-def _search(param: _Parametrization, theta0: dict, variogram, bounds, budget=_MAX_EVALS):
-    """Run the simplex search from one start; fall back to the start on failure."""
-    bounds = bounds or {}
-    func = _objective_factory(param, variogram, bounds)
-    x0 = param.to_vector(theta0)
+    x0 = []
+    for name in names:
+        v = float(theta0[name])
+        if name == "damping_ratio":
+            v = min(max(v, 1e-12), 1.0 - 1e-12)
+            x0.append(math.log(v / (1.0 - v)))
+        else:
+            x0.append(math.log(max(v, 1e-300)))
+    x0 = np.array(x0)
     f0 = func(x0)
     if not math.isfinite(f0):
         raise OptimizerStalled(
             f"objective is not finite at the initial guess {theta0}"
         )
-    x, f, evals, converged, trace = _nelder_mead(func, x0, budget)
+    x, f, evals, converged, trace = _nelder_mead(func, x0)
     if f >= f0 and not np.allclose(x, x0):
         x, f = x0, f0
-    theta = param.from_vector(x)
-    return theta, float(f), evals, converged, trace
+    return from_vector(x), float(f), evals, converged, trace
 
 
-# ---------------------------------------------------------------------------
-# marginal-stage parametrizations
-# ---------------------------------------------------------------------------
+def _best_branch(starts, dispersion, dim, fixed, variogram, bounds):
+    """Search every ``(branch, theta0)`` start and keep the lowest objective.
 
-
-def _ldho_regime_builder(dispersion, dim, regime, spatial=None):
-    """Parametrization of an LDHO model for one damping regime.
-
-    ``spatial`` freezes (c0, epsilon) at the marginal-stage estimates; when
-    it is None both are part of the search vector.
+    Each start is recorded under its branch name before it is searched, so a
+    later start of a branch replaces an earlier one in the record, and a
+    start whose objective is not finite is listed but skipped.  Returns the
+    winning ``(branch, theta, objective, converged)``, the evaluation count
+    and simplex trace of all searched starts, and the record of starts.
     """
-    disp = Dispersion(dispersion)
-
-    base = [] if spatial else ["c0", "epsilon"]
-    if regime is Regime.UNDERDAMPED:
-        names = base + ["omega_d", "tau_c", "interaction", "nugget"]
-    elif regime is Regime.CRITICAL:
-        names = base + ["tau_c", "interaction", "nugget"]
-    else:
-        names = base + ["damping_ratio", "tau_c", "interaction", "nugget"]
-
-    def to_model(theta: dict) -> KernelModel:
-        c0 = spatial["c0"] if spatial else theta["c0"]
-        epsilon = spatial["epsilon"] if spatial else theta["epsilon"]
-        tau_c = theta["tau_c"]
-        if regime is Regime.UNDERDAMPED:
-            omega_d = theta["omega_d"]
-        elif regime is Regime.CRITICAL:
-            omega_d = 0.0
-        else:
-            omega_d = theta["damping_ratio"] / (2.0 * tau_c)
-        params = LdhoParams.from_damped_frequency(
-            c0=c0,
-            tau_c=tau_c,
-            omega_d=omega_d,
-            regime=regime,
-            epsilon=epsilon,
-            interaction=theta["interaction"],
-            dispersion=disp,
-            dim=dim,
-        )
-        return KernelModel(params=params, nugget=theta["nugget"])
-
-    logistic = ("damping_ratio",) if regime is Regime.OVERDAMPED else ()
-    return _Parametrization(names, to_model, logistic=logistic)
-
-
-def _ou_builder(dispersion, dim, spatial=None):
-    disp = Dispersion(dispersion)
-    base = [] if spatial else ["sigma0_sq", "beta"]
-    names = base + ["tau_c", "scale", "nugget"]
-
-    def to_model(theta: dict) -> KernelModel:
-        sigma0_sq = spatial["sigma0_sq"] if spatial else theta["sigma0_sq"]
-        beta = spatial["beta"] if spatial else theta["beta"]
-        params = OuParams(
-            sigma0_sq=sigma0_sq,
-            tau_c=theta["tau_c"],
-            a=1.0,
-            scale=theta["scale"],
-            beta=beta,
-            dispersion=disp,
-            dim=dim,
-        )
-        return KernelModel(params=params, nugget=theta["nugget"])
-
-    return _Parametrization(names, to_model)
-
-
-def _spatial_builder(family, dispersion, dim):
-    """Spatial-stage parametrization: amplitude, spatial range, nugget."""
-    disp = Dispersion(dispersion)
-    if family == "ldho":
-        names = ["c0", "epsilon", "nugget"]
-
-        def to_model(theta: dict) -> KernelModel:
-            # temporal constants are placeholders: the spatial marginal is
-            # independent of them in every regime
-            params = LdhoParams.from_damped_frequency(
-                c0=theta["c0"],
-                tau_c=1.0,
-                omega_d=1.0,
-                regime=Regime.UNDERDAMPED,
-                epsilon=theta["epsilon"],
-                interaction=1.0,
-                dispersion=disp,
-                dim=dim,
+    best = None
+    evals = 0
+    trace: list[float] = []
+    record = {}
+    for branch, theta0 in starts:
+        record[branch] = theta0
+        try:
+            theta, obj, n_ev, conv, tr = _search(
+                branch, dispersion, dim, theta0, fixed, variogram, bounds
             )
-            return KernelModel(params=params, nugget=theta["nugget"])
-
-    else:
-        names = ["sigma0_sq", "beta", "nugget"]
-
-        def to_model(theta: dict) -> KernelModel:
-            params = OuParams(
-                sigma0_sq=theta["sigma0_sq"],
-                tau_c=1.0,
-                a=1.0,
-                scale=1.0,
-                beta=theta["beta"],
-                dispersion=disp,
-                dim=dim,
-            )
-            return KernelModel(params=params, nugget=theta["nugget"])
-
-    return _Parametrization(names, to_model)
+        except OptimizerStalled:
+            continue
+        evals += n_ev
+        trace.extend(tr)
+        if best is None or obj < best[2]:
+            best = (branch, theta, obj, conv)
+    if best is None:
+        raise OptimizerStalled(
+            f"no start produced a finite objective on the {variogram.kind.value} variogram"
+        )
+    return best, evals, trace, record
 
 
 # ---------------------------------------------------------------------------
@@ -929,20 +894,13 @@ def _default_bounds(theta0: dict, span: float = 1e3) -> dict:
     return out
 
 
-def _merge_bounds(defaults: dict, override) -> dict:
-    merged = dict(defaults)
-    if override:
-        merged.update(override)
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # fitting pipelines
 # ---------------------------------------------------------------------------
 
 
-def _temporal_starts(family, dispersion, dim, v_t, spatial):
-    """Regime-tagged initial guesses for the temporal-stage search."""
+def _temporal_starts(family, v_t, spatial):
+    """Branch-tagged initial guesses for the temporal-stage search."""
     sill, nugget0 = _sill_and_nugget_guess(v_t)
     t_corr = _temporal_corr_time_guess(v_t, sill, nugget0)
     omega0 = _temporal_frequency_guess(v_t, sill)
@@ -958,7 +916,7 @@ def _temporal_starts(family, dispersion, dim, v_t, spatial):
         for mult in (0.5, 1.0, 2.0):
             starts.append(
                 (
-                    Regime.UNDERDAMPED,
+                    "underdamped",
                     {
                         "omega_d": mult * omega0,
                         "tau_c": t_corr,
@@ -970,7 +928,7 @@ def _temporal_starts(family, dispersion, dim, v_t, spatial):
     else:
         starts.append(
             (
-                Regime.UNDERDAMPED,
+                "underdamped",
                 {
                     "omega_d": 1.0 / max(t_corr, 1e-12),
                     "tau_c": t_corr,
@@ -980,14 +938,11 @@ def _temporal_starts(family, dispersion, dim, v_t, spatial):
             )
         )
     starts.append(
-        (
-            Regime.CRITICAL,
-            {"tau_c": t_corr, "interaction": eps_like, "nugget": nugget0},
-        )
+        ("critical", {"tau_c": t_corr, "interaction": eps_like, "nugget": nugget0})
     )
     starts.append(
         (
-            Regime.OVERDAMPED,
+            "overdamped",
             {
                 "damping_ratio": 0.5,
                 "tau_c": t_corr,
@@ -1016,68 +971,44 @@ def fit_marginals(
     models every damping regime is tried and the best temporal objective
     wins.  The reported objective is the sum of the two stage optima.
     """
-    if family not in ("ldho", "ou"):
+    if family not in _SPATIAL_STAGE:
         raise DomainError(f"unknown kernel family {family!r}")
+    dispersion = Dispersion(dispersion)
     dim = data.grid.dim if isinstance(data, FieldRealization) else data.dim
 
     v_s = spatial_marginal_variogram(data, bins=r_bins)
     v_t = temporal_marginal_variogram(data, bins=tau_bins)
 
     # stage A: spatial marginal
-    sp_param = _spatial_builder(family, dispersion, dim)
+    sp_branch, placeholders = _SPATIAL_STAGE[family]
     sp_theta0 = _spatial_theta0(v_s, family, dispersion, dim)
-    sp_bounds = _merge_bounds(_default_bounds(sp_theta0), bounds)
     sp_theta, sp_obj, sp_evals, sp_conv, sp_trace = _search(
-        sp_param, sp_theta0, v_s, sp_bounds
+        sp_branch, dispersion, dim, sp_theta0, placeholders, v_s, bounds
     )
     nugget_s = sp_theta["nugget"]
     spatial = {k: v for k, v in sp_theta.items() if k != "nugget"}
 
-    # stage B: temporal marginal, all regimes
-    best = None
-    evals = sp_evals
-    trace = list(sp_trace)
-    theta0_record = {"spatial": sp_theta0}
-    for tag, theta0 in _temporal_starts(family, dispersion, dim, v_t, spatial):
-        if family == "ou":
-            param = _ou_builder(dispersion, dim, spatial=spatial)
-        else:
-            param = _ldho_regime_builder(dispersion, dim, tag, spatial=spatial)
-        t_bounds = _merge_bounds(_default_bounds(theta0), bounds)
-        try:
-            theta, obj, n_ev, conv, tr = _search(param, theta0, v_t, t_bounds)
-        except OptimizerStalled:
-            continue
-        evals += n_ev
-        trace.extend(tr)
-        key = tag if isinstance(tag, str) else tag.value
-        theta0_record.setdefault("temporal", {})[key] = theta0
-        if best is None or obj < best[1]:
-            best = (theta, obj, conv, param, tag)
-    if best is None:
-        raise OptimizerStalled("no temporal-stage start produced a finite objective")
-
-    t_theta, t_obj, t_conv, t_param, _ = best
+    # stage B: temporal marginal, every branch of the family
+    (branch, t_theta, t_obj, t_conv), t_evals, t_trace, t_starts = _best_branch(
+        _temporal_starts(family, v_t, spatial), dispersion, dim, spatial, v_t, bounds
+    )
     nugget = min(nugget_s, t_theta["nugget"])
-    final_theta = dict(t_theta)
-    final_theta["nugget"] = nugget
-    model = t_param.to_model(final_theta)
-    theta_star = {"spatial": spatial, "temporal": t_theta, "nugget": nugget}
+    model = _branch_model(branch, dispersion, dim, {**spatial, **t_theta, "nugget": nugget})
     return FitResult(
         model=model,
         objective=float(sp_obj + t_obj),
-        n_evaluations=evals,
+        n_evaluations=sp_evals + t_evals,
         converged=bool(sp_conv and t_conv),
-        theta0=theta0_record,
-        theta_star=theta_star,
-        trace=tuple(trace),
+        theta0={"spatial": sp_theta0, "temporal": t_starts},
+        theta_star={"spatial": spatial, "temporal": t_theta, "nugget": nugget},
+        trace=tuple(sp_trace) + tuple(t_trace),
     )
 
 
-def _full_theta_from_model(m: KernelModel, regime: Regime | None) -> dict:
-    """Joint-stage start vector for one regime branch, derived from a model."""
-    if isinstance(m.params, OuParams):
-        p = m.params
+def _full_theta_from_model(m: KernelModel, branch: str) -> dict:
+    """Joint-stage start for one branch, derived from a model of its family."""
+    p = m.params
+    if branch == "ou":
         # the kernel depends on a only through a/tau_c and scale/tau_c, so a
         # is pinned to 1 and the two ratios are preserved
         return {
@@ -1087,11 +1018,7 @@ def _full_theta_from_model(m: KernelModel, regime: Regime | None) -> dict:
             "scale": p.scale / p.a if p.scale > 0 else 1e-6,
             "nugget": max(m.nugget, 1e-12),
         }
-    p = m.params
-    from .kernel_core import classify_regime, damped_frequency
-
-    own = classify_regime(p)
-    omega_d = damped_frequency(p) if own is not Regime.CRITICAL else 0.0
+    omega_d = damped_frequency(p) if classify_regime(p) is not Regime.CRITICAL else 0.0
     theta = {
         "c0": p.c0,
         "epsilon": p.epsilon,
@@ -1099,9 +1026,9 @@ def _full_theta_from_model(m: KernelModel, regime: Regime | None) -> dict:
         "interaction": p.interaction,
         "nugget": max(m.nugget, 1e-12),
     }
-    if regime is Regime.UNDERDAMPED:
+    if branch == "underdamped":
         theta["omega_d"] = omega_d if omega_d > 0.0 else 0.25 / p.tau_c
-    elif regime is Regime.OVERDAMPED:
+    elif branch == "overdamped":
         u = 2.0 * p.tau_c * omega_d
         theta["damping_ratio"] = min(max(u, 0.05), 0.95)
     return theta
@@ -1118,10 +1045,12 @@ def fit_full(
 ) -> FitResult:
     """Joint space-time variogram fit, warm-started from marginal estimates.
 
-    When ``theta0`` is omitted the marginal pipeline runs first; its model
-    seeds every regime branch of the joint search.  The winning branch's
-    objective never exceeds the objective of the warm start, because each
-    branch falls back to its start on failure.
+    When ``theta0`` is omitted the marginal pipeline runs first, with
+    ``family`` and ``dispersion``; its model seeds every regime branch of
+    the joint search.  A given start model (or fit result) sets the family
+    and the dispersion itself, and ``family`` and ``dispersion`` are then
+    ignored.  The winning branch's objective never exceeds the objective of
+    the warm start, because each branch falls back to its start on failure.
     """
     marginal_result = None
     if theta0 is None:
@@ -1134,52 +1063,23 @@ def fit_full(
         start_model = theta0.model
     else:
         start_model = theta0
-    if isinstance(start_model.params, OuParams):
-        family = "ou"
-    dispersion = start_model.params.dispersion
-    dim = start_model.dim
+    p = start_model.params
 
     v_st = space_time_variogram(data, r_bins=r_bins, tau_bins=tau_bins)
 
-    if family == "ou":
-        branches = [("ou", _ou_builder(dispersion, dim))]
-    else:
-        branches = [
-            (regime, _ldho_regime_builder(dispersion, dim, regime))
-            for regime in (Regime.UNDERDAMPED, Regime.CRITICAL, Regime.OVERDAMPED)
-        ]
-
-    best = None
-    evals = 0
-    trace: list[float] = []
-    theta0_record: dict = {}
-    for tag, param in branches:
-        regime = None if isinstance(tag, str) else tag
-        start = _full_theta_from_model(start_model, regime)
-        key = tag if isinstance(tag, str) else tag.value
-        theta0_record[key] = start
-        b = _merge_bounds(_default_bounds(start), bounds)
-        try:
-            theta, obj, n_ev, conv, tr = _search(param, start, v_st, b)
-        except OptimizerStalled:
-            continue
-        evals += n_ev
-        trace.extend(tr)
-        if best is None or obj < best[1]:
-            best = (theta, obj, conv, param)
-    if best is None:
-        raise OptimizerStalled("no regime branch produced a finite joint objective")
-
-    theta, obj, conv, param = best
-    model = param.to_model(theta)
+    branches = ("ou",) if isinstance(p, OuParams) else _LDHO_BRANCHES
+    starts = [(b, _full_theta_from_model(start_model, b)) for b in branches]
+    (branch, theta, obj, conv), evals, trace, record = _best_branch(
+        starts, p.dispersion, p.dim, {}, v_st, bounds
+    )
     if marginal_result is not None:
         evals += marginal_result.n_evaluations
     return FitResult(
-        model=model,
+        model=_branch_model(branch, p.dispersion, p.dim, theta),
         objective=float(obj),
         n_evaluations=evals,
         converged=bool(conv),
-        theta0=theta0_record,
+        theta0=record,
         theta_star=theta,
         trace=tuple(trace),
     )

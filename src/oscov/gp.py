@@ -293,7 +293,9 @@ def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, 
 
     means = data.mean + k_star @ alpha
 
-    prior = m.variance() + m.nugget
+    # the prior is the Gram diagonal itself, C(0, 0) + nugget, so that a query
+    # with k* = 0 gets exactly the variance a sample point has a priori
+    prior = float(K[0, 0])
     solved = cho_solve(factor, k_star.T)
     variances = prior - np.einsum("ij,ji->i", k_star, solved)
     floor = -_VARIANCE_SLACK * prior

@@ -8,6 +8,7 @@ implementation.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oscov.estimate import (
     wls_objective,
 )
 from oscov.gp import SpaceTimeDataset
+from oscov.presets import preset_model
 from oscov.kernel_core import (
     Dispersion,
     KernelModel,
@@ -707,10 +709,77 @@ def test_full_fit_infers_relaxation_family_from_start_model():
     )
     jr = np.arange(0.0, 5.0)
     jt = 0.5 * np.arange(0, 13, 2)
-    res = fit_full(f, theta0=start, r_bins=jr, tau_bins=jt)
-    assert isinstance(res.model.params, OuParams)
     v = space_time_variogram(f, r_bins=jr, tau_bins=jt)
-    assert res.objective < float(wls_objective(start, v))
+    # the start model sets the family; a conflicting ``family`` is ignored
+    for start, family, expected in (
+        (start, "ldho", OuParams),
+        (preset_model("fig1"), "ou", LdhoParams),
+    ):
+        res = fit_full(f, theta0=start, r_bins=jr, tau_bins=jt, family=family)
+        assert isinstance(res.model.params, expected)
+        assert res.objective < float(wls_objective(start, v))
+
+
+# temporal names searched per branch once the spatial stage fixed its own
+_TEMPORAL_NAMES = {
+    "underdamped": {"omega_d", "tau_c", "interaction", "nugget"},
+    "critical": {"tau_c", "interaction", "nugget"},
+    "overdamped": {"damping_ratio", "tau_c", "interaction", "nugget"},
+    "ou": {"tau_c", "scale", "nugget"},
+}
+
+
+@pytest.mark.parametrize(
+    "family, dispersion",
+    [("ou", Dispersion.QUADRATIC), ("ou", Dispersion.LINEAR), ("ldho", Dispersion.LINEAR)],
+)
+def test_relaxation_and_linear_fits(family, dispersion):
+    if family == "ou":
+        params = OuParams(
+            sigma0_sq=4.0, tau_c=1.5, a=1.0, scale=0.6, beta=1.0, dispersion=dispersion, dim=2
+        )
+        spatial_names, branches = {"sigma0_sq", "beta"}, {"ou"}
+    else:
+        params = LdhoParams.from_damped_frequency(
+            c0=10.0, tau_c=2.0, omega_d=1.2, regime=Regime.UNDERDAMPED, epsilon=1.5,
+            interaction=0.5, dispersion=dispersion, dim=2,
+        )
+        spatial_names, branches = {"c0", "epsilon"}, {"underdamped", "critical", "overdamped"}
+    g = GridSpec(ns=(24, 24), ds=(1.0, 1.0), nt=48, dt=0.4, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTruncationWarning)
+        f = simulate_field(KernelModel(params=params, nugget=0.1), g)
+    bins = dict(r_bins=np.arange(1.0, 9.0), tau_bins=0.4 * np.arange(1, 21))
+    joint = dict(r_bins=np.arange(0.0, 6.0), tau_bins=0.4 * np.arange(0, 16, 2))
+
+    res = fit_marginals(f, family=family, dispersion=dispersion, **bins)
+    assert res.model.family == family
+    assert res.model.params.dispersion is dispersion
+    if family == "ou":
+        assert res.model.params.a == 1.0
+    assert set(res.theta0) == {"spatial", "temporal"}
+    assert set(res.theta0["spatial"]) == spatial_names | {"nugget"}
+    assert set(res.theta0["temporal"]) == branches
+    for branch, start in res.theta0["temporal"].items():
+        assert set(start) == _TEMPORAL_NAMES[branch]
+    assert set(res.theta_star) == {"spatial", "temporal", "nugget"}
+    assert set(res.theta_star["spatial"]) == spatial_names
+    assert set(res.theta_star["temporal"]) in [_TEMPORAL_NAMES[b] for b in branches]
+
+    # a bound on a temporal parameter leaves the spatial stage alone
+    tau0 = next(iter(res.theta0["temporal"].values()))["tau_c"]
+    bound = (0.5 * tau0, 1.5 * tau0)
+    res_b = fit_marginals(f, family=family, dispersion=dispersion, bounds={"tau_c": bound}, **bins)
+    assert res_b.theta0["spatial"] == res.theta0["spatial"]
+    assert res_b.theta_star["spatial"] == res.theta_star["spatial"]
+    assert bound[0] <= res_b.theta_star["temporal"]["tau_c"] <= bound[1]
+
+    res_f = fit_full(f, theta0=res, **joint)
+    assert res_f.model.family == family
+    assert res_f.model.params.dispersion is dispersion
+    assert set(res_f.theta0) == branches
+    v_joint = space_time_variogram(f, **joint)
+    assert res_f.objective <= float(wls_objective(res.model, v_joint))
 
 
 def test_fit_rejects_unknown_family(tiny_field):

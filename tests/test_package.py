@@ -1,0 +1,67 @@
+"""The package namespace: public names resolve lazily, on first use."""
+
+import os
+import subprocess
+import sys
+
+import oscov
+
+# the names ``from oscov import *`` bound when every submodule was loaded
+# eagerly by ``oscov/__init__``
+EXPORTED = {
+    "AdmissibilityReport", "AllBinsSkipped", "DELTA_CRIT", "DegenerateMarginal",
+    "DimensionMismatch", "Dispersion", "DomainError", "EmpiricalVariogram", "EmptyBin",
+    "EmptyBinError", "FieldRealization", "FitResult", "GramMatrix", "GridSpec",
+    "InteractionFunctions", "KernelModel", "LagOutOfRange", "LdhoParams",
+    "NegativeVariance", "NotPositiveDefinite", "OptimizerStalled", "OscovError",
+    "OuParams", "QuadratureFailure", "QuadratureSpec", "Regime", "RegimeError",
+    "SpaceTimeDataset", "SpaceTimePoint", "SpectralTruncationWarning", "VariogramKind",
+    "WlsObjective", "admissibility_scan", "anisotropic_distance", "available_presets",
+    "bessel_j", "classify_regime", "damped_frequency", "empirical_covariance", "errors",
+    "estimate", "fast_slow_times", "fit_full", "fit_marginals", "gp", "gram",
+    "hankel_ift_oracle", "interaction_functions_quadratic", "interaction_ratio",
+    "kernel_core", "ldho_kernel", "load_dataset_csv", "load_field", "marginal_spatial",
+    "marginal_temporal", "model_variogram", "ode_residual", "ou_kernel", "predict",
+    "prediction_ratio", "preset_model", "presets", "separable_surrogate", "simulate",
+    "simulate_field", "space_time_variogram", "spatial_marginal_variogram", "spectral",
+    "st_spectral_density", "temporal_fourier_mode", "temporal_kernel",
+    "temporal_marginal_variogram", "temporal_spectral_density", "vlrt_kernel",
+    "wls_objective", "write_field", "write_predictions_csv",
+}
+
+
+def _fresh_python(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(oscov.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout
+
+
+def test_import_loads_no_submodule_and_no_scipy():
+    loaded = _fresh_python("import sys, oscov; print(*sorted(sys.modules))").split()
+    assert "oscov" in loaded
+    for name in ("oscov.estimate", "oscov.spectral", "scipy.optimize", "scipy.special"):
+        assert name not in loaded
+
+
+def test_every_exported_name_still_resolves():
+    assert set(oscov.__all__) == EXPORTED
+    assert set(dir(oscov)) == EXPORTED
+    assert oscov.__version__ == "0.1.0"
+    for name in EXPORTED:
+        value = getattr(oscov, name)
+        if name in oscov._SUBMODULES:
+            assert value is sys.modules[f"oscov.{name}"]
+        else:
+            assert value is getattr(sys.modules[f"oscov.{oscov._EXPORTS[name]}"], name)
+    star = _fresh_python(
+        "ns = {}\nexec('from oscov import *', ns)\n"
+        "print(*sorted(k for k in ns if k != '__builtins__'))"
+    ).split()
+    assert set(star) == EXPORTED
