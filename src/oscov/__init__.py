@@ -22,6 +22,7 @@ _EXPORTS = {
             "DomainError",
             "EmptyBin",
             "EmptyBinError",
+            "JitterWarning",
             "LagOutOfRange",
             "NegativeVariance",
             "NotPositiveDefinite",
@@ -75,6 +76,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "GramMatrix",
+            "Posterior",
             "SpaceTimeDataset",
             "SpaceTimePoint",
             "gram",

@@ -2,7 +2,8 @@
 
 Numerical failures raise exceptions; recoverable data-quality events
 (dropped variogram bins, divergent interaction ratios, spectral mass
-truncation) are warnings so that vectorized/batch workflows keep going.
+truncation, Cholesky jitter) are warnings so that vectorized/batch workflows
+keep going.
 """
 
 
@@ -64,3 +65,7 @@ class DegenerateMarginal(UserWarning):
 
 class SpectralTruncationWarning(UserWarning):
     """More than 1% of the spectral mass lies beyond the simulation grid's Nyquist."""
+
+
+class JitterWarning(UserWarning):
+    """A Gram matrix factorized only after a diagonal jitter was added."""

@@ -731,12 +731,14 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
     Plain parameters travel through ``log``; ``damping_ratio`` is a ratio in
     (0, 1) and travels through ``log(u/(1-u))``.  ``bounds`` overrides the
     default bounds (a factor 1e3 either side of the start) and applies to the
-    searched parameters only.  Returns the searched parameters at the best
+    searched parameters only; a start value outside its bound in ``bounds``
+    moves to the nearer edge.  Returns the searched parameters at the best
     point (the start when the search fails to improve on it), the objective,
     the evaluation count, a convergence flag and the per-stage trace.
     """
     names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
-    bounds = {**_default_bounds(theta0), **(bounds or {})}
+    user_bounds = bounds or {}
+    bounds = {**_default_bounds(theta0), **user_bounds}
 
     def from_vector(x) -> dict:
         theta = {}
@@ -760,8 +762,14 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
             return float("inf")
 
     x0 = []
+    start = dict(theta0)
     for name in names:
         v = float(theta0[name])
+        lo, hi = user_bounds.get(name, (v, v))
+        if not lo <= v <= hi:
+            # to the nearer edge, 1e-12 inside it: the log/logit round trip
+            # of the edge itself may land just outside
+            v = start[name] = min(max(v, lo * (1.0 + 1e-12)), hi * (1.0 - 1e-12))
         if name == "damping_ratio":
             v = min(max(v, 1e-12), 1.0 - 1e-12)
             x0.append(math.log(v / (1.0 - v)))
@@ -771,7 +779,7 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
     f0 = func(x0)
     if not math.isfinite(f0):
         raise OptimizerStalled(
-            f"objective is not finite at the initial guess {theta0}"
+            f"objective is not finite at the initial guess {start}"
         )
     x, f, evals, converged, trace = _nelder_mead(func, x0)
     if f >= f0 and not np.allclose(x, x0):

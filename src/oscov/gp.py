@@ -2,7 +2,8 @@
 
 The module covers the dense, desk-scale workflow: build the Gram matrix of a
 covariance model over scattered space-time points, factorize it, and compute
-conditional means and variances at query points.  A small demonstrator,
+conditional means and variances at query points; :class:`Posterior` keeps one
+factorization for any number of query batches.  A small demonstrator,
 :func:`prediction_ratio`, quantifies how much a non-separable model shifts a
 single-point forecast relative to its separable surrogate.
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import re
+import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .errors import (
     DimensionMismatch,
     DomainError,
+    JitterWarning,
     NegativeVariance,
     NotPositiveDefinite,
 )
@@ -33,6 +37,7 @@ __all__ = [
     "SpaceTimeDataset",
     "GramMatrix",
     "gram",
+    "Posterior",
     "predict",
     "prediction_ratio",
     "load_dataset_csv",
@@ -212,23 +217,36 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
 
     The first attempt factorizes ``K`` as assembled (the nugget is already on
     the diagonal).  On failure a jitter is added, starting at the nugget (or
-    at 1e-12 of the prior variance for nugget-free models, since escalating
-    from zero goes nowhere) and growing tenfold until it would exceed
-    1e-6 C(0,0).  Beyond that the matrix is declared not positive definite;
-    the offending pivot (zero-based) is reported when the backend names one.
+    at 1e-12 C(0,0) for nugget-free models, since escalating from zero goes
+    nowhere) and growing tenfold until it would exceed 1e-6 C(0,0).  C(0,0)
+    is read off the Gram diagonal, ``K[0, 0]`` less the nugget.  Beyond the
+    ceiling the matrix is declared not positive definite; the offending pivot
+    (zero-based) is reported when the backend names one.
+
+    Returns the ``cho_factor`` pair and the jitter it applied; a jitter above
+    zero is reported as a :class:`JitterWarning`.
     """
-    variance = m.variance()
+    c00 = float(K[0, 0]) - m.nugget
     jitter = 0.0
-    ceiling = 1e-6 * variance
+    ceiling = 1e-6 * c00
     last_err: LinAlgError | None = None
     while True:
         try:
             mat = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-            return cho_factor(mat, lower=True)
+            factor = cho_factor(mat, lower=True)
         except LinAlgError as exc:
             last_err = exc
+        else:
+            if jitter > 0.0:
+                warnings.warn(
+                    f"Gram matrix factorized only with a diagonal jitter of "
+                    f"{jitter:.3e} ({jitter / c00:.1e} C(0,0))",
+                    JitterWarning,
+                    stacklevel=3,
+                )
+            return factor, jitter
         if jitter == 0.0:
-            jitter = m.nugget if m.nugget > 0.0 else 1e-12 * variance
+            jitter = m.nugget if m.nugget > 0.0 else 1e-12 * c00
         else:
             jitter *= 10.0
         if jitter > ceiling:
@@ -242,8 +260,101 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
     )
 
 
+class Posterior:
+    """The GP posterior of one model conditioned on one dataset.
+
+    Building it checks the data, assembles the Gram matrix ``K``, factorizes
+    it (with jitter if needed) and solves ``alpha = K^{-1} (z - m)``, once;
+    :meth:`predict` then serves any number of query batches from the factor.
+    The posterior keeps the factor, ``alpha``, the prior variance and the
+    dataset's coordinate, time and mean arrays, but neither ``K`` nor the
+    dataset itself.
+
+    Attributes
+    ----------
+    jitter : float
+        Diagonal jitter the factorization needed on top of the nugget; 0.0
+        for a healthy model.  A jitter above zero is also reported as a
+        :class:`JitterWarning`.
+    prior : float
+        Prior variance of an observation, the Gram diagonal ``C(0,0) + nugget``.
+
+    Raises
+    ------
+    DomainError
+        If the data contain coincident points and the model has no nugget.
+    NotPositiveDefinite
+        If the factorization fails even after jitter escalation.
+    """
+
+    def __init__(self, m: KernelModel, data: SpaceTimeDataset):
+        coords, times = data.coords, data.times
+        _check_dim(m, coords, "sample")
+        if m.nugget == 0.0:
+            pair = _find_duplicates(coords, times)
+            if pair is not None:
+                raise DomainError(
+                    f"data points {pair[0]} and {pair[1]} coincide; with a zero "
+                    "nugget the Gram matrix is singular"
+                )
+        K = gram(m, data).matrix
+        self.factor, self.jitter = _chol_with_jitter(K, m)
+        self.alpha = cho_solve(self.factor, data.values - data.mean)
+        # the prior is the Gram diagonal itself, C(0, 0) + nugget, so that a
+        # query with k* = 0 gets exactly the variance a sample point has a priori
+        self.prior = float(K[0, 0])
+        self.model = m
+        self.coords, self.times, self.mean = coords, times, data.mean
+
+    def predict(self, query) -> tuple[np.ndarray, np.ndarray]:
+        """Conditional means and variances at ``query`` (see :func:`predict`)."""
+        m, coords = self.model, self.coords
+        q_coords, q_times = _arrays(query)
+        _check_dim(m, q_coords, "query")
+
+        r_star = cdist(q_coords, coords)
+        dt_star = q_times[:, None] - self.times[None, :]
+        k_star = np.asarray(m.covariance(r_star, dt_star), dtype=float)
+        k_star = k_star.reshape(q_coords.shape[0], coords.shape[0])
+
+        means = self.mean + k_star @ self.alpha
+
+        prior = self.prior
+        solved = cho_solve(self.factor, k_star.T)
+        variances = prior - np.einsum("ij,ji->i", k_star, solved)
+        floor = -_VARIANCE_SLACK * prior
+        if np.any(variances < floor):
+            worst = float(variances.min())
+            raise NegativeVariance(
+                f"predictive variance {worst:.6e} is below the rounding slack "
+                f"{floor:.6e}; the system is too ill-conditioned to trust"
+            )
+        return means, np.maximum(variances, 0.0)
+
+
+# The last posterior predict() built, as (model key, weak reference to the
+# dataset, posterior), or None.  The reference's callback drops the entry
+# when the dataset dies, so the factor does not outlive its data.  Readers
+# take the tuple once, so concurrent callers need no lock: a race costs at
+# most a rebuild, never a posterior of the wrong model or data.
+_cached: tuple[str, weakref.ref, Posterior] | None = None
+
+
+def _release(ref: weakref.ref) -> None:
+    global _cached
+    # a dead older dataset must not evict a newer entry
+    if _cached is not None and _cached[1] is ref:
+        _cached = None
+
+
 def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, np.ndarray]:
     """Conditional mean and variance of the field at query points.
+
+    The posterior of the last ``(m, data)`` pair is kept, so repeated calls
+    with an equal model (same :meth:`KernelModel.model_key`) and the same
+    dataset object factorize the Gram matrix once.  Only one posterior is
+    kept, and it is released when its dataset is garbage-collected.  Use
+    :class:`Posterior` to hold several at once.
 
     Parameters
     ----------
@@ -269,43 +380,17 @@ def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, 
     NegativeVariance
         If a predictive variance undershoots zero beyond rounding slack.
     """
-    coords, times = data.coords, data.times
-    _check_dim(m, coords, "sample")
-    q_coords, q_times = _arrays(query)
-    _check_dim(m, q_coords, "query")
-
-    if m.nugget == 0.0:
-        pair = _find_duplicates(coords, times)
-        if pair is not None:
-            raise DomainError(
-                f"data points {pair[0]} and {pair[1]} coincide; with a zero "
-                "nugget the Gram matrix is singular"
-            )
-
-    K = gram(m, data).matrix
-    factor = _chol_with_jitter(K, m)
-    alpha = cho_solve(factor, data.values - data.mean)
-
-    r_star = cdist(q_coords, coords)
-    dt_star = q_times[:, None] - times[None, :]
-    k_star = np.asarray(m.covariance(r_star, dt_star), dtype=float)
-    k_star = k_star.reshape(q_coords.shape[0], coords.shape[0])
-
-    means = data.mean + k_star @ alpha
-
-    # the prior is the Gram diagonal itself, C(0, 0) + nugget, so that a query
-    # with k* = 0 gets exactly the variance a sample point has a priori
-    prior = float(K[0, 0])
-    solved = cho_solve(factor, k_star.T)
-    variances = prior - np.einsum("ij,ji->i", k_star, solved)
-    floor = -_VARIANCE_SLACK * prior
-    if np.any(variances < floor):
-        worst = float(variances.min())
-        raise NegativeVariance(
-            f"predictive variance {worst:.6e} is below the rounding slack "
-            f"{floor:.6e}; the system is too ill-conditioned to trust"
-        )
-    return means, np.maximum(variances, 0.0)
+    global _cached
+    key = m.model_key()
+    entry = _cached
+    if entry is None or entry[0] != key or entry[1]() is not data:
+        # release the old factor before the new Gram matrix is assembled
+        _cached = entry = None
+        post = Posterior(m, data)
+        _cached = (key, weakref.ref(data, _release), post)
+    else:
+        post = entry[2]
+    return post.predict(query)
 
 
 def prediction_ratio(m: KernelModel, obs: SpaceTimePoint, query: SpaceTimePoint) -> float:

@@ -339,11 +339,17 @@ def fast_slow_times(p: LdhoParams) -> tuple[float, float]:
 
 
 def _prepare_lags(r, tau):
-    """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag)."""
+    """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag).
+
+    A negative or NaN ``r`` and a NaN ``tau`` raise :class:`DomainError`.
+    """
     r_arr = np.asarray(r, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise DomainError("spatial distance r must be >= 0")
+    # written so that a NaN fails the test too
+    if not np.all(r_arr >= 0.0):
+        raise DomainError("spatial distance r must be >= 0 and not NaN")
+    if np.isnan(tau_arr).any():
+        raise DomainError("time lag tau must not be NaN")
     scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
     r_b, tau_b = np.broadcast_arrays(r_arr, tau_arr)
     return r_b, np.abs(tau_b), scalar
@@ -740,8 +746,8 @@ def marginal_spatial(p: LdhoParams | OuParams, r) -> np.ndarray | float:
     ``c0 G eps (eps^2 + r^2)^{-(d+1)/2}`` for the linear family.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise DomainError("spatial distance r must be >= 0")
+    if not np.all(r_arr >= 0.0):
+        raise DomainError("spatial distance r must be >= 0 and not NaN")
     scalar = r_arr.ndim == 0
     d = p.dim
     if isinstance(p, LdhoParams):

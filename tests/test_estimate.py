@@ -18,7 +18,6 @@ from oscov.errors import (
     DomainError,
     EmptyBin,
     EmptyBinError,
-    OptimizerStalled,
     SpectralTruncationWarning,
 )
 from oscov.estimate import (
@@ -773,6 +772,13 @@ def test_relaxation_and_linear_fits(family, dispersion):
     assert res_b.theta0["spatial"] == res.theta0["spatial"]
     assert res_b.theta_star["spatial"] == res.theta_star["spatial"]
     assert bound[0] <= res_b.theta_star["temporal"]["tau_c"] <= bound[1]
+    if family == "ldho":
+        # a bound that excludes every automatic temporal start moves the
+        # starts inside it
+        box = (0.5, 3.0)
+        res_x = fit_marginals(f, dispersion=dispersion, bounds={"tau_c": box})
+        assert all(t["tau_c"] < box[0] for t in res_x.theta0["temporal"].values())
+        assert box[0] <= res_x.theta_star["temporal"]["tau_c"] <= box[1]
 
     res_f = fit_full(f, theta0=res, **joint)
     assert res_f.model.family == family
@@ -788,15 +794,18 @@ def test_fit_rejects_unknown_family(tiny_field):
         fit_marginals(f, family="matern")
 
 
-def test_bounds_excluding_the_start_raise(tiny_field):
+def test_bounds_excluding_the_start_move_it_inside(tiny_field):
+    # the automatic spatial start lies far below the bound on c0; the search
+    # starts on the bound's edge instead of failing
     f, coords, flat = tiny_field
-    with pytest.raises(OptimizerStalled):
-        fit_marginals(
-            f,
-            r_bins=np.array([1.0, 2.0]),
-            tau_bins=np.array([0.5, 1.0]),
-            bounds={"c0": (1e9, 1e10)},
-        )
+    res = fit_marginals(
+        f,
+        r_bins=np.array([1.0, 2.0]),
+        tau_bins=np.array([0.5, 1.0]),
+        bounds={"c0": (1e9, 1e10)},
+    )
+    assert res.theta0["spatial"]["c0"] < 1e9
+    assert 1e9 <= res.theta_star["spatial"]["c0"] <= 1e10
 
 
 # ---------------------------------------------------------------------------

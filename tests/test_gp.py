@@ -1,18 +1,26 @@
 """Gram construction, GP prediction, and the one-point prediction ratio."""
 
+import gc
 import math
+import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor
 from scipy.spatial.distance import cdist
 
+import oscov.gp as gp
 from oscov import (
     DimensionMismatch,
     DomainError,
+    JitterWarning,
     KernelModel,
     LdhoParams,
     NotPositiveDefinite,
     OuParams,
+    Posterior,
     SpaceTimeDataset,
     SpaceTimePoint,
     gram,
@@ -181,11 +189,114 @@ def test_factorization_failure_names_a_pivot():
     assert excinfo.value.pivot == 1
 
 
+def test_jitter_is_recorded_and_reported():
+    # points 1e-9 apart are no duplicates, but C(r, 0) rounds to C(0, 0)
+    # there, so the nugget-free Gram matrix is singular to working precision
+    coords = [[0.0, 0.0], [1e-9, 0.0], [2e-9, 0.0], [3.0, 1.0]]
+    data = SpaceTimeDataset.from_arrays(coords, [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.5])
+    m = KernelModel(UNDER, nugget=0.0)
+    K = gram(m, data).matrix
+    with pytest.raises(LinAlgError):
+        cho_factor(K, lower=True)
+    with pytest.warns(JitterWarning, match="jitter"):
+        post = Posterior(m, data)
+    assert 0.0 < post.jitter <= 1e-6 * K[0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", JitterWarning)
+        assert Posterior(replace(m, nugget=0.1), data).jitter == 0.0
+
+
 def test_prediction_dimension_mismatch():
     m = KernelModel(UNDER)
     data = SpaceTimeDataset.from_arrays([[1.0, 2.0]], [0.0], [1.0])
     with pytest.raises(DimensionMismatch):
         predict(m, data, [SpaceTimePoint((1.0,), 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# posterior reuse
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def krige_case(monkeypatch):
+    """A model, a dataset and a query batch, with predict's cache emptied and
+    every ``gram`` call recorded in the returned list."""
+    rng = np.random.default_rng(41)
+    coords, times = random_arrays(rng, 60, 2)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.3, 1.0, 60), mean=0.3)
+    calls = []
+    real_gram = gp.gram
+
+    def counting_gram(m, points):
+        calls.append(m.model_key())
+        return real_gram(m, points)
+
+    monkeypatch.setattr(gp, "_cached", None)
+    monkeypatch.setattr(gp, "gram", counting_gram)
+    return KernelModel(UNDER, nugget=0.05), data, random_points(rng, 9, 2), calls
+
+
+def copy_of(data):
+    return SpaceTimeDataset.from_arrays(data.coords, data.times, data.values, mean=data.mean)
+
+
+def test_repeated_predict_reuses_one_posterior(krige_case, monkeypatch):
+    m, data, queries, calls = krige_case
+    first = predict(m, data, queries)
+    again = predict(m, data, queries)
+    assert len(calls) == 1
+    # a model equal in value, not in identity, reuses it too
+    other_batch = predict(replace(m), data, queries[:4])
+    assert len(calls) == 1
+    direct = Posterior(m, data).predict(queries)
+    monkeypatch.setattr(gp, "_cached", None)
+    fresh = predict(m, data, queries)
+    assert len(calls) == 3
+    for means, variances in (again, direct, fresh):
+        assert np.array_equal(means, first[0]) and np.array_equal(variances, first[1])
+    assert np.array_equal(other_batch[0], first[0][:4])
+    assert np.array_equal(other_batch[1], first[1][:4])
+
+
+def test_a_new_model_or_dataset_rebuilds_the_posterior(krige_case):
+    m, data, queries, calls = krige_case
+    predict(m, data, queries)
+    wetter = replace(m, nugget=0.06)
+    predict(wetter, data, queries)
+    assert calls == [m.model_key(), wetter.model_key()]
+    # datasets compare by identity: equal arrays are a new dataset
+    twin = copy_of(data)
+    predict(wetter, twin, queries)
+    predict(wetter, twin, queries)
+    assert len(calls) == 3
+    predict(wetter, data, queries)
+    assert len(calls) == 4
+
+
+def test_cached_posterior_dies_with_its_dataset(krige_case):
+    m, data, queries, calls = krige_case
+    short_lived = copy_of(data)
+    predict(m, short_lived, queries)
+    post = weakref.ref(gp._cached[2])
+    del short_lived
+    gc.collect()
+    assert gp._cached is None and post() is None
+
+
+def test_a_dead_old_dataset_keeps_the_newer_posterior(krige_case):
+    m, data, queries, calls = krige_case
+    old = copy_of(data)
+    predict(m, old, queries)
+    stale = gp._cached  # keeps the old reference, and so its callback, alive
+    predict(m, data, queries)
+    newer = gp._cached
+    del old
+    gc.collect()
+    assert stale[1]() is None
+    assert gp._cached is newer
+    predict(m, data, queries)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

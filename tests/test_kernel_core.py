@@ -208,10 +208,16 @@ def test_kernel_even_in_time(variants_2d):
 
 
 def test_kernel_rejects_negative_distance():
-    with pytest.raises(DomainError):
-        ldho_kernel(UNDER, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        ou_kernel(OuParams(1.0, 0.8, 0.5, 0.4, 8.0), -0.5, 1.0)
+    ou = OuParams(1.0, 0.8, 0.5, 0.4, 8.0)
+    # a negative or NaN distance and a NaN time lag, also inside an array
+    for r, tau in ((-0.5, 1.0), (np.nan, 1.0), (0.5, np.nan), ([0.5, np.nan], [1.0, 2.0]),
+                   ([0.5, 1.0], [np.nan, 2.0])):
+        with pytest.raises(DomainError):
+            ldho_kernel(UNDER, r, tau)
+        with pytest.raises(DomainError):
+            ou_kernel(ou, r, tau)
+        with pytest.raises(DomainError):
+            KernelModel(UNDER).covariance(r, tau)
 
 
 def test_marginal_consistency_all_variants(variants_by_dim):

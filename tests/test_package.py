@@ -12,9 +12,9 @@ EXPORTED = {
     "AdmissibilityReport", "AllBinsSkipped", "DELTA_CRIT", "DegenerateMarginal",
     "DimensionMismatch", "Dispersion", "DomainError", "EmpiricalVariogram", "EmptyBin",
     "EmptyBinError", "FieldRealization", "FitResult", "GramMatrix", "GridSpec",
-    "InteractionFunctions", "KernelModel", "LagOutOfRange", "LdhoParams",
+    "InteractionFunctions", "JitterWarning", "KernelModel", "LagOutOfRange", "LdhoParams",
     "NegativeVariance", "NotPositiveDefinite", "OptimizerStalled", "OscovError",
-    "OuParams", "QuadratureFailure", "QuadratureSpec", "Regime", "RegimeError",
+    "OuParams", "Posterior", "QuadratureFailure", "QuadratureSpec", "Regime", "RegimeError",
     "SpaceTimeDataset", "SpaceTimePoint", "SpectralTruncationWarning", "VariogramKind",
     "WlsObjective", "admissibility_scan", "anisotropic_distance", "available_presets",
     "bessel_j", "classify_regime", "damped_frequency", "empirical_covariance", "errors",
