@@ -37,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_list(text: str, cast, flag: str):
     try:
         return [cast(part) for part in text.split(",") if part.strip() != ""]
@@ -202,26 +198,12 @@ def cmd_eval(args) -> int:
     ct = np.asarray(m.marginal_temporal(tau_grid), dtype=float)
     q = np.asarray(interaction_ratio(m, r_grid, tau_grid), dtype=float)
 
+    # one row per lag, temporal lag outermost
+    rows = np.column_stack([a.ravel() for a in (r_grid, tau_grid, c, c / c00, cs, ct, q)])
     path = _out_path(args, "kernel_grid.csv")
     with open(path, "w") as fh:
         fh.write("r,tau,C,C_norm,Cs,Ct,Qint\n")
-        for i in range(taus.size):  # temporal lag is the outer loop
-            for j in range(rs.size):
-                fh.write(
-                    ",".join(
-                        _fmt(v)
-                        for v in (
-                            rs[j],
-                            taus[i],
-                            c[i, j],
-                            c[i, j] / c00,
-                            cs[i, j],
-                            ct[i, j],
-                            q[i, j],
-                        )
-                    )
-                    + "\n"
-                )
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
     print(f"wrote {path} ({taus.size * rs.size} rows)")
     return _EXIT_OK
 

@@ -64,7 +64,7 @@ class DegenerateMarginal(UserWarning):
 
 
 class SpectralTruncationWarning(UserWarning):
-    """More than 1% of the spectral mass lies beyond the simulation grid's Nyquist."""
+    """The simulation grid's discrete spectral mass is off the model variance by over 1%."""
 
 
 class JitterWarning(UserWarning):

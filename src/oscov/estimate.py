@@ -584,7 +584,7 @@ def model_variogram(m: KernelModel, r, tau) -> np.ndarray | float:
     """Semivariance of a covariance model: ``C(0,0) - C(r,tau)`` plus nugget.
 
     The nugget contributes only away from the origin, producing the usual
-    discontinuity at zero lag.
+    discontinuity at zero lag; the origin itself is exactly zero.
     """
     r_arr = np.asarray(r, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
@@ -596,7 +596,7 @@ def model_variogram(m: KernelModel, r, tau) -> np.ndarray | float:
 def _semivariance(m: KernelModel, r: np.ndarray, tau: np.ndarray, sill: float) -> np.ndarray:
     """Model semivariance at equal-shape lag arrays, given ``sill = C(0, 0)``."""
     cov = np.asarray(m.covariance(r, tau), dtype=float)
-    return sill - cov + m.nugget * ((r != 0.0) | (tau != 0.0))
+    return (sill - cov + m.nugget) * ((r != 0.0) | (tau != 0.0))
 
 
 def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:

@@ -1,16 +1,19 @@
 """Spectral (FFT) simulation of Gaussian space-time fields on regular grids.
 
-The synthesis follows the classical frequency-domain recipe: draw independent
-complex Gaussian amplitudes at every node of the discrete (k, omega) grid
-with variance proportional to the model's spectral density, impose Hermitian
-symmetry so the synthesized field is real, and inverse-FFT.  The per-node
+The synthesis samples the model's spectral density on the discrete
+(k, omega) grid: it draws independent complex Gaussian amplitudes at every
+node, scales them by the square root of the node variance, inverse-FFTs and
+keeps the real part.  The real part is the transform of the amplitudes'
+Hermitian part, so no explicit pairing of k with -k is needed.  The per-node
 variance is the Riemann cell of the spectral representation,
 
     var(k, omega) = C~(k, omega) * dk^d * dw / (2 pi)^(d+1)
                   = C~(k, omega) / (N_total * dt * prod(ds)),
 
-so the lattice covariance of the output converges to the model kernel as the
-grid grows and refines.  Nugget noise is added independently per node.
+and its sum over the grid (the discrete spectral mass) is the field's
+variance at every node.  The lattice covariance of the output converges to
+the model kernel as the grid grows and refines.
+Nugget noise is added independently per node.
 
 Realizations are reproducible byte-for-byte: the generator is the
 counter-based Philox engine seeded from the grid spec, and the draw order
@@ -42,8 +45,8 @@ __all__ = [
 
 _GENERATOR_NAME = "numpy.random.Philox"
 
-# Fraction of the closed-form variance that may be lost beyond the Nyquist
-# frequencies before the grid is flagged as too coarse for the model.
+# Relative gap between the discrete spectral mass and the closed-form variance
+# beyond which the grid is flagged as unfit for the model.
 _TRUNCATION_TOL = 0.01
 
 
@@ -143,31 +146,15 @@ class FieldRealization:
         object.__setattr__(self, "values", vals)
 
 
-def _angular_frequencies(g: GridSpec):
-    """FFT-ordered angular frequency axes: omega first, then each k axis."""
+def _node_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
+    """Per-node spectral variances in FFT order, shape ``(nt, *ns)``."""
     omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)
     ks = [2.0 * np.pi * np.fft.fftfreq(n, s) for n, s in zip(g.ns, g.ds)]
-    return omega, ks
-
-
-def _node_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
-    omega, ks = _angular_frequencies(g)
     mesh = np.meshgrid(*ks, indexing="ij")
     k_mag = np.sqrt(sum(km * km for km in mesh))
     dens = st_spectral_density(m.params, k_mag[None, ...], omega.reshape((-1,) + (1,) * g.dim))
     cell = 1.0 / (g.n_total * g.dt * float(np.prod(g.ds)))
     return np.asarray(dens, dtype=float) * cell
-
-
-def _hermitian_pairing(a: np.ndarray) -> np.ndarray:
-    """Pair every node with its frequency-negated partner.
-
-    ``(a + conj(a[-idx]))/sqrt(2)`` keeps the per-node variance while making
-    the array Hermitian; self-paired nodes (DC and Nyquist combinations)
-    collapse to real draws with twice the per-component variance.
-    """
-    rev = tuple((-np.arange(n)) % n for n in a.shape)
-    return (a + np.conj(a[np.ix_(*rev)])) / np.sqrt(2.0)
 
 
 def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
@@ -177,43 +164,35 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
     -------
     FieldRealization
         Values of shape ``(nt, *ns)`` (C-order, time axis first) plus
-        provenance: model, grid, seed, generator identity, the fraction of
-        the closed-form variance captured by the discrete spectrum, and the
-        relative magnitude of the discarded imaginary part.
+        provenance: model, grid, seed, generator identity and the discrete
+        spectral mass as a fraction of the closed-form variance.
 
     Warns
     -----
     SpectralTruncationWarning
-        When more than 1% of the model variance lies beyond the grid's
-        Nyquist frequencies; widen the grid or shrink the spacings.
+        When the discrete spectral mass, which is the field's variance at
+        every node, differs from the model variance by more than 1%: the
+        grid is too coarse or too small for the model.
     """
     if m.dim != g.dim:
         raise DomainError(
             f"model is {m.dim}-dimensional but the grid has {g.dim} spatial axes"
         )
     var = _node_variances(m, g)
-    mass = float(var.sum())
-    variance = m.variance()
-    mass_fraction = mass / variance
-    if mass_fraction < 1.0 - _TRUNCATION_TOL:
+    mass_fraction = float(var.sum()) / m.variance()
+    if abs(mass_fraction - 1.0) > _TRUNCATION_TOL:
         warnings.warn(
-            f"discrete spectrum captures only {100 * mass_fraction:.2f}% of the "
-            "model variance; the grid is too coarse for this model",
+            f"discrete spectrum holds {100 * mass_fraction:.2f}% of the model "
+            "variance; the grid is too coarse or too small for this model",
             SpectralTruncationWarning,
         )
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    re = rng.standard_normal(g.shape)
-    im = rng.standard_normal(g.shape)
-    amp = np.sqrt(0.5 * var) * (re + 1j * im)
-    amp = _hermitian_pairing(amp)
-
-    z_complex = g.n_total * np.fft.ifftn(amp)
-    field_rms = float(np.sqrt(np.mean(np.abs(z_complex) ** 2)))
-    imag_rms = float(np.sqrt(np.mean(z_complex.imag**2)))
-    imag_ratio = imag_rms / field_rms if field_rms > 0.0 else 0.0
-    z = z_complex.real.copy()
-
+    amp = np.empty(g.shape, dtype=complex)
+    amp.real = rng.standard_normal(g.shape)
+    amp.imag = rng.standard_normal(g.shape)
+    amp *= np.sqrt(var, out=var)
+    z = np.fft.ifftn(amp).real * g.n_total
     if m.nugget > 0.0:
         z += np.sqrt(m.nugget) * rng.standard_normal(g.shape)
 
@@ -223,7 +202,6 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         "seed": g.seed,
         "generator": _GENERATOR_NAME,
         "spectral_mass_fraction": mass_fraction,
-        "hermitian_imag_ratio": imag_ratio,
     }
     return FieldRealization(values=z, grid=g, provenance=provenance)
 

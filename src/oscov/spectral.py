@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .errors import DomainError, QuadratureFailure
 from .kernel_core import (
@@ -171,6 +170,8 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
     well beyond the 1e-12 accuracy target.  Supported: -1/2, 0, 1/2, 1, 3/2
     (spatial dimensions 1 through 5).
     """
+    from scipy.special import j0, j1
+
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -160,6 +160,12 @@ def test_eval_grid_matches_direct_library_calls(tmp_path, model_file):
         table[:, 6].reshape(4, 5),
         np.asarray(interaction_ratio(m, r_grid, tau_grid), dtype=float),
     )
+    # the text itself: one row per lag, temporal lag outermost, every value
+    # at 17 significant digits
+    expected = "r,tau,C,C_norm,Cs,Ct,Qint\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in table
+    )
+    assert (tmp_path / "kernel_grid.csv").read_text() == expected
 
 
 # ---------------------------------------------------------------------------

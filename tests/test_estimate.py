@@ -435,6 +435,13 @@ UNDER_MODEL = KernelModel(params=UNDER, nugget=0.3)
 
 def test_model_variogram_is_zero_at_the_origin():
     assert model_variogram(UNDER_MODEL, 0.0, 0.0) == 0.0
+    # C(0, 0) and the sill round differently for this model; the origin must
+    # still be exactly zero, with or without a nugget
+    m = KernelModel(LdhoParams(2.1, 1.2, 2.5, 0.6, 0.5))
+    assert model_variogram(m, 0.0, 0.0) == 0.0
+    nug = KernelModel(m.params, nugget=0.3)
+    gam = model_variogram(nug, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.5, 0.0]))
+    assert gam[0] == 0.0 and np.all(gam[1:] > 0.3)
 
 
 def test_model_variogram_spatial_axis_closed_form():

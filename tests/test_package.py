@@ -50,6 +50,20 @@ def test_import_loads_no_submodule_and_no_scipy():
         assert name not in loaded
 
 
+def test_simulation_loads_no_scipy(tmp_path):
+    """Field synthesis, in the library and through the CLI, needs numpy only."""
+    out = _fresh_python(
+        "import sys\n"
+        "from oscov.cli import main\n"
+        "assert main(['simulate', '--figure', 'fig1', '--ns', '8,8', '--nt', '8',"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(*sorted(sys.modules))"
+    )
+    loaded = out.splitlines()[-1].split()
+    assert "oscov.simulate" in loaded
+    assert [name for name in loaded if name.startswith("scipy")] == []
+
+
 def test_every_exported_name_still_resolves():
     assert set(oscov.__all__) == EXPORTED
     assert set(dir(oscov)) == EXPORTED
