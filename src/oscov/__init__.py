@@ -62,7 +62,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "AdmissibilityReport",
-            "QuadratureSpec",
             "admissibility_scan",
             "bessel_j",
             "hankel_ift_oracle",

@@ -71,6 +71,9 @@ _REL_TOL = 1e-4
 _RESTARTS = 3
 _SHRINK = 0.5
 
+# Default search box: a factor this large either side of each start value.
+_BOUND_SPAN = 1e3
+
 
 class VariogramKind(str, Enum):
     SPATIAL_MARGINAL = "spatial_marginal"
@@ -120,6 +123,10 @@ class EmpiricalVariogram:
         for arr in (r, tau):
             if arr is not None and arr.shape != gamma.shape:
                 raise DomainError("bin centers must align with gamma")
+        if r is not None and not np.all(np.isfinite(r) & (r >= 0.0)):
+            raise DomainError("spatial lags r must be finite and >= 0")
+        if tau is not None and not np.all(np.isfinite(tau)):
+            raise DomainError("time lags tau must be finite")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "counts", counts)
@@ -624,7 +631,7 @@ def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(func, x0: np.ndarray, budget: int = _MAX_EVALS):
+def _nelder_mead(func, x0: np.ndarray):
     """Nelder-Mead with shrinking restarts and a relative stopping rule.
 
     Runs up to ``1 + _RESTARTS`` simplex stages, halving the initial simplex
@@ -639,7 +646,7 @@ def _nelder_mead(func, x0: np.ndarray, budget: int = _MAX_EVALS):
     converged = False
     scale = 0.25
     for stage in range(1 + _RESTARTS):
-        remaining = budget - evals
+        remaining = _MAX_EVALS - evals
         if remaining < 2 * (x_best.size + 1):
             break
         simplex = np.vstack([x_best] + [
@@ -738,7 +745,11 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
     """
     names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
     user_bounds = bounds or {}
-    bounds = {**_default_bounds(theta0), **user_bounds}
+    bounds = {
+        name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (v / _BOUND_SPAN, v * _BOUND_SPAN)
+        for name, v in theta0.items()
+    }
+    bounds.update(user_bounds)
 
     def from_vector(x) -> dict:
         theta = {}
@@ -890,16 +901,6 @@ def _temporal_corr_time_guess(v: EmpiricalVariogram, sill: float, nugget0: float
     above = np.nonzero(v.gamma >= target)[0]
     t_corr = float(v.tau[above[0]]) if above.size else float(v.tau[-1])
     return max(0.5 * t_corr, float(v.tau[0]))
-
-
-def _default_bounds(theta0: dict, span: float = 1e3) -> dict:
-    out = {}
-    for name, value in theta0.items():
-        if name == "damping_ratio":
-            out[name] = (1e-6, 1.0 - 1e-6)
-        else:
-            out[name] = (value / span, value * span)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,13 @@ def gram(m: KernelModel, points) -> GramMatrix:
     ``points`` is a :class:`SpaceTimeDataset` or a sequence of
     :class:`SpaceTimePoint`.  The kernel is evaluated once per unordered pair
     and mirrored, so the result is exactly symmetric; the diagonal holds
-    ``C(0, 0)`` plus the nugget.
+    ``m.variance()`` plus the nugget.
     """
     coords, times = _arrays(points)
     _check_dim(m, coords, "sample")
     upper = m.covariance(pdist(coords), pdist(times[:, None], "cityblock"))
     K = squareform(np.asarray(upper, dtype=float))
-    np.fill_diagonal(K, float(m.covariance(0.0, 0.0)) + m.nugget)
+    np.fill_diagonal(K, m.variance() + m.nugget)
     return GramMatrix(matrix=K, model_key=m.model_key())
 
 
@@ -218,15 +218,14 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
     The first attempt factorizes ``K`` as assembled (the nugget is already on
     the diagonal).  On failure a jitter is added, starting at the nugget (or
     at 1e-12 C(0,0) for nugget-free models, since escalating from zero goes
-    nowhere) and growing tenfold until it would exceed 1e-6 C(0,0).  C(0,0)
-    is read off the Gram diagonal, ``K[0, 0]`` less the nugget.  Beyond the
-    ceiling the matrix is declared not positive definite; the offending pivot
-    (zero-based) is reported when the backend names one.
+    nowhere) and growing tenfold until it would exceed 1e-6 C(0,0).  Beyond
+    the ceiling the matrix is declared not positive definite; the offending
+    pivot (zero-based) is reported when the backend names one.
 
     Returns the ``cho_factor`` pair and the jitter it applied; a jitter above
     zero is reported as a :class:`JitterWarning`.
     """
-    c00 = float(K[0, 0]) - m.nugget
+    c00 = m.variance()
     jitter = 0.0
     ceiling = 1e-6 * c00
     last_err: LinAlgError | None = None
@@ -277,7 +276,8 @@ class Posterior:
         for a healthy model.  A jitter above zero is also reported as a
         :class:`JitterWarning`.
     prior : float
-        Prior variance of an observation, the Gram diagonal ``C(0,0) + nugget``.
+        Prior variance of an observation, ``m.variance() + m.nugget``: the
+        Gram diagonal.
 
     Raises
     ------
@@ -300,9 +300,7 @@ class Posterior:
         K = gram(m, data).matrix
         self.factor, self.jitter = _chol_with_jitter(K, m)
         self.alpha = cho_solve(self.factor, data.values - data.mean)
-        # the prior is the Gram diagonal itself, C(0, 0) + nugget, so that a
-        # query with k* = 0 gets exactly the variance a sample point has a priori
-        self.prior = float(K[0, 0])
+        self.prior = m.variance() + m.nugget
         self.model = m
         self.coords, self.times, self.mean = coords, times, data.mean
 

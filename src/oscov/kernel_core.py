@@ -641,6 +641,26 @@ def _ldho_over_linear(p: LdhoParams, r, ata):
 
 
 # ---------------------------------------------------------------------------
+# first-order (Ornstein-Uhlenbeck) space-time kernels
+# ---------------------------------------------------------------------------
+
+
+def _ou_quadratic(p: OuParams, r, ata):
+    """First-order kernel, quadratic dispersion: a Gaussian widening with ``|tau|``."""
+    width = p.beta + p.scale * ata / p.tau_c
+    decay = p.sigma0_sq * np.exp(-p.a * ata / p.tau_c)
+    return decay * np.exp(-r * r / (4.0 * width)) / (4.0 * math.pi * width) ** (0.5 * p.dim)
+
+
+def _ou_linear(p: OuParams, r, ata):
+    """First-order kernel, linear dispersion: a rational profile widening with ``|tau|``."""
+    d = p.dim
+    q = p.beta + p.scale * ata / p.tau_c
+    amp = p.sigma0_sq * _gd(d) / math.pi ** (0.5 * (d + 1))
+    return amp * q * np.exp(-p.a * ata / p.tau_c) / (q * q + r * r) ** (0.5 * (d + 1))
+
+
+# ---------------------------------------------------------------------------
 # public kernel evaluation
 # ---------------------------------------------------------------------------
 
@@ -652,6 +672,23 @@ _LDHO_FORMS = {
     (Dispersion.LINEAR, Regime.CRITICAL): _ldho_critical_linear,
     (Dispersion.LINEAR, Regime.OVERDAMPED): _ldho_over_linear,
 }
+_OU_FORMS = {Dispersion.QUADRATIC: _ou_quadratic, Dispersion.LINEAR: _ou_linear}
+
+# The zero lag as a NumPy scalar: overflow and division by zero then give
+# inf or NaN, as on the lag arrays, instead of raising as Python floats do.
+_ZERO = np.float64(0.0)
+
+
+def _form(p: LdhoParams | OuParams):
+    """The closed form ``(p, r, |tau|) -> C`` of ``p``'s family, dispersion and regime."""
+    if isinstance(p, LdhoParams):
+        return _LDHO_FORMS[(p.dispersion, classify_regime(p))]
+    return _OU_FORMS[p.dispersion]
+
+
+def _kernel(p: LdhoParams | OuParams, r, tau) -> np.ndarray | float:
+    r_b, ata, scalar = _prepare_lags(r, tau)
+    return _ret(_form(p)(p, r_b, ata), scalar)
 
 
 def ldho_kernel(p: LdhoParams, r, tau) -> np.ndarray | float:
@@ -662,39 +699,18 @@ def ldho_kernel(p: LdhoParams, r, tau) -> np.ndarray | float:
     """
     if not isinstance(p, LdhoParams):
         raise TypeError("ldho_kernel expects LdhoParams")
-    r_b, ata, scalar = _prepare_lags(r, tau)
-    form = _LDHO_FORMS[(p.dispersion, classify_regime(p))]
-    return _ret(form(p, r_b, ata), scalar)
+    return _kernel(p, r, tau)
 
 
 def ou_kernel(p: OuParams, r, tau) -> np.ndarray | float:
     """Space-time covariance of the first-order (Ornstein-Uhlenbeck) kernel.
 
-    Quadratic dispersion gives a Gaussian spatial profile whose squared width
-    grows linearly with ``|tau|``; linear dispersion gives the rational
-    profile ``q (q^2 + r^2)^{-(d+1)/2}`` with a lag-growing scale ``q``.
+    ``r`` and ``tau`` broadcast against each other; ``r`` must be >= 0.
+    The form is chosen by the dispersion family.
     """
     if not isinstance(p, OuParams):
         raise TypeError("ou_kernel expects OuParams")
-    r_b, ata, scalar = _prepare_lags(r, tau)
-    d = p.dim
-    decay = np.exp(-p.a * ata / p.tau_c)
-    if p.dispersion is Dispersion.QUADRATIC:
-        width = p.beta + p.scale * ata / p.tau_c
-        val = p.sigma0_sq * decay * np.exp(-r_b * r_b / (4.0 * width)) / (
-            4.0 * math.pi * width
-        ) ** (0.5 * d)
-    else:
-        q = p.beta + p.scale * ata / p.tau_c
-        val = (
-            p.sigma0_sq
-            * _gd(d)
-            / math.pi ** (0.5 * (d + 1))
-            * q
-            * decay
-            / (q * q + r_b * r_b) ** (0.5 * (d + 1))
-        )
-    return _ret(val, scalar)
+    return _kernel(p, r, tau)
 
 
 def vlrt_kernel(p: LdhoParams, r, tau) -> np.ndarray | float:
@@ -898,10 +914,8 @@ class KernelModel:
     def covariance(self, r, tau) -> np.ndarray | float:
         """Noise-free covariance at the given lags (nugget not included)."""
         if self.surrogate:
-            return separable_surrogate(replace(self, surrogate=False), r, tau)
-        if isinstance(self.params, LdhoParams):
-            return ldho_kernel(self.params, r, tau)
-        return ou_kernel(self.params, r, tau)
+            return separable_surrogate(self, r, tau)
+        return _kernel(self.params, r, tau)
 
     def marginal_spatial(self, r) -> np.ndarray | float:
         return marginal_spatial(self.params, r)
@@ -910,8 +924,15 @@ class KernelModel:
         return marginal_temporal(self.params, tau)
 
     def variance(self) -> float:
-        """Field variance ``C(0, 0)`` (nugget not included)."""
-        return float(marginal_spatial(self.params, 0.0))
+        """Field variance ``C(0, 0)`` (nugget not included).
+
+        The model's own closed form at the zero lag, evaluated on NumPy
+        scalars as ``covariance(0.0, 0.0)`` evaluates it, so the two agree
+        bit for bit.
+        """
+        if self.surrogate:
+            return float(separable_surrogate(self, 0.0, 0.0))
+        return float(_form(self.params)(self.params, _ZERO, _ZERO))
 
     # -- serialization -----------------------------------------------------
 

@@ -37,7 +37,6 @@ from .kernel_core import (
 )
 
 __all__ = [
-    "QuadratureSpec",
     "AdmissibilityReport",
     "bessel_j",
     "temporal_spectral_density",
@@ -107,18 +106,18 @@ def st_spectral_density(p: LdhoParams | OuParams, k, omega) -> np.ndarray | floa
     if np.any(k_arr < 0.0):
         raise DomainError("radial wavenumber k must be >= 0")
     scalar = k_arr.ndim == 0 and w_arr.ndim == 0
-    k_b, w_b = np.broadcast_arrays(k_arr, w_arr)
-    a_k, b_k = _dispersion_factors(p, k_b)
+    # A(k) and B(k) on k's own shape: broadcast against omega first, they
+    # would each cost a full-grid temporary
+    a_k, b_k = _dispersion_factors(p, k_arr)
+    w_sq = w_arr * w_arr
     if isinstance(p, LdhoParams):
         sigma0_sq = 2.0 * p.c0 * p.omega0 ** 2 * p.tau_c
         num = sigma0_sq * a_k
-        den = (p.tau_c ** 2 / (b_k * b_k)) * (
-            w_b * w_b - p.omega0 ** 2 * b_k * b_k
-        ) ** 2 + w_b * w_b
+        den = (p.tau_c ** 2 / (b_k * b_k)) * (w_sq - p.omega0 ** 2 * b_k * b_k) ** 2 + w_sq
         val = num / den
     elif isinstance(p, OuParams):
         lam = b_k / p.tau_c
-        val = p.sigma0_sq * a_k * 2.0 * lam / (lam * lam + w_b * w_b)
+        val = p.sigma0_sq * a_k * 2.0 * lam / (lam * lam + w_sq)
     else:
         raise TypeError("st_spectral_density expects LdhoParams or OuParams")
     return float(val) if scalar else val
@@ -201,28 +200,11 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Configuration of the radial transform quadrature.
-
-    ``max_wavenumber = None`` asks the oracle to locate the cutoff itself by
-    expanding until the mode amplitude falls below 1e-16 of its ``k = 0``
-    value.  ``node_count`` is the total evaluation budget of the adaptive
-    panel scheme; at least 64.
-    """
-
-    max_wavenumber: float | None = None
-    node_count: int = 65536
-    abs_tol: float = 1e-15
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_wavenumber is not None and not self.max_wavenumber > 0.0:
-            raise DomainError("max_wavenumber must be positive (or None for automatic)")
-        if int(self.node_count) != self.node_count or self.node_count < 64:
-            raise DomainError("node_count must be an integer >= 64")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise DomainError("tolerances must be >= 0")
+# Adaptive quadrature: the total evaluation budget of the panel scheme, and
+# the absolute and relative error targets of the transform value.
+_NODE_COUNT = 65536
+_ABS_TOL = 1e-15
+_REL_TOL = 1e-9
 
 
 @functools.cache
@@ -272,7 +254,7 @@ def _integrand_factory(mode, d: int, r: float, tau: float):
     return integrand, pref
 
 
-def _initial_breakpoints(integrand, k_max: float, node_budget: int) -> np.ndarray:
+def _initial_breakpoints(integrand, k_max: float) -> np.ndarray:
     """Panel boundaries from an empirical probe of the integrand's sign changes.
 
     A uniform probe grid locates oscillations of both the Bessel factor and
@@ -290,7 +272,7 @@ def _initial_breakpoints(integrand, k_max: float, node_budget: int) -> np.ndarra
     base = np.linspace(0.0, k_max, 17)
     points = np.unique(np.concatenate([base, cuts]))
     # respect the evaluation budget: a panel costs 48 evaluations up front
-    max_panels = max(16, node_budget // 96)
+    max_panels = max(16, _NODE_COUNT // 96)
     if points.size - 1 > max_panels:
         idx = np.linspace(0, points.size - 1, max_panels + 1).round().astype(int)
         points = points[np.unique(idx)]
@@ -316,7 +298,6 @@ def hankel_ift_oracle(
     d: int,
     r: float,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """Radial inverse Fourier transform of a temporal mode, by quadrature.
 
@@ -329,8 +310,6 @@ def hankel_ift_oracle(
         Spatial dimension (1 through 5).
     r, tau : float
         Evaluation lag.
-    spec : QuadratureSpec, optional
-        Cutoff, evaluation budget and tolerances.
 
     Returns
     -------
@@ -342,19 +321,18 @@ def hankel_ift_oracle(
     ------
     QuadratureFailure
         If the error estimate cannot be brought below
-        ``max(abs_tol, rel_tol * |value|)`` within the node budget.
+        ``max(1e-15, 1e-9 |value|)`` within 65 536 integrand evaluations.
+        The cutoff wavenumber is found automatically (see ``_auto_kmax``).
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if d < 1 or d > 5 or int(d) != d:
         raise DomainError("oracle supports spatial dimensions 1 through 5")
     if r < 0.0:
         raise DomainError("spatial distance r must be >= 0")
 
-    k_max = spec.max_wavenumber or _auto_kmax(mode, tau)
+    k_max = _auto_kmax(mode, tau)
     integrand, pref = _integrand_factory(mode, int(d), float(r), float(tau))
 
-    points = _initial_breakpoints(integrand, k_max, spec.node_count)
+    points = _initial_breakpoints(integrand, k_max)
     lo, hi = points[:-1], points[1:]
     sums, errs = _panel_sums(integrand, lo, hi)
     evals = 48 * lo.size
@@ -362,12 +340,12 @@ def hankel_ift_oracle(
     while True:
         total = float(sums.sum())
         err_tot = float(errs.sum())
-        tol = max(spec.abs_tol / max(abs(pref), 1e-300), spec.rel_tol * abs(total))
+        tol = max(_ABS_TOL / max(abs(pref), 1e-300), _REL_TOL * abs(total))
         if err_tot <= tol:
             break
-        if evals >= spec.node_count:
+        if evals >= _NODE_COUNT:
             raise QuadratureFailure(
-                f"adaptive quadrature exhausted its {spec.node_count}-evaluation "
+                f"adaptive quadrature exhausted its {_NODE_COUNT}-evaluation "
                 f"budget at error {pref * err_tot:.3e} (value {pref * total:.6e})"
             )
         # bisect the panels carrying the bulk of the error estimate

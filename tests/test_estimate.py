@@ -897,6 +897,32 @@ def test_variogram_container_validation():
             EmpiricalVariogram(
                 kind=VariogramKind.SPATIAL_MARGINAL, gamma=[0.5, bad], counts=[3, 4], r=[1, 2]
             )
+    # bad lags fail at construction, including through the JSON literals
+    # NaN and Infinity that from_json accepts
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="spatial lags"):
+            EmpiricalVariogram(
+                kind=VariogramKind.SPATIAL_MARGINAL, gamma=[0.5, 0.7], counts=[3, 4], r=[1, bad]
+            )
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="time lags"):
+            EmpiricalVariogram(
+                kind=VariogramKind.SPACE_TIME,
+                gamma=[0.5, 0.7],
+                counts=[3, 4],
+                r=[0.0, 1.0],
+                tau=[bad, 0.5],
+            )
+    for literal in ("NaN", "Infinity", "-1.0"):
+        text = (
+            '{"kind": "spatial_marginal", "bins": [{"r": 1.0, "gamma": 0.5, "n": 3}, '
+            f'{{"r": {literal}, "gamma": 0.7, "n": 4}}]}}'
+        )
+        with pytest.raises(DomainError, match="spatial lags"):
+            EmpiricalVariogram.from_json(text)
+    text = '{"kind": "temporal_marginal", "bins": [{"tau": Infinity, "gamma": 0.5, "n": 3}]}'
+    with pytest.raises(DomainError, match="time lags"):
+        EmpiricalVariogram.from_json(text)
 
 
 def test_variogram_json_round_trip(tiny_field):

@@ -141,17 +141,20 @@ def test_prediction_reverts_to_prior_far_away():
 
 
 def test_far_prediction_variance_is_the_gram_diagonal():
-    # m.variance() (the spatial marginal at 0) and m.covariance(0, 0) differ
-    # in the last bit for this model; the prior must be the Gram diagonal
+    # the spatial marginal at 0 differs from the kernel at (0, 0) in the last
+    # bit for this model; variance() is the latter, and it is the Gram
+    # diagonal and the prior alike
     m = KernelModel(LdhoParams(2.1, 1.2, 2.5, 0.6, 0.5), nugget=0.1)
-    assert m.variance() + m.nugget != float(m.covariance(0.0, 0.0)) + m.nugget
+    assert m.variance() == float(m.covariance(0.0, 0.0))
     rng = np.random.default_rng(8)
     coords, times = random_arrays(rng, 12, 2)
     data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.0, 1.0, 12))
+    K = gram(m, data).matrix
+    assert np.all(np.diag(K) == m.variance() + m.nugget)
     far = SpaceTimePoint((500.0, 500.0), 10.0)
     assert np.all(m.covariance(cdist([far.s], coords), far.t - times) == 0.0)
     means, variances = predict(m, data, [far])
-    assert variances[0] == gram(m, data).matrix[0, 0]
+    assert variances[0] == K[0, 0]
 
 
 def test_prediction_permutation_equivariance():

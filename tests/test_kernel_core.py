@@ -19,6 +19,7 @@ from oscov import (
     Regime,
     RegimeError,
     anisotropic_distance,
+    available_presets,
     classify_regime,
     damped_frequency,
     fast_slow_times,
@@ -28,6 +29,7 @@ from oscov import (
     marginal_spatial,
     marginal_temporal,
     ou_kernel,
+    preset_model,
     separable_surrogate,
     temporal_kernel,
     vlrt_kernel,
@@ -248,6 +250,40 @@ def test_marginal_spatial_zero_lag_closed_forms():
         ou = OuParams(1.4, 0.8, 0.5, 0.4, 2.0, Dispersion.QUADRATIC, d)
         expected = ou.sigma0_sq / (4 * math.pi * ou.beta) ** (d / 2)
         assert marginal_spatial(ou, 0.0) == pytest.approx(expected, rel=1e-13)
+
+
+def test_variance_is_the_kernel_at_the_zero_lag(variants_by_dim):
+    # one C(0, 0): every sill, Gram diagonal and prior reads variance(), so it
+    # must be the kernel's own zero-lag value to the last bit
+    rng = np.random.default_rng(8)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    models = [preset_model(name) for name in available_presets()]
+    for dim in (1, 2, 3):
+        models += [KernelModel(params) for _, params in variants_by_dim(dim)]
+        for dispersion in Dispersion:
+            for i in range(60):
+                tau_c = log_uniform(0.1, 10.0)
+                # omega0 * tau_c spans both regimes, the critical band and the
+                # overdamped series branch next to it
+                product = (
+                    log_uniform(0.05, 5.0),
+                    0.5,
+                    0.5 * (1.0 - log_uniform(1e-8, 1e-6)),
+                )[i % 3]
+                models.append(KernelModel(LdhoParams(
+                    log_uniform(0.1, 10.0), tau_c, product / tau_c,
+                    log_uniform(0.1, 10.0), log_uniform(1e-3, 3.0), dispersion, dim,
+                )))
+                models.append(KernelModel(OuParams(
+                    log_uniform(0.1, 10.0), tau_c, log_uniform(0.1, 10.0),
+                    log_uniform(1e-3, 3.0), log_uniform(0.1, 10.0), dispersion, dim,
+                )))
+    models += [KernelModel.surrogate_of(m) for m in models]
+    for m in models:
+        assert m.variance() == float(m.covariance(0.0, 0.0)), m.model_key()
 
 
 def test_ou_linear_spatial_marginal_profile():

@@ -14,7 +14,7 @@ EXPORTED = {
     "EmptyBinError", "FieldRealization", "FitResult", "GramMatrix", "GridSpec",
     "InteractionFunctions", "JitterWarning", "KernelModel", "LagOutOfRange", "LdhoParams",
     "NegativeVariance", "NotPositiveDefinite", "OptimizerStalled", "OscovError",
-    "OuParams", "Posterior", "QuadratureFailure", "QuadratureSpec", "Regime", "RegimeError",
+    "OuParams", "Posterior", "QuadratureFailure", "Regime", "RegimeError",
     "SpaceTimeDataset", "SpaceTimePoint", "SpectralTruncationWarning", "VariogramKind",
     "WlsObjective", "admissibility_scan", "anisotropic_distance", "available_presets",
     "bessel_j", "classify_regime", "damped_frequency", "empirical_covariance", "errors",

@@ -15,7 +15,6 @@ from oscov import (
     LdhoParams,
     OuParams,
     QuadratureFailure,
-    QuadratureSpec,
     admissibility_scan,
     bessel_j,
     hankel_ift_oracle,
@@ -233,15 +232,6 @@ def test_oracle_quadrature_failures():
         hankel_ift_oracle(lambda k, tau: np.zeros_like(k), 2, 1.0, 0.0)
     with pytest.raises(QuadratureFailure):
         hankel_ift_oracle(lambda k, tau: np.ones_like(k), 2, 1.0, 0.0)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(node_count=32)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_wavenumber=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
