@@ -143,16 +143,17 @@ def _resolve_model(args):
 
 
 def _resolve_data(args):
-    from .gp import load_dataset_csv
-    from .simulate import load_field
-
     if args.field and args.data:
         raise _UsageError("give either --field or --data, not both")
     if args.field:
+        from .simulate import load_field
+
         if not os.path.exists(args.field):
             raise _UsageError(f"field file not found: {args.field}")
         return load_field(args.field)
     if args.data:
+        from .gp import load_dataset_csv
+
         if not os.path.exists(args.data):
             raise _UsageError(f"data file not found: {args.data}")
         return load_dataset_csv(args.data)
@@ -265,21 +266,11 @@ def cmd_fit(args) -> int:
     r_bins = None if args.r_bins is None else np.array(_parse_list(args.r_bins, float, "--r-bins"))
     tau_bins = None if args.tau_bins is None else np.array(_parse_list(args.tau_bins, float, "--tau-bins"))
     if args.stage == "marginals":
-        result = fit_marginals(
-            data,
-            family=args.family,
-            dispersion=args.dispersion,
-            r_bins=r_bins,
-            tau_bins=tau_bins,
-        )
+        result = fit_marginals(data, args.family, args.dispersion, r_bins=r_bins, tau_bins=tau_bins)
     else:
-        result = fit_full(
-            data,
-            family=args.family,
-            dispersion=args.dispersion,
-            r_bins=r_bins,
-            tau_bins=tau_bins,
-        )
+        # the bins are the joint stage's; the marginal start uses its defaults
+        start = fit_marginals(data, args.family, args.dispersion)
+        result = fit_full(data, start, r_bins=r_bins, tau_bins=tau_bins)
     path = _out_path(args, "fit.json")
     with open(path, "w") as fh:
         fh.write(result.to_json())

@@ -25,8 +25,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
     AllBinsSkipped,
@@ -157,8 +155,8 @@ class EmpiricalVariogram:
             bins.append(entry)
         return {"kind": self.kind.value, "bins": bins, "tolerance": self.tolerance}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EmpiricalVariogram":
@@ -223,8 +221,8 @@ class FitResult:
             "trace": list(self.trace),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +316,8 @@ def _drop_empty(kind, centers_r, centers_t, gamma, counts, tolerance):
 def _default_spatial_tolerance(data) -> float:
     if isinstance(data, FieldRealization):
         return 0.5 * min(data.grid.ds)
+    from scipy.spatial.distance import cdist
+
     coords = data.coords
     n = coords.shape[0]
     if n < 2:
@@ -337,6 +337,8 @@ def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
         r_cap = 0.5 * min(n * s for n, s in zip(g.ns, g.ds))
         count = min(n_bins, int(r_cap / step))
         return step * np.arange(1, max(count, 1) + 1)
+    from scipy.spatial.distance import pdist
+
     d = pdist(data.coords)
     if d.size == 0:
         raise DomainError("need at least two points for spatial lags")
@@ -344,18 +346,21 @@ def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
     return np.linspace(lo, hi, n_bins)
 
 
-def default_temporal_bins(data, n_bins: int = 40) -> np.ndarray:
-    """Temporal lag centers: grid multiples, or quantiles for scattered data."""
+def default_temporal_bins(data) -> np.ndarray:
+    """Temporal lag centers: up to 40 multiples of the grid step, or 12 even
+    steps between the 2 % and 60 % quantiles of scattered data's time gaps.
+    """
     if isinstance(data, FieldRealization):
         g = data.grid
-        count = min(n_bins, g.nt - 1)
-        return g.dt * np.arange(1, count + 1)
+        return g.dt * np.arange(1, min(40, g.nt - 1) + 1)
+    from scipy.spatial.distance import pdist
+
     times = np.unique(data.times)
     if times.size < 2:
         raise DomainError("need at least two distinct times for temporal lags")
     gaps = pdist(times[:, None], "cityblock")
     lo, hi = np.quantile(gaps, [0.02, 0.6])
-    return np.linspace(lo, hi, min(n_bins, 12))
+    return np.linspace(lo, hi, 12)
 
 
 def _half_median_gap(times: np.ndarray) -> float:
@@ -486,8 +491,11 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
     return _drop_empty(VariogramKind.SPATIAL_MARGINAL, bins, None, sums, counts, tolerance)
 
 
-def temporal_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVariogram:
-    """Temporal semivariance at each lag, averaged over locations."""
+def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
+    """Temporal semivariance at each lag, averaged over locations.
+
+    Scattered data bin the pairs within half the median time gap of a lag.
+    """
     if bins is None:
         bins = default_temporal_bins(data)
     bins = np.sort(np.atleast_1d(np.asarray(bins, dtype=float)))
@@ -507,7 +515,7 @@ def temporal_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVar
         )
 
     times = data.times
-    tolerance = _half_median_gap(times) if tolerance is None else float(tolerance)
+    tolerance = _half_median_gap(times)
     sums, counts = _group_average(
         data.coords, data.values, lambda i, j: np.abs(times[i] - times[j]), bins, tolerance
     )
@@ -639,6 +647,8 @@ def _nelder_mead(func, x0: np.ndarray):
     less than ``_REL_TOL`` relatively.  Returns the best point, its value,
     the evaluation count, a convergence flag, and the per-stage trace.
     """
+    from scipy.optimize import minimize
+
     x_best = np.asarray(x0, dtype=float)
     f_best = float(func(x_best))
     evals = 1
@@ -1045,33 +1055,24 @@ def _full_theta_from_model(m: KernelModel, branch: str) -> dict:
 
 def fit_full(
     data,
-    theta0: KernelModel | FitResult | None = None,
+    theta0: KernelModel | FitResult,
     bounds=None,
     r_bins=None,
     tau_bins=None,
-    family: str = "ldho",
-    dispersion=Dispersion.QUADRATIC,
 ) -> FitResult:
-    """Joint space-time variogram fit, warm-started from marginal estimates.
+    """Joint space-time variogram fit, warm-started from a model.
 
-    When ``theta0`` is omitted the marginal pipeline runs first, with
-    ``family`` and ``dispersion``; its model seeds every regime branch of
-    the joint search.  A given start model (or fit result) sets the family
-    and the dispersion itself, and ``family`` and ``dispersion`` are then
-    ignored.  The winning branch's objective never exceeds the objective of
-    the warm start, because each branch falls back to its start on failure.
+    ``theta0`` is the start: a model, or a fit result such as that of
+    :func:`fit_marginals`, whose evaluations the returned count then
+    includes.  The start sets the family and the dispersion, and seeds every
+    damping regime of its family.  The winning branch's objective never
+    exceeds the objective of the start, because each branch falls back to
+    its start on failure.
     """
-    marginal_result = None
-    if theta0 is None:
-        marginal_result = fit_marginals(
-            data, family=family, dispersion=dispersion, bounds=bounds
-        )
-        start_model = marginal_result.model
-    elif isinstance(theta0, FitResult):
-        marginal_result = theta0
-        start_model = theta0.model
+    if isinstance(theta0, FitResult):
+        start_model, evals0 = theta0.model, theta0.n_evaluations
     else:
-        start_model = theta0
+        start_model, evals0 = theta0, 0
     p = start_model.params
 
     v_st = space_time_variogram(data, r_bins=r_bins, tau_bins=tau_bins)
@@ -1081,12 +1082,10 @@ def fit_full(
     (branch, theta, obj, conv), evals, trace, record = _best_branch(
         starts, p.dispersion, p.dim, {}, v_st, bounds
     )
-    if marginal_result is not None:
-        evals += marginal_result.n_evaluations
     return FitResult(
         model=_branch_model(branch, p.dispersion, p.dim, theta),
         objective=float(obj),
-        n_evaluations=evals,
+        n_evaluations=evals0 + evals,
         converged=bool(conv),
         theta0=record,
         theta_star=theta,

@@ -143,7 +143,6 @@ class GramMatrix:
     """Dense symmetric covariance matrix of a point set under one model."""
 
     matrix: np.ndarray
-    model_key: str
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -192,7 +191,7 @@ def gram(m: KernelModel, points) -> GramMatrix:
     upper = m.covariance(pdist(coords), pdist(times[:, None], "cityblock"))
     K = squareform(np.asarray(upper, dtype=float))
     np.fill_diagonal(K, m.variance() + m.nugget)
-    return GramMatrix(matrix=K, model_key=m.model_key())
+    return GramMatrix(matrix=K)
 
 
 def _find_duplicates(coords: np.ndarray, times: np.ndarray) -> tuple[int, int] | None:

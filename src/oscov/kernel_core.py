@@ -338,18 +338,27 @@ def fast_slow_times(p: LdhoParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_lags(r, tau):
-    """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag).
-
-    A negative or NaN ``r`` and a NaN ``tau`` raise :class:`DomainError`.
-    """
-    r_arr = np.asarray(r, dtype=float)
-    tau_arr = np.asarray(tau, dtype=float)
+def _as_distance(x, name: str) -> np.ndarray:
+    """A distance or wavenumber as floats; negative or NaN raises :class:`DomainError`."""
+    arr = np.asarray(x, dtype=float)
     # written so that a NaN fails the test too
-    if not np.all(r_arr >= 0.0):
-        raise DomainError("spatial distance r must be >= 0 and not NaN")
-    if np.isnan(tau_arr).any():
-        raise DomainError("time lag tau must not be NaN")
+    if not np.all(arr >= 0.0):
+        raise DomainError(f"{name} must be >= 0 and not NaN")
+    return arr
+
+
+def _as_lag(x, name: str) -> np.ndarray:
+    """A time lag or frequency as floats; NaN raises :class:`DomainError`."""
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError(f"{name} must not be NaN")
+    return arr
+
+
+def _prepare_lags(r, tau):
+    """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag)."""
+    r_arr = _as_distance(r, "spatial distance r")
+    tau_arr = _as_lag(tau, "time lag tau")
     scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
     r_b, tau_b = np.broadcast_arrays(r_arr, tau_arr)
     return r_b, np.abs(tau_b), scalar
@@ -379,7 +388,7 @@ def temporal_kernel(p: LdhoParams, tau) -> np.ndarray | float:
     """
     if not isinstance(p, LdhoParams):
         raise TypeError("temporal_kernel expects LdhoParams")
-    tau_arr = np.abs(np.asarray(tau, dtype=float))
+    tau_arr = np.abs(_as_lag(tau, "time lag tau"))
     scalar = tau_arr.ndim == 0
     out = _temporal_kernel_core(
         p.c0, p.tau_c, p.omega0, classify_regime(p), damped_frequency(p),
@@ -435,7 +444,7 @@ def interaction_functions_quadratic(p: LdhoParams, tau) -> InteractionFunctions:
         raise RegimeError("interaction functions are specific to the quadratic dispersion")
     if classify_regime(p) is not Regime.UNDERDAMPED:
         raise RegimeError("interaction functions are specific to the underdamped regime")
-    ata = np.abs(np.asarray(tau, dtype=float))
+    ata = np.abs(_as_lag(tau, "time lag tau"))
     scalar = ata.ndim == 0
     omega_d = damped_frequency(p)
     a_re = p.epsilon + p.interaction * ata / (2.0 * p.tau_c)
@@ -761,9 +770,7 @@ def marginal_spatial(p: LdhoParams | OuParams, r) -> np.ndarray | float:
     for the quadratic family and the rational profile
     ``c0 G eps (eps^2 + r^2)^{-(d+1)/2}`` for the linear family.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if not np.all(r_arr >= 0.0):
-        raise DomainError("spatial distance r must be >= 0 and not NaN")
+    r_arr = _as_distance(r, "spatial distance r")
     scalar = r_arr.ndim == 0
     d = p.dim
     if isinstance(p, LdhoParams):
@@ -795,7 +802,7 @@ def marginal_temporal(p: LdhoParams | OuParams, tau) -> np.ndarray | float:
     two code paths cross-check each other; the overdamped slices reuse the
     branch machinery since they have no simpler form.
     """
-    ata = np.abs(np.asarray(tau, dtype=float))
+    ata = np.abs(_as_lag(tau, "time lag tau"))
     scalar = ata.ndim == 0
     d = p.dim
 
@@ -964,8 +971,8 @@ class KernelModel:
             out["surrogate"] = True
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelModel":

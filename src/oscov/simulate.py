@@ -174,6 +174,9 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         every node, differs from the model variance by more than 1%: the
         grid is too coarse or too small for the model.
     """
+    # the synthesis samples the full model's spectral density; a surrogate has none
+    if m.surrogate:
+        raise DomainError("cannot simulate a separable surrogate model")
     if m.dim != g.dim:
         raise DomainError(
             f"model is {m.dim}-dimensional but the grid has {g.dim} spatial axes"

@@ -30,6 +30,8 @@ from .kernel_core import (
     KernelModel,
     LdhoParams,
     OuParams,
+    _as_distance,
+    _as_lag,
     _temporal_kernel_core,
     classify_regime,
     damped_frequency,
@@ -65,7 +67,7 @@ def temporal_spectral_density(p: LdhoParams, omega) -> np.ndarray | float:
     """
     if not isinstance(p, LdhoParams):
         raise TypeError("temporal_spectral_density expects LdhoParams")
-    w = np.asarray(omega, dtype=float)
+    w = _as_lag(omega, "angular frequency omega")
     scalar = w.ndim == 0
     sigma_sq = 2.0 * p.c0 * p.omega0 ** 2 * p.tau_c
     val = sigma_sq / (p.tau_c ** 2 * (w * w - p.omega0 ** 2) ** 2 + w * w)
@@ -101,10 +103,8 @@ def st_spectral_density(p: LdhoParams | OuParams, k, omega) -> np.ndarray | floa
     the Lorentzian ``sigma0^2 A(k) 2 lam / (lam^2 + omega^2)`` with
     ``lam = B(k) / tau_c``.  Nonnegative everywhere by construction.
     """
-    k_arr = np.asarray(k, dtype=float)
-    w_arr = np.asarray(omega, dtype=float)
-    if np.any(k_arr < 0.0):
-        raise DomainError("radial wavenumber k must be >= 0")
+    k_arr = _as_distance(k, "radial wavenumber k")
+    w_arr = _as_lag(omega, "angular frequency omega")
     scalar = k_arr.ndim == 0 and w_arr.ndim == 0
     # A(k) and B(k) on k's own shape: broadcast against omega first, they
     # would each cost a full-grid temporary
@@ -133,10 +133,8 @@ def temporal_fourier_mode(p: LdhoParams | OuParams, k, tau) -> np.ndarray | floa
     combinations ``omega_d tau_c`` appearing in the trigonometric weights.
     The full kernel is the radial inverse transform of ``M`` over ``k``.
     """
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 0.0):
-        raise DomainError("radial wavenumber k must be >= 0")
-    ata = np.abs(np.asarray(tau, dtype=float))
+    k_arr = _as_distance(k, "radial wavenumber k")
+    ata = np.abs(_as_lag(tau, "time lag tau"))
     scalar = k_arr.ndim == 0 and ata.ndim == 0
     k_b, ata_b = np.broadcast_arrays(k_arr, ata)
     a_k, b_k = _dispersion_factors(p, k_b)
@@ -326,8 +324,7 @@ def hankel_ift_oracle(
     """
     if d < 1 or d > 5 or int(d) != d:
         raise DomainError("oracle supports spatial dimensions 1 through 5")
-    if r < 0.0:
-        raise DomainError("spatial distance r must be >= 0")
+    _as_distance(r, "spatial distance r")
 
     k_max = _auto_kmax(mode, tau)
     integrand, pref = _integrand_factory(mode, int(d), float(r), float(tau))
@@ -391,7 +388,6 @@ def admissibility_scan(
     omega_grid,
     *,
     dim: int | None = None,
-    abs_tol: float = 0.0,
 ) -> AdmissibilityReport:
     """Scan a spectral density for nonnegativity and high-``k`` integrability.
 
@@ -400,12 +396,12 @@ def admissibility_scan(
     hand-built densities, e.g. with the amplitude envelope removed, can be
     shown to fail).
     """
-    k_arr = np.asarray(k_grid, dtype=float)
-    w_arr = np.asarray(omega_grid, dtype=float)
+    k_arr = _as_distance(k_grid, "k_grid")
+    w_arr = _as_lag(omega_grid, "omega_grid")
     if k_arr.ndim != 1 or w_arr.ndim != 1 or k_arr.size < 8 or w_arr.size < 2:
         raise DomainError("k_grid and omega_grid must be 1-d with enough points")
-    if np.any(k_arr < 0.0) or np.any(np.diff(k_arr) <= 0.0):
-        raise DomainError("k_grid must be nonnegative and strictly increasing")
+    if np.any(np.diff(k_arr) <= 0.0):
+        raise DomainError("k_grid must be strictly increasing")
 
     if isinstance(m, KernelModel):
         params = m.params
@@ -435,7 +431,7 @@ def admissibility_scan(
         exponent = math.inf  # decayed below the floating-point floor
     else:
         exponent = 0.0
-    passed = (min_val >= -abs_tol) and (exponent > dim)
+    passed = (min_val >= 0.0) and (exponent > dim)
     return AdmissibilityReport(
         min_spectral_value=min_val, integrability_proxy=exponent, passed=passed
     )

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from oscov.estimate import EmpiricalVariogram, VariogramKind
+from oscov.estimate import EmpiricalVariogram, VariogramKind, fit_full, fit_marginals
 from oscov.kernel_core import (
     Dispersion,
     KernelModel,
@@ -21,6 +21,7 @@ from oscov.kernel_core import (
     interaction_ratio,
 )
 from oscov.presets import preset_model
+from oscov.simulate import load_field
 
 
 def run_cli(*args, cwd=None):
@@ -217,6 +218,17 @@ def test_simulate_grid_model_dimension_mismatch(tmp_path, model_file):
     assert "2-dimensional" in res.stderr
 
 
+def test_simulate_rejects_a_surrogate_model(tmp_path):
+    path = tmp_path / "surrogate.json"
+    path.write_text(KernelModel.surrogate_of(preset_model("fig1")).to_json())
+    res = run_cli(
+        "simulate", "--model", path, "--ns", "8,8", "--nt", "8", "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["oscov simulate: cannot simulate a separable surrogate model"]
+    assert not (tmp_path / "field.bin").exists()
+
+
 # ---------------------------------------------------------------------------
 # variogram
 # ---------------------------------------------------------------------------
@@ -294,6 +306,26 @@ def test_fit_is_byte_deterministic(workdir, sim_dir):
     assert math.isfinite(result["objective"]) and result["objective"] >= 0.0
     rebuilt = KernelModel.from_dict(result["model"])
     assert rebuilt.dim == 2
+
+
+@pytest.mark.parametrize("family, dispersion", [("ldho", "quadratic"), ("ou", "linear")])
+def test_default_fit_stage_refines_the_marginal_fit(tmp_path, sim_dir, family, dispersion):
+    # the joint bins reach the joint stage only; the marginal start keeps its defaults
+    r_bins, tau_bins = "0,1,2,3", "0,0.5,1,1.5,2"
+    res = run_cli(
+        "fit", "--field", sim_dir / "field.bin", "--family", family,
+        "--dispersion", dispersion, "--r-bins", r_bins, "--tau-bins", tau_bins,
+        "--out", tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    f = load_field(str(sim_dir / "field.bin"))
+    expected = fit_full(
+        f,
+        fit_marginals(f, family, dispersion),
+        r_bins=np.array(r_bins.split(","), dtype=float),
+        tau_bins=np.array(tau_bins.split(","), dtype=float),
+    )
+    assert (tmp_path / "fit.json").read_text() == expected.to_json() + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -716,12 +716,9 @@ def test_full_fit_infers_relaxation_family_from_start_model():
     jr = np.arange(0.0, 5.0)
     jt = 0.5 * np.arange(0, 13, 2)
     v = space_time_variogram(f, r_bins=jr, tau_bins=jt)
-    # the start model sets the family; a conflicting ``family`` is ignored
-    for start, family, expected in (
-        (start, "ldho", OuParams),
-        (preset_model("fig1"), "ou", LdhoParams),
-    ):
-        res = fit_full(f, theta0=start, r_bins=jr, tau_bins=jt, family=family)
+    # the start model sets the family
+    for start, expected in ((start, OuParams), (preset_model("fig1"), LdhoParams)):
+        res = fit_full(f, theta0=start, r_bins=jr, tau_bins=jt)
         assert isinstance(res.model.params, expected)
         assert res.objective < float(wls_objective(start, v))
 

@@ -220,6 +220,16 @@ def test_kernel_rejects_negative_distance():
             ou_kernel(ou, r, tau)
         with pytest.raises(DomainError):
             KernelModel(UNDER).covariance(r, tau)
+    # the one-lag entry points follow the same rule
+    for r in (-0.5, np.nan, [0.5, np.nan]):
+        for params in (UNDER, ou):
+            with pytest.raises(DomainError):
+                marginal_spatial(params, r)
+    for tau in (np.nan, [1.0, np.nan]):
+        for func, params in ((marginal_temporal, UNDER), (marginal_temporal, ou),
+                             (temporal_kernel, UNDER), (interaction_functions_quadratic, UNDER)):
+            with pytest.raises(DomainError):
+                func(params, tau)
 
 
 def test_marginal_consistency_all_variants(variants_by_dim):

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import oscov
 
 # the names ``from oscov import *`` bound when every submodule was loaded
@@ -62,6 +64,27 @@ def test_simulation_loads_no_scipy(tmp_path):
     loaded = out.splitlines()[-1].split()
     assert "oscov.simulate" in loaded
     assert [name for name in loaded if name.startswith("scipy")] == []
+
+
+def test_gridded_variogram_loads_no_optimizer_pair_distances_or_gp(tmp_path):
+    """A variogram of a field file needs neither the fit, the scattered-data
+    pair distances nor the GP module, in any of its three kinds."""
+    g = oscov.GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=8, dt=1.0)
+    field = str(tmp_path / "field.bin")
+    values = np.random.default_rng(0).normal(size=g.shape)
+    oscov.write_field(oscov.FieldRealization(values, g, {}), field)
+    out = _fresh_python(
+        "import sys\n"
+        "from oscov.cli import main\n"
+        "for kind in ('spatial', 'temporal', 'space_time'):\n"
+        f"    assert main(['variogram', '--field', {field!r}, '--kind', kind,"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(*sorted(sys.modules))"
+    )
+    loaded = out.splitlines()[-1].split()
+    assert "oscov.estimate" in loaded
+    for name in ("scipy.optimize", "scipy.spatial", "oscov.gp"):
+        assert name not in loaded
 
 
 def test_every_exported_name_still_resolves():

@@ -72,6 +72,14 @@ def test_simulate_rejects_dimension_mismatch():
         simulate_field(LOOP_MODEL, g)  # 2-d model on a 1-d grid
 
 
+def test_simulate_rejects_a_separable_surrogate():
+    # the synthesis samples the full model's spectral density, so a surrogate
+    # field would carry the full model's covariance under a surrogate label
+    g = GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=0.5)
+    with pytest.raises(DomainError, match="surrogate"):
+        simulate_field(KernelModel.surrogate_of(LOOP_MODEL), g)
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------

@@ -223,8 +223,9 @@ def test_oracle_rejects_bad_inputs():
     mode = partial(temporal_fourier_mode, UNDER)
     with pytest.raises(DomainError):
         hankel_ift_oracle(mode, 0, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        hankel_ift_oracle(mode, 2, -1.0, 0.5)
+    for r, tau in ((-1.0, 0.5), (np.nan, 0.5), (1.0, np.nan)):
+        with pytest.raises(DomainError):
+            hankel_ift_oracle(mode, 2, r, tau)
 
 
 def test_oracle_quadrature_failures():
@@ -232,6 +233,25 @@ def test_oracle_quadrature_failures():
         hankel_ift_oracle(lambda k, tau: np.zeros_like(k), 2, 1.0, 0.0)
     with pytest.raises(QuadratureFailure):
         hankel_ift_oracle(lambda k, tau: np.ones_like(k), 2, 1.0, 0.0)
+
+
+def test_densities_and_modes_reject_bad_lags():
+    # a negative or NaN wavenumber and a NaN frequency or time lag, also
+    # inside an array
+    for k in (-1.0, np.nan, [0.5, np.nan]):
+        for p in (UNDER, OU):
+            with pytest.raises(DomainError):
+                st_spectral_density(p, k, 1.0)
+            with pytest.raises(DomainError):
+                temporal_fourier_mode(p, k, 1.0)
+    for lag in (np.nan, [1.0, np.nan]):
+        with pytest.raises(DomainError):
+            temporal_spectral_density(UNDER, lag)
+        for p in (UNDER, OU):
+            with pytest.raises(DomainError):
+                st_spectral_density(p, 1.0, lag)
+            with pytest.raises(DomainError):
+                temporal_fourier_mode(p, 1.0, lag)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +321,11 @@ def test_admissibility_scan_validation():
         admissibility_scan(m, [0.0, 1.0], np.linspace(0, 5, 20))  # too few k points
     with pytest.raises(DomainError):
         admissibility_scan(m, np.linspace(5, 0, 20), np.linspace(0, 5, 20))
+    for k, w in ((np.linspace(-1, 5, 20), np.linspace(0, 5, 20)),
+                 (np.append(np.linspace(0, 5, 20), np.nan), np.linspace(0, 5, 20)),
+                 (np.linspace(0, 5, 20), np.append(np.linspace(0, 5, 20), np.nan))):
+        with pytest.raises(DomainError):
+            admissibility_scan(m, k, w)
     with pytest.raises(DomainError):
         admissibility_scan(lambda k, w: k + w, np.linspace(0, 5, 20), np.linspace(0, 5, 20))
 
