@@ -22,6 +22,7 @@ _EXPORTS = {
             "DomainError",
             "EmptyBin",
             "EmptyBinError",
+            "IllConditionedWarning",
             "JitterWarning",
             "LagOutOfRange",
             "NegativeVariance",

@@ -2,8 +2,8 @@
 
 Numerical failures raise exceptions; recoverable data-quality events
 (dropped variogram bins, divergent interaction ratios, spectral mass
-truncation, Cholesky jitter) are warnings so that vectorized/batch workflows
-keep going.
+truncation, Cholesky jitter, ill-conditioned Gram matrices) are warnings so
+that vectorized/batch workflows keep going.
 """
 
 
@@ -69,3 +69,7 @@ class SpectralTruncationWarning(UserWarning):
 
 class JitterWarning(UserWarning):
     """A Gram matrix factorized only after a diagonal jitter was added."""
+
+
+class IllConditionedWarning(UserWarning):
+    """A Gram matrix factorized, but its reciprocal condition number is below the floor."""

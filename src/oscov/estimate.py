@@ -39,8 +39,6 @@ from .kernel_core import (
     KernelModel,
     LdhoParams,
     OuParams,
-    Regime,
-    classify_regime,
     damped_frequency,
 )
 from .simulate import FieldRealization
@@ -604,14 +602,16 @@ def model_variogram(m: KernelModel, r, tau) -> np.ndarray | float:
     r_arr = np.asarray(r, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
     scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
-    out = _semivariance(m, *np.broadcast_arrays(r_arr, tau_arr), m.variance())
+    out, _ = _semivariance(m, *np.broadcast_arrays(r_arr, tau_arr))
     return float(out.reshape(())) if scalar else out
 
 
-def _semivariance(m: KernelModel, r: np.ndarray, tau: np.ndarray, sill: float) -> np.ndarray:
-    """Model semivariance at equal-shape lag arrays, given ``sill = C(0, 0)``."""
-    cov = np.asarray(m.covariance(r, tau), dtype=float)
-    return (sill - cov + m.nugget) * ((r != 0.0) | (tau != 0.0))
+def _semivariance(m: KernelModel, r: np.ndarray, tau: np.ndarray):
+    """Model semivariance at equal-shape lag arrays, and the sill ``C(0, 0)`` from the same call."""
+    cov = np.asarray(m.covariance(np.append(r, 0.0), np.append(tau, 0.0)), dtype=float)
+    sill = cov[-1]
+    gamma = (sill - cov[:-1].reshape(r.shape) + m.nugget) * ((r != 0.0) | (tau != 0.0))
+    return gamma, sill
 
 
 def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
@@ -621,8 +621,7 @@ def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
     below 1e-12 of the sill are skipped (their relative error is meaningless)
     and reported through the result's ``n_skipped``.
     """
-    sill = m.variance()
-    gam_model = _semivariance(m, *v.lags(), sill)
+    gam_model, sill = _semivariance(m, *v.lags())
     usable = gam_model > _WLS_FLOOR * (sill + m.nugget)
     n_used = int(np.count_nonzero(usable))
     if n_used == 0:
@@ -1037,7 +1036,7 @@ def _full_theta_from_model(m: KernelModel, branch: str) -> dict:
             "scale": p.scale / p.a if p.scale > 0 else 1e-6,
             "nugget": max(m.nugget, 1e-12),
         }
-    omega_d = damped_frequency(p) if classify_regime(p) is not Regime.CRITICAL else 0.0
+    omega_d = damped_frequency(p)
     theta = {
         "c0": p.c0,
         "epsilon": p.epsilon,

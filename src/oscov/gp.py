@@ -21,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dlange, dpocon
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     DimensionMismatch,
     DomainError,
+    IllConditionedWarning,
     JitterWarning,
     NegativeVariance,
     NotPositiveDefinite,
@@ -51,6 +53,10 @@ _DUPLICATE_RTOL = 1e-12
 # Predictive variances may undershoot zero by a tiny amount through rounding;
 # anything below -_VARIANCE_SLACK * prior variance is treated as a failure.
 _VARIANCE_SLACK = 1e-10
+
+# Reciprocal condition numbers below this are reported: healthy Grams measure
+# 1e-10 and above, two points 1e-9 apart under a smooth kernel 4e-17.
+_RCOND_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,10 @@ class Posterior:
         Diagonal jitter the factorization needed on top of the nugget; 0.0
         for a healthy model.  A jitter above zero is also reported as a
         :class:`JitterWarning`.
+    rcond : float
+        LAPACK's estimate of the reciprocal 1-norm condition number of the
+        factorized matrix.  Below 1e-12 the predictions lose most of their
+        digits, which is reported as an :class:`IllConditionedWarning`.
     prior : float
         Prior variance of an observation, ``m.variance() + m.nugget``: the
         Gram diagonal.
@@ -298,6 +308,17 @@ class Posterior:
                 )
         K = gram(m, data).matrix
         self.factor, self.jitter = _chol_with_jitter(K, m)
+        # K is symmetric, so K.T is its Fortran-ordered view and LAPACK copies
+        # nothing; the jitter adds itself to every column sum of K
+        anorm = dlange("1", K.T) + self.jitter
+        self.rcond = float(dpocon(self.factor[0], anorm, uplo="L")[0])
+        if self.rcond < _RCOND_FLOOR:
+            warnings.warn(
+                f"Gram matrix is ill-conditioned (reciprocal condition number "
+                f"{self.rcond:.1e}); predictions may carry few correct digits",
+                IllConditionedWarning,
+                stacklevel=2,
+            )
         self.alpha = cho_solve(self.factor, data.values - data.mean)
         self.prior = m.variance() + m.nugget
         self.model = m

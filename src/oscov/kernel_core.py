@@ -17,6 +17,13 @@ so the kernels are positive definite by construction.  They are generally
 and temporal decay, and setting it to zero makes the kernel an exact product
 of its marginals.
 
+Every oscillator kernel is one formula (see ``_oscillator``): with the
+oscillator's roots ``beta = 1 -+ u``, ``u = 2 tau_c omega_d``, and the
+dispersion's branch factor ``g(beta)`` (the radial transform of a mode damped
+at root ``beta``), ``C = K [(1+u) g(1-u) - (1-u) g(1+u)] / 2u``.  Underdamped
+roots are complex, ``1 -+ iv``; evaluating at ``beta = 1 - iv`` puts the
+transforms in the lower half plane, which fixes the phase branch below.
+
 A first-order (Ornstein-Uhlenbeck) analog with the same two dispersion
 families is included; it has no oscillation and serves as the
 monotone-covariance counterpart.
@@ -28,8 +35,7 @@ Conventions used throughout:
 * ``omega0`` is the undamped angular frequency, ``tau_c`` the relaxation time.
   The regime is decided by the product ``omega0 * tau_c`` against ``1/2``.
 * Phase angles are taken on the negative branch, ``phi in (-pi, 0]``,
-  matching ``atan2`` with a negated numerator.  This is forced by the sign of
-  the imaginary part of the complex decay rate; see ``_ldho_under_*``.
+  matching ``atan2`` with a negated numerator.
 """
 
 from __future__ import annotations
@@ -74,10 +80,10 @@ __all__ = [
 # for all practical purposes and removes the 0/0 hazards of the other two.
 DELTA_CRIT = 1e-9
 
-# Below this value of u = 2 * tau_c * omega_d the overdamped closed form loses
+# Below this value of u = 2 * tau_c * omega_d the overdamped bracket loses
 # more than half its digits to cancellation of the slow/fast branches, so the
-# kernels switch to an even series in u around the critical limit.  The series
-# truncation error is O(u^4) ~ 1e-16 relative at the switch point.
+# kernels switch to its reflection 2 B(0) - B(iu), which is exact up to
+# O(u^4) ~ 1e-16 relative at the switch point because B is even in u.
 _OVERDAMPED_SERIES_CUT = 1e-4
 
 # Relative threshold below which a marginal product is considered degenerate
@@ -356,21 +362,63 @@ def _as_lag(x, name: str) -> np.ndarray:
 
 
 def _prepare_lags(r, tau):
-    """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag)."""
+    """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag).
+
+    Scalars become 1-element arrays: NumPy's scalar and array loops may round
+    apart, and one path gives every input shape the same value.
+    """
     r_arr = _as_distance(r, "spatial distance r")
     tau_arr = _as_lag(tau, "time lag tau")
     scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
-    r_b, tau_b = np.broadcast_arrays(r_arr, tau_arr)
+    r_b, tau_b = np.broadcast_arrays(np.atleast_1d(r_arr), np.atleast_1d(tau_arr))
     return r_b, np.abs(tau_b), scalar
 
 
 def _ret(value: np.ndarray, scalar: bool):
-    return float(value) if scalar else value
+    return value.item() if scalar else value
 
 
 def _gd(dim: int) -> float:
     """Gamma((d+1)/2), the constant of the linear-family transform lemma."""
     return math.gamma(0.5 * (dim + 1))
+
+
+# ---------------------------------------------------------------------------
+# the oscillator bracket
+# ---------------------------------------------------------------------------
+
+
+def _oscillator(regime: Regime, u: float, g, slope):
+    """The bracket ``B(u) = [(1+u) g(1-u) - (1-u) g(1+u)] / 2u`` of the roots ``1 -+ u``.
+
+    ``g(beta)`` is the branch factor of one root and ``slope()`` returns
+    ``(log g)'(1)``; ``u = 2 tau_c omega_d`` is passed as a magnitude.  The
+    regime picks a form of ``B`` that cancels nowhere:
+
+    * underdamped, roots ``1 -+ iu``: the two branches are conjugate, so
+      ``B = Im[(1+iu) g(1-iu)] / u``;
+    * critical: the limit ``u -> 0``, ``B = g(1) (1 - slope())``;
+    * overdamped below ``_OVERDAMPED_SERIES_CUT``: ``B`` is even in ``u``, so
+      ``B(u) = 2 B(0) - B(iu) + O(u^4)``;
+    * overdamped above it: the bracket as written.
+    """
+    if regime is Regime.UNDERDAMPED:
+        z = g(1.0 - 1j * u)
+        return z.real + z.imag / u
+    if regime is Regime.CRITICAL:
+        return g(1.0) * (1.0 - slope())
+    if u < _OVERDAMPED_SERIES_CUT:
+        b0 = _oscillator(Regime.CRITICAL, 0.0, g, slope)
+        return 2.0 * b0 - _oscillator(Regime.UNDERDAMPED, u, g, slope)
+    return ((1.0 + u) * g(1.0 - u) - (1.0 - u) * g(1.0 + u)) / (2.0 * u)
+
+
+def _half_power(z, n: int):
+    """``z ** (n / 2)`` on the principal branch; products beat a complex ``**`` severalfold."""
+    out = np.sqrt(z) if n % 2 else z
+    for _ in range((n - 1) // 2):
+        out = out * z
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,40 +439,26 @@ def temporal_kernel(p: LdhoParams, tau) -> np.ndarray | float:
     tau_arr = np.abs(_as_lag(tau, "time lag tau"))
     scalar = tau_arr.ndim == 0
     out = _temporal_kernel_core(
-        p.c0, p.tau_c, p.omega0, classify_regime(p), damped_frequency(p),
+        p.c0, p.tau_c, classify_regime(p), 2.0 * p.tau_c * damped_frequency(p),
         np.atleast_1d(tau_arr),
     )
     return float(out[0]) if scalar else out
 
 
-def _temporal_kernel_core(c0, tau_c, omega0, regime, omega_d, ata):
+def _temporal_kernel_core(c0, tau_c, regime, u, ata):
     """Temporal covariance on ``|tau|`` arrays; shared with the Fourier modes.
 
-    The Fourier modes call this with wavenumber-scaled (array-valued)
-    amplitude, relaxation time and frequency; the products
-    ``omega_d * tau_c`` and the derived branch variable ``u`` are invariant
-    under that scaling, which is why ``u`` can be reduced to a scalar.
+    The oscillator bracket with branch factor ``g(beta) = exp(-beta s)``,
+    ``s = |tau| / 2 tau_c``.  The Fourier modes call this with
+    wavenumber-scaled (array-valued) amplitude and relaxation time; ``u`` is
+    invariant under that scaling, which is why it is a scalar.
     """
     s = ata / (2.0 * tau_c)
-    env = np.exp(-s)
-    if regime is Regime.UNDERDAMPED:
-        return c0 * env * (
-            np.cos(omega_d * ata) + np.sin(omega_d * ata) / (2.0 * omega_d * tau_c)
-        )
-    if regime is Regime.CRITICAL:
-        return c0 * env * (1.0 + s)
-    u = float(np.max(2.0 * tau_c * omega_d))
-    if u < _OVERDAMPED_SERIES_CUT:
-        # even series around the critical limit; see module notes
-        return c0 * env * ((1.0 + s) + 0.5 * u * u * (s * s + s ** 3 / 3.0))
-    beta_s, beta_f = 1.0 - u, 1.0 + u
-    return (c0 / (4.0 * omega_d * tau_c)) * (
-        beta_f * np.exp(-beta_s * s) - beta_s * np.exp(-beta_f * s)
-    )
+    return c0 * _oscillator(regime, u, lambda beta: np.exp(-beta * s), lambda: -s)
 
 
 # ---------------------------------------------------------------------------
-# quadratic-dispersion space-time kernels
+# oscillator space-time kernels
 # ---------------------------------------------------------------------------
 
 
@@ -463,190 +497,51 @@ def interaction_functions_quadratic(p: LdhoParams, tau) -> InteractionFunctions:
     )
 
 
-def _ldho_under_quadratic(p: LdhoParams, r, ata):
-    """Underdamped kernel, quadratic dispersion.
+def _ldho(p: LdhoParams, r, ata):
+    """Oscillator kernel: each dispersion's branch factor, slope and constant.
 
-    The per-wavenumber covariance is a damped cosine whose complex decay rate
-    in ``k^2`` is ``a = a_re - i a_im`` (negative imaginary part, hence the
-    negative phase branch).  Its radial transform is a chirped Gaussian
-    ``amp * exp(-i (kappa^2 r^2 + d phi / 2))`` whose imaginary part is
-    negative; the two trig components recombine with the zero-wavenumber
-    oscillation, so the net phase of the damped cosine is
-    ``omega_d |tau| - kappa^2 r^2 - d phi / 2``.
-    """
-    d = p.dim
-    omega_d = damped_frequency(p)
-    a_re = p.epsilon + p.interaction * ata / (2.0 * p.tau_c)
-    a_im = p.interaction * omega_d * ata
-    mod2 = a_re * a_re + a_im * a_im
-    lam2 = a_re / (4.0 * mod2)
-    kap2 = a_im / (4.0 * mod2)
-    phi = np.arctan2(-a_im, a_re)
-    amp = np.exp(-lam2 * r * r) / ((4.0 * math.pi) ** (0.5 * d) * mod2 ** (0.25 * d))
-    ang = kap2 * r * r + 0.5 * d * phi
-    g_re = amp * np.cos(ang)
-    g_im = -amp * np.sin(ang)
-    cwt = np.cos(omega_d * ata)
-    swt = np.sin(omega_d * ata)
-    f1 = cwt * g_re - swt * g_im
-    f2 = (swt * g_re + cwt * g_im) / (2.0 * omega_d * p.tau_c)
-    return p.c0 * np.exp(-ata / (2.0 * p.tau_c)) * (f1 + f2)
+    With ``s = |tau| / 2 tau_c``, the radial transform of the mode
+    ``(A(k)/B(k)) exp(-beta s B(k))`` is ``K g(beta) / c0``:
 
+    * quadratic: ``g = exp(-beta s - r^2 tau_c / 2D) / (2 pi D)^{d/2}``,
+      ``D = b beta |tau| + 2 eps tau_c``, ``K = c0 tau_c^{d/2}``;
+    * linear: ``g = a e^{-beta s} (a^2 + r^2)^{-(d+1)/2}``,
+      ``a = xi beta s + eps``, ``K = c0 Gamma((d+1)/2) / pi^{(d+1)/2}``.
 
-def _ldho_critical_quadratic(p: LdhoParams, r, ata):
-    """Critically damped kernel, quadratic dispersion.
-
-    Product of a Gaussian in ``r`` (with a lag-widened width) and the
-    critical bracket, which picks up an ``r``-dependent correction from the
-    Laplacian acting on the widened Gaussian.
-    """
-    d = p.dim
-    b = p.interaction
-    denom = b * ata + 2.0 * p.epsilon * p.tau_c
-    pref = (p.tau_c / (2.0 * math.pi * denom)) ** (0.5 * d)
-    rate = p.tau_c / (2.0 * denom)
-    bracket = (
-        1.0
-        + ata / (2.0 * p.tau_c)
-        - (r * r * b * ata * p.tau_c / (2.0 * denom * denom) - d * b * ata / (2.0 * denom))
-    )
-    return p.c0 * pref * np.exp(-ata / (2.0 * p.tau_c) - rate * r * r) * bracket
-
-
-def _ldho_over_quadratic(p: LdhoParams, r, ata):
-    """Overdamped kernel, quadratic dispersion.
-
-    Slow/fast branch difference.  For ``u = 2 tau_c omega_d`` below the
-    series cut the closed form cancels catastrophically, so the kernel is
-    evaluated by its even Taylor series in ``u`` about the critical limit,
-    using analytic log-derivatives of the branch factor.
-    """
-    d = p.dim
-    b = p.interaction
-    tau_c = p.tau_c
-    omega_d = damped_frequency(p)
-    u = 2.0 * tau_c * omega_d
-    s = ata / (2.0 * tau_c)
-
-    if u >= _OVERDAMPED_SERIES_CUT:
-        beta_s, beta_f = 1.0 - u, 1.0 + u
-
-        def branch(beta, other):
-            denom = b * ata * beta + 2.0 * p.epsilon * tau_c
-            return other * np.exp(-beta * s - r * r * tau_c / (2.0 * denom)) / (
-                2.0 * math.pi * denom
-            ) ** (0.5 * d)
-
-        return (
-            p.c0
-            * tau_c ** (0.5 * d - 1.0)
-            / (4.0 * omega_d)
-            * (branch(beta_s, beta_f) - branch(beta_f, beta_s))
-        )
-
-    # series in u about beta = 1; w = (log g)' etc. with P = d(denom)/d(beta)
-    denom = b * ata + 2.0 * p.epsilon * tau_c
-    cap_p = b * ata
-    rr = r * r
-    w = -s + rr * tau_c * cap_p / (2.0 * denom * denom) - 0.5 * d * cap_p / denom
-    w1 = -rr * tau_c * cap_p ** 2 / denom ** 3 + 0.5 * d * cap_p ** 2 / denom ** 2
-    w2 = 3.0 * rr * tau_c * cap_p ** 3 / denom ** 4 - d * cap_p ** 3 / denom ** 3
-    g1 = np.exp(-s - rr * tau_c / (2.0 * denom)) / (2.0 * math.pi * denom) ** (0.5 * d)
-    correction = w * w + w1 - (w ** 3 + 3.0 * w * w1 + w2) / 3.0
-    return p.c0 * tau_c ** (0.5 * d) * g1 * ((1.0 - w) + 0.5 * u * u * correction)
-
-
-# ---------------------------------------------------------------------------
-# linear-dispersion space-time kernels
-# ---------------------------------------------------------------------------
-
-
-def _ldho_under_linear(p: LdhoParams, r, ata):
-    """Underdamped kernel, linear dispersion.
-
-    The per-wavenumber covariance decays like ``exp(-k a)`` with complex
-    ``a = a_re - i a_im``; its radial transform is
-    ``G a (a^2 + r^2)^{-(d+1)/2}`` with ``G = Gamma((d+1)/2)/pi^{(d+1)/2}``.
-    Both phase angles are therefore on the negative branch, and the modulus
-    ``|a^2 + r^2|`` is formed as the cancellation-free product
-    ``(a_re^2 + (a_im - r)^2)(a_re^2 + (a_im + r)^2)``.
-    """
-    d = p.dim
-    omega_d = damped_frequency(p)
-    a_re = p.epsilon + p.interaction * ata / (2.0 * p.tau_c)
-    a_im = p.interaction * omega_d * ata
-    gamma = np.arctan2(-2.0 * a_im * a_re, a_re * a_re - a_im * a_im + r * r)
-    phi = np.arctan2(-a_im, a_re)
-    rho2 = (a_re * a_re + (a_im - r) ** 2) * (a_re * a_re + (a_im + r) ** 2)
-    g0 = (
-        _gd(d)
-        / math.pi ** (0.5 * (d + 1))
-        * np.sqrt(a_re * a_re + a_im * a_im)
-        / rho2 ** (0.25 * (d + 1))
-    )
-    theta = omega_d * ata + phi - 0.5 * (d + 1) * gamma
-    return (
-        p.c0
-        * np.exp(-ata / (2.0 * p.tau_c))
-        * g0
-        * (np.cos(theta) + np.sin(theta) / (2.0 * omega_d * p.tau_c))
-    )
-
-
-def _ldho_critical_linear(p: LdhoParams, r, ata):
-    """Critically damped kernel, linear dispersion.
-
-    ``C = c0 e^{-s} G [ (1+s) a A^{-(d+1)/2}
-                        + q ((d+1) a^2 A^{-(d+3)/2} - A^{-(d+1)/2}) ]``
-    with ``q = xi |tau| / (2 tau_c)``, ``a = q + eps``, ``A = a^2 + r^2``;
-    the second term is ``-d/da`` of the first transform, as required by the
-    ``(1 + B(k) |tau| / 2 tau_c)`` structure of the critical mode.
-    """
-    d = p.dim
-    s = ata / (2.0 * p.tau_c)
-    q = p.interaction * s
-    a = q + p.epsilon
-    big_a = a * a + r * r
-    g = _gd(d) / math.pi ** (0.5 * (d + 1))
-    base = a * big_a ** (-0.5 * (d + 1))
-    deriv = (d + 1) * a * a * big_a ** (-0.5 * (d + 3)) - big_a ** (-0.5 * (d + 1))
-    return p.c0 * np.exp(-s) * g * ((1.0 + s) * base + q * deriv)
-
-
-def _ldho_over_linear(p: LdhoParams, r, ata):
-    """Overdamped kernel, linear dispersion.
-
-    Same slow/fast structure as the quadratic case with branch factor
-    ``g(beta) = a(beta) e^{-beta s} (a(beta)^2 + r^2)^{-(d+1)/2}``,
-    ``a(beta) = xi beta |tau| / (2 tau_c) + eps``; series branch below the
-    cancellation cut.
+    The kernel is ``K`` times the oscillator bracket of ``g``.
     """
     d = p.dim
     tau_c = p.tau_c
-    omega_d = damped_frequency(p)
-    u = 2.0 * tau_c * omega_d
     s = ata / (2.0 * tau_c)
-    g_const = _gd(d) / math.pi ** (0.5 * (d + 1))
-
-    if u >= _OVERDAMPED_SERIES_CUT:
-        beta_s, beta_f = 1.0 - u, 1.0 + u
-
-        def branch(beta, other):
-            a = p.interaction * beta * s + p.epsilon
-            return other * a * np.exp(-beta * s) / (a * a + r * r) ** (0.5 * (d + 1))
-
-        return p.c0 * g_const / (2.0 * u) * (branch(beta_s, beta_f) - branch(beta_f, beta_s))
-
-    q = p.interaction * s  # d a / d beta at fixed lag
-    a = q + p.epsilon
-    big_a = a * a + r * r
     rr = r * r
-    w = q / a - s - (d + 1) * a * q / big_a
-    w1 = -(q / a) ** 2 - (d + 1) * q * q * (rr - a * a) / big_a ** 2
-    w2 = 2.0 * (q / a) ** 3 - (d + 1) * q ** 3 * (2.0 * a ** 3 - 6.0 * a * rr) / big_a ** 3
-    g1 = a * np.exp(-s) / big_a ** (0.5 * (d + 1))
-    correction = w * w + w1 - (w ** 3 + 3.0 * w * w1 + w2) / 3.0
-    return p.c0 * g_const * g1 * ((1.0 - w) + 0.5 * u * u * correction)
+    if p.dispersion is Dispersion.QUADRATIC:
+        widen = p.interaction * ata  # dD/dbeta
+        base = 2.0 * p.epsilon * tau_c
+        half_rr = 0.5 * tau_c * rr
+        const = p.c0 * tau_c ** (0.5 * d)
+
+        def g(beta):
+            den = widen * beta + base
+            return np.exp(-beta * s - half_rr / den) / _half_power(2.0 * math.pi * den, d)
+
+        def slope():
+            den = widen + base
+            return -s + (half_rr / den - 0.5 * d) * widen / den
+
+    else:
+        q = p.interaction * s  # da/dbeta
+        const = p.c0 * _gd(d) / math.pi ** (0.5 * (d + 1))
+
+        def g(beta):
+            a = q * beta + p.epsilon
+            return a * np.exp(-beta * s) / _half_power(a * a + rr, d + 1)
+
+        def slope():
+            a = q + p.epsilon
+            return q / a - s - (d + 1) * a * q / (a * a + rr)
+
+    u = 2.0 * tau_c * damped_frequency(p)
+    return const * _oscillator(classify_regime(p), u, g, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -654,16 +549,13 @@ def _ldho_over_linear(p: LdhoParams, r, ata):
 # ---------------------------------------------------------------------------
 
 
-def _ou_quadratic(p: OuParams, r, ata):
-    """First-order kernel, quadratic dispersion: a Gaussian widening with ``|tau|``."""
-    width = p.beta + p.scale * ata / p.tau_c
-    decay = p.sigma0_sq * np.exp(-p.a * ata / p.tau_c)
-    return decay * np.exp(-r * r / (4.0 * width)) / (4.0 * math.pi * width) ** (0.5 * p.dim)
-
-
-def _ou_linear(p: OuParams, r, ata):
-    """First-order kernel, linear dispersion: a rational profile widening with ``|tau|``."""
+def _ou(p: OuParams, r, ata):
+    """First-order kernel: a Gaussian (quadratic) or rational (linear) profile widening with ``|tau|``."""
     d = p.dim
+    if p.dispersion is Dispersion.QUADRATIC:
+        width = p.beta + p.scale * ata / p.tau_c
+        decay = p.sigma0_sq * np.exp(-p.a * ata / p.tau_c)
+        return decay * np.exp(-r * r / (4.0 * width)) / (4.0 * math.pi * width) ** (0.5 * d)
     q = p.beta + p.scale * ata / p.tau_c
     amp = p.sigma0_sq * _gd(d) / math.pi ** (0.5 * (d + 1))
     return amp * q * np.exp(-p.a * ata / p.tau_c) / (q * q + r * r) ** (0.5 * (d + 1))
@@ -673,31 +565,10 @@ def _ou_linear(p: OuParams, r, ata):
 # public kernel evaluation
 # ---------------------------------------------------------------------------
 
-_LDHO_FORMS = {
-    (Dispersion.QUADRATIC, Regime.UNDERDAMPED): _ldho_under_quadratic,
-    (Dispersion.QUADRATIC, Regime.CRITICAL): _ldho_critical_quadratic,
-    (Dispersion.QUADRATIC, Regime.OVERDAMPED): _ldho_over_quadratic,
-    (Dispersion.LINEAR, Regime.UNDERDAMPED): _ldho_under_linear,
-    (Dispersion.LINEAR, Regime.CRITICAL): _ldho_critical_linear,
-    (Dispersion.LINEAR, Regime.OVERDAMPED): _ldho_over_linear,
-}
-_OU_FORMS = {Dispersion.QUADRATIC: _ou_quadratic, Dispersion.LINEAR: _ou_linear}
-
-# The zero lag as a NumPy scalar: overflow and division by zero then give
-# inf or NaN, as on the lag arrays, instead of raising as Python floats do.
-_ZERO = np.float64(0.0)
-
-
-def _form(p: LdhoParams | OuParams):
-    """The closed form ``(p, r, |tau|) -> C`` of ``p``'s family, dispersion and regime."""
-    if isinstance(p, LdhoParams):
-        return _LDHO_FORMS[(p.dispersion, classify_regime(p))]
-    return _OU_FORMS[p.dispersion]
-
 
 def _kernel(p: LdhoParams | OuParams, r, tau) -> np.ndarray | float:
     r_b, ata, scalar = _prepare_lags(r, tau)
-    return _ret(_form(p)(p, r_b, ata), scalar)
+    return _ret((_ldho if isinstance(p, LdhoParams) else _ou)(p, r_b, ata), scalar)
 
 
 def ldho_kernel(p: LdhoParams, r, tau) -> np.ndarray | float:
@@ -799,8 +670,8 @@ def marginal_temporal(p: LdhoParams | OuParams, tau) -> np.ndarray | float:
 
     Written out independently of the full space-time kernels (rather than as
     their ``r = 0`` slice) wherever a compact expression exists, so that the
-    two code paths cross-check each other; the overdamped slices reuse the
-    branch machinery since they have no simpler form.
+    two code paths cross-check each other; the overdamped slices are the
+    kernel's own at ``r = 0``, since they have no simpler form.
     """
     ata = np.abs(_as_lag(tau, "time lag tau"))
     scalar = ata.ndim == 0
@@ -820,6 +691,8 @@ def marginal_temporal(p: LdhoParams | OuParams, tau) -> np.ndarray | float:
         raise TypeError("marginal_temporal expects LdhoParams or OuParams")
 
     regime = classify_regime(p)
+    if regime is Regime.OVERDAMPED:
+        return _ret(_ldho(p, 0.0, ata), scalar)
     omega_d = damped_frequency(p)
     tau_c = p.tau_c
     eps = p.epsilon
@@ -841,7 +714,7 @@ def marginal_temporal(p: LdhoParams | OuParams, tau) -> np.ndarray | float:
                 * (np.cos(ang) + np.sin(ang) / (2.0 * omega_d * tau_c))
                 / env
             )
-        elif regime is Regime.CRITICAL:
+        else:
             denom = b * ata + 2.0 * eps * tau_c
             val = (
                 p.c0
@@ -849,8 +722,6 @@ def marginal_temporal(p: LdhoParams | OuParams, tau) -> np.ndarray | float:
                 * np.exp(-s)
                 * (1.0 + s + d * b * ata / (2.0 * denom))
             )
-        else:
-            val = _ldho_over_quadratic(p, np.zeros_like(ata), ata)
     else:
         xi = p.interaction
         g = _gd(d) / math.pi ** (0.5 * (d + 1))
@@ -867,18 +738,27 @@ def marginal_temporal(p: LdhoParams | OuParams, tau) -> np.ndarray | float:
                 * (a_re * a_re + a_im * a_im) ** (-0.5 * d)
                 * (np.cos(ang) + np.sin(ang) / (2.0 * omega_d * tau_c))
             )
-        elif regime is Regime.CRITICAL:
+        else:
             q = xi * s
             a = q + eps
             val = p.c0 * g * np.exp(-s) / a ** d * (1.0 + s + q * d / a)
-        else:
-            val = _ldho_over_linear(p, np.zeros_like(ata), ata)
     return _ret(val, scalar)
 
 
 # ---------------------------------------------------------------------------
 # model container, surrogate, interaction ratio
 # ---------------------------------------------------------------------------
+
+
+# Each family's parameter class and its JSON field -> attribute names, in
+# serialization order.
+_JSON_FIELDS = {
+    "ldho": (LdhoParams, {
+        "c0": "c0", "tau_c": "tau_c", "omega0": "omega0", "epsilon": "epsilon",
+        "b_or_xi": "interaction",
+    }),
+    "ou": (OuParams, {name: name for name in ("sigma0_sq", "tau_c", "a", "scale", "beta")}),
+}
 
 
 @dataclass(frozen=True)
@@ -933,38 +813,23 @@ class KernelModel:
     def variance(self) -> float:
         """Field variance ``C(0, 0)`` (nugget not included).
 
-        The model's own closed form at the zero lag, evaluated on NumPy
-        scalars as ``covariance(0.0, 0.0)`` evaluates it, so the two agree
-        bit for bit.
+        The covariance at the zero lag, which every input shape evaluates on
+        the same array path, so ``covariance`` at any zero lag equals it bit
+        for bit.
         """
         if self.surrogate:
             return float(separable_surrogate(self, 0.0, 0.0))
-        return float(_form(self.params)(self.params, _ZERO, _ZERO))
+        return float(_kernel(self.params, 0.0, 0.0))
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        if isinstance(self.params, LdhoParams):
-            fields = {
-                "c0": self.params.c0,
-                "tau_c": self.params.tau_c,
-                "omega0": self.params.omega0,
-                "epsilon": self.params.epsilon,
-                "b_or_xi": self.params.interaction,
-            }
-        else:
-            fields = {
-                "sigma0_sq": self.params.sigma0_sq,
-                "tau_c": self.params.tau_c,
-                "a": self.params.a,
-                "scale": self.params.scale,
-                "beta": self.params.beta,
-            }
+        names = _JSON_FIELDS[self.family][1]
         out = {
             "family": self.family,
             "dispersion": self.params.dispersion.value,
             "dim": self.params.dim,
-            "params": fields,
+            "params": {key: getattr(self.params, attr) for key, attr in names.items()},
             "nugget": self.nugget,
         }
         if self.surrogate:
@@ -984,31 +849,14 @@ class KernelModel:
             nugget = data.get("nugget", 0.0)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed model description: missing {exc}") from exc
+        if not isinstance(family, str) or family not in _JSON_FIELDS:
+            raise DomainError(f"unknown kernel family {family!r}")
+        params_cls, names = _JSON_FIELDS[family]
         try:
-            if family == "ldho":
-                params = LdhoParams(
-                    c0=fields["c0"],
-                    tau_c=fields["tau_c"],
-                    omega0=fields["omega0"],
-                    epsilon=fields["epsilon"],
-                    interaction=fields["b_or_xi"],
-                    dispersion=dispersion,
-                    dim=dim,
-                )
-            elif family == "ou":
-                params = OuParams(
-                    sigma0_sq=fields["sigma0_sq"],
-                    tau_c=fields["tau_c"],
-                    a=fields["a"],
-                    scale=fields["scale"],
-                    beta=fields["beta"],
-                    dispersion=dispersion,
-                    dim=dim,
-                )
-            else:
-                raise DomainError(f"unknown kernel family {family!r}")
+            values = {attr: fields[key] for key, attr in names.items()}
         except KeyError as exc:
             raise DomainError(f"model params missing field {exc}") from exc
+        params = params_cls(**values, dispersion=dispersion, dim=dim)
         return cls(params=params, nugget=nugget, surrogate=bool(data.get("surrogate", False)))
 
     @classmethod

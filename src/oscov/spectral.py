@@ -129,8 +129,8 @@ def temporal_fourier_mode(p: LdhoParams | OuParams, k, tau) -> np.ndarray | floa
     This is the temporal kernel with the dispersed constants substituted:
     amplitude ``c0 A(k)/B(k)``, relaxation ``tau_c/B(k)``, frequency
     ``omega_d B(k)``.  The damping regime is wavenumber-invariant because
-    ``omega0 tau_c`` is unchanged by the substitution, and so are the
-    combinations ``omega_d tau_c`` appearing in the trigonometric weights.
+    ``omega0 tau_c`` is unchanged by the substitution, and so is the bracket
+    variable ``u = 2 tau_c omega_d``.
     The full kernel is the radial inverse transform of ``M`` over ``k``.
     """
     k_arr = _as_distance(k, "radial wavenumber k")
@@ -144,9 +144,8 @@ def temporal_fourier_mode(p: LdhoParams | OuParams, k, tau) -> np.ndarray | floa
         val = _temporal_kernel_core(
             p.c0 * a_k / b_k,
             p.tau_c / b_k,
-            p.omega0 * b_k,
             classify_regime(p),
-            damped_frequency(p) * b_k,
+            2.0 * p.tau_c * damped_frequency(p),
             ata_b,
         )
     else:

@@ -277,6 +277,17 @@ def test_variogram_on_a_nan_field_exits_config(tmp_path, sim_dir):
     assert "not all finite" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_temporal_variogram_refuses_a_tolerance(tmp_path, sim_dir):
+    # the tolerance is a spatial half-width the temporal estimator never takes
+    res = run_cli(
+        "variogram", "--field", sim_dir / "field.bin", "--kind", "temporal",
+        "--tolerance", "0.1", "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and "--tolerance" in res.stderr
+    assert not (tmp_path / "variogram_temporal.json").exists()
+
+
 def test_variogram_requires_input(tmp_path):
     res = run_cli("variogram", "--kind", "spatial", "--out", tmp_path)
     assert res.returncode == 1

@@ -15,6 +15,7 @@ import oscov.gp as gp
 from oscov import (
     DimensionMismatch,
     DomainError,
+    IllConditionedWarning,
     JitterWarning,
     KernelModel,
     LdhoParams,
@@ -201,12 +202,30 @@ def test_jitter_is_recorded_and_reported():
     K = gram(m, data).matrix
     with pytest.raises(LinAlgError):
         cho_factor(K, lower=True)
-    with pytest.warns(JitterWarning, match="jitter"):
+    # the jittered matrix is still ill-conditioned, and says so too
+    with pytest.warns(JitterWarning, match="jitter"), pytest.warns(IllConditionedWarning):
         post = Posterior(m, data)
     assert 0.0 < post.jitter <= 1e-6 * K[0, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", JitterWarning)
         assert Posterior(replace(m, nugget=0.1), data).jitter == 0.0
+
+
+def test_an_ill_conditioned_gram_is_reported():
+    # two points 1e-9 apart factorize without jitter, but the Gram matrix is
+    # singular to working precision and the predicted mean is wild
+    m = KernelModel(UNDER)
+    times, values = [0.0, 0.0, 1.0], [1.0, 1.2, 0.5]
+    data = SpaceTimeDataset.from_arrays([[0.0, 0.0], [1e-9, 0.0], [3.0, 1.0]], times, values)
+    with pytest.warns(IllConditionedWarning, match="ill-conditioned"):
+        post = Posterior(m, data)
+    assert post.jitter == 0.0 and post.rcond < 1e-15
+    data = SpaceTimeDataset.from_arrays([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]], times, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
+        post = Posterior(m, data)
+    K = gram(m, data).matrix
+    assert post.rcond == pytest.approx(1.0 / np.linalg.cond(K, 1), rel=1e-6)
 
 
 def test_prediction_dimension_mismatch():

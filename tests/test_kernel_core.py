@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from oscov import (
     temporal_kernel,
     vlrt_kernel,
 )
+from oscov.kernel_core import _OVERDAMPED_SERIES_CUT
 
 UNDER = LdhoParams(2.0, 3.0, 1.5 * math.pi, 1.0, 0.4)
 
@@ -292,8 +294,12 @@ def test_variance_is_the_kernel_at_the_zero_lag(variants_by_dim):
                     log_uniform(1e-3, 3.0), log_uniform(0.1, 10.0), dispersion, dim,
                 )))
     models += [KernelModel.surrogate_of(m) for m in models]
+    zeros = np.zeros(8)
     for m in models:
         assert m.variance() == float(m.covariance(0.0, 0.0)), m.model_key()
+        # NumPy's array loops may round apart from its scalar ones: the zero
+        # lag must not depend on the input's shape
+        assert np.all(m.covariance(zeros, zeros) == m.variance()), m.model_key()
 
 
 def test_ou_linear_spatial_marginal_profile():
@@ -354,6 +360,26 @@ def test_overdamped_collapses_to_critical_as_damped_frequency_vanishes():
     a = ldho_kernel(near, rs[:, None], taus[None, :])
     b = ldho_kernel(critical, rs[:, None], taus[None, :])
     assert np.max(np.abs(a - b)) <= 1e-5 * float(marginal_spatial(critical, 0.0))
+
+    # across the switch to the near-critical form: the kernel is even in
+    # u = 2 tau_c omega_d, so C(u) = C(0) + c u^2 + O(u^4); c measured below
+    # the switch must predict C above it (the u^2 change alone is 2e-10 C(0,0))
+    below, above = 0.99 * _OVERDAMPED_SERIES_CUT, 1.01 * _OVERDAMPED_SERIES_CUT
+    for dispersion in Dispersion:
+        for dim in (1, 2, 3):
+            def kernel_at(u):
+                p = replace(critical, dispersion=dispersion, dim=dim)
+                if u > 0.0:
+                    p = LdhoParams.from_damped_frequency(
+                        p.c0, p.tau_c, u / (2.0 * p.tau_c), Regime.OVERDAMPED,
+                        p.epsilon, p.interaction, dispersion, dim,
+                    )
+                return ldho_kernel(p, rs[:, None], taus[None, :])
+
+            c0, c_below, c_above = kernel_at(0.0), kernel_at(below), kernel_at(above)
+            predicted = c0 + (c_below - c0) * (above / below) ** 2
+            scale = KernelModel(replace(critical, dispersion=dispersion, dim=dim)).variance()
+            assert np.max(np.abs(c_above - predicted)) <= 1e-10 * scale, (dispersion, dim)
 
 
 _REGIME_STRATEGY = st.sampled_from(["under", "critical", "over"])

@@ -14,7 +14,7 @@ EXPORTED = {
     "AdmissibilityReport", "AllBinsSkipped", "DELTA_CRIT", "DegenerateMarginal",
     "DimensionMismatch", "Dispersion", "DomainError", "EmpiricalVariogram", "EmptyBin",
     "EmptyBinError", "FieldRealization", "FitResult", "GramMatrix", "GridSpec",
-    "InteractionFunctions", "JitterWarning", "KernelModel", "LagOutOfRange", "LdhoParams",
+    "IllConditionedWarning", "InteractionFunctions", "JitterWarning", "KernelModel", "LagOutOfRange", "LdhoParams",
     "NegativeVariance", "NotPositiveDefinite", "OptimizerStalled", "OscovError",
     "OuParams", "Posterior", "QuadratureFailure", "Regime", "RegimeError",
     "SpaceTimeDataset", "SpaceTimePoint", "SpectralTruncationWarning", "VariogramKind",
