@@ -240,6 +240,10 @@ def cmd_variogram(args) -> int:
 
     if args.kind == "temporal" and args.tolerance is not None:
         raise _UsageError("--tolerance is a spatial bin half-width; --kind temporal takes none")
+    if args.kind == "temporal" and args.r_bins is not None:
+        raise _UsageError("--r-bins are spatial lags; --kind temporal takes none")
+    if args.kind == "spatial" and args.tau_bins is not None:
+        raise _UsageError("--tau-bins are time lags; --kind spatial takes none")
     data = _resolve_data(args)
     r_bins = None if args.r_bins is None else np.array(_parse_list(args.r_bins, float, "--r-bins"))
     tau_bins = None if args.tau_bins is None else np.array(_parse_list(args.tau_bins, float, "--tau-bins"))

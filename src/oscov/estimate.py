@@ -312,6 +312,11 @@ def _drop_empty(kind, centers_r, centers_t, gamma, counts, tolerance):
 
 
 def _default_spatial_tolerance(data) -> float:
+    """Half the median nearest-neighbour distance over (a sample of) the points.
+
+    A point's nearest non-zero distance is its site's distance to the
+    nearest other site, so station data take it from the sites alone.
+    """
     if isinstance(data, FieldRealization):
         return 0.5 * min(data.grid.ds)
     from scipy.spatial.distance import cdist
@@ -320,15 +325,27 @@ def _default_spatial_tolerance(data) -> float:
     n = coords.shape[0]
     if n < 2:
         raise DomainError("need at least two points for spatial lags")
-    sample = coords if n <= 500 else coords[:: max(1, n // 500)]
-    d = cdist(sample, coords)
+    sample = slice(None) if n <= 500 else slice(None, None, max(1, n // 500))
+    table = data.stations
+    if table is None:
+        d = cdist(coords[sample], coords)
+    else:
+        d = cdist(table.sites, table.sites)
     d[d == 0.0] = np.inf
-    nn = np.median(d.min(axis=1))
-    return 0.5 * float(nn)
+    nn = d.min(axis=1)
+    if table is not None:
+        nn = nn[table.site_of[sample]]
+    return 0.5 * float(np.median(nn))
 
 
 def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
-    """Evenly spaced spatial lag centers suited to the sampling geometry."""
+    """Evenly spaced spatial lag centers suited to the sampling geometry.
+
+    Scattered data span the 2 % to 60 % quantiles of the non-zero pair
+    distances; station data weight each site distance by the point pairs
+    it holds, ``n_a n_b``, and interpolate between the same two order
+    statistics ``np.quantile`` would, to the same bits.
+    """
     if isinstance(data, FieldRealization):
         g = data.grid
         step = min(g.ds)
@@ -337,10 +354,30 @@ def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
         return step * np.arange(1, max(count, 1) + 1)
     from scipy.spatial.distance import pdist
 
-    d = pdist(data.coords)
-    if d.size == 0:
-        raise DomainError("need at least two points for spatial lags")
-    lo, hi = np.quantile(d[d > 0], [0.02, 0.6])
+    quantiles = np.array([0.02, 0.6])
+    table = data.stations
+    if table is None:
+        d = pdist(data.coords)
+        d = d[d > 0]
+        if d.size == 0:
+            raise DomainError("need two distinct sites for spatial lags")
+        lo, hi = np.quantile(d, quantiles)
+        return np.linspace(lo, hi, n_bins)
+    d = pdist(table.sites)
+    per_site = np.bincount(table.site_of)
+    a, b = np.triu_indices(per_site.size, 1)
+    keep = d > 0
+    if not keep.any():
+        raise DomainError("need two distinct sites for spatial lags")
+    d, weights = d[keep], (per_site[a] * per_site[b])[keep]
+    order = np.argsort(d)
+    d, ranks = d[order], np.cumsum(weights[order])
+    # np.quantile's linear method: position (N - 1) q between two order statistics
+    pos = (int(ranks[-1]) - 1) * quantiles
+    below = np.floor(pos)
+    ranked = np.searchsorted(ranks, np.stack([below, below + 1]), side="right")
+    stats = d[np.minimum(ranked, d.size - 1)]
+    lo, hi = (float(np.quantile(stats[:, k], pos[k] - below[k])) for k in range(2))
     return np.linspace(lo, hi, n_bins)
 
 
@@ -412,17 +449,21 @@ def _windows(lags: np.ndarray, centers: np.ndarray, tol: float):
     return _ragged(np.maximum(stop - first, 0), first)
 
 
-def _window_sums(groups, n_groups: int, lags, sq, centers, tol: float):
-    """Sums of ``sq`` and item counts per (group, window), shape ``(n_groups, bins)``.
+def _window_sums(groups, n_groups: int, lags, sq, centers, tol: float, pairs=None):
+    """Sums of ``sq`` and pair counts per (group, window), shape ``(n_groups, bins)``.
 
-    Item ``p`` belongs to group ``groups[p]`` and counts in every window that
-    holds ``lags[p]``.
+    Item ``p`` belongs to group ``groups[p]``, counts in every window that
+    holds ``lags[p]``, and stands for ``pairs[p]`` pairs (one by default).
     """
     item, k = _windows(lags, centers, tol)
     key = groups[item] * centers.size + k
     size = n_groups * centers.size
     sums = np.bincount(key, weights=sq[item], minlength=size)
-    counts = np.bincount(key, minlength=size)
+    if pairs is None:
+        counts = np.bincount(key, minlength=size)
+    else:
+        # integer weights below 2**53 sum exactly in float64
+        counts = np.bincount(key, weights=pairs[item], minlength=size).astype(np.int64)
     return sums.reshape(n_groups, -1), counts.reshape(n_groups, -1)
 
 
@@ -451,6 +492,62 @@ def _group_average(labels, values, lags_of, bins, tolerance: float):
 def _pair_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Euclidean lengths of the pairs ``(i, j)``, summed axis by axis like ``cdist``."""
     return np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords.T))
+
+
+# Elements of one site x site x time-pair block of differences (8 MB).
+_STATION_BLOCK = 1 << 20
+
+
+def _cell_pair_sums(z, seen, p, q, windows, n_windows):
+    """Per window ``k``, the sums over its time pairs ``(p, q)`` of the squared
+    increments ``(z[a, p] - z[b, q])^2`` between present cells, and their
+    counts, for every ordered site pair: two arrays of shape ``(n_windows, S, S)``.
+    """
+    n_sites = z.shape[0]
+    sums = np.zeros((n_windows, n_sites, n_sites))
+    counts = np.zeros((n_windows, n_sites, n_sites), dtype=np.int64)
+    step = max(1, _STATION_BLOCK // (n_sites * n_sites))
+    for k in range(n_windows):
+        mine = np.flatnonzero(windows == k)
+        for lo in range(0, mine.size, step):
+            pp, qq = p[mine[lo:lo + step]], q[mine[lo:lo + step]]
+            both = seen[:, None, pp] & seen[None, :, qq]
+            diff = np.where(both, z[:, None, pp] - z[None, :, qq], 0.0)
+            sums[k] += np.einsum("abc,abc->ab", diff, diff)
+            counts[k] += both.sum(axis=2)
+    return sums, counts
+
+
+def _station_window_sums(table, values, tau_bins, t_tol: float):
+    """Squared-increment sums of station data per (temporal window, site pair).
+
+    Site pairs ``a <= b`` (``a == b`` pairs a site's times with each other)
+    take their point pairs from an S x T table of the values: for ``a < b``
+    every time pair ``(p, q)`` in a window, for ``a == b`` only ``p < q``.
+    Returns, per non-empty (window, site pair) item, the window, the site
+    pair's distance, the sum and the pair count.
+    """
+    n_sites, n_times = table.sites.shape[0], table.times.size
+    z = np.zeros((n_sites, n_times))
+    seen = np.zeros((n_sites, n_times), dtype=bool)
+    z[table.site_of, table.time_of] = values
+    seen[table.site_of, table.time_of] = True
+    n_windows = tau_bins.size
+    # time pairs p < q pair every ordered site pair; p == q only a < b
+    p, q = np.triu_indices(n_times, 1)
+    pair, k = _windows(table.lags[table.lag_of[p, q]], tau_bins, t_tol)
+    sums, counts = _cell_pair_sums(z, seen, p[pair], q[pair], k, n_windows)
+    same, k = _windows(np.zeros(n_times), tau_bins, t_tol)
+    sums0, counts0 = _cell_pair_sums(z, seen, same, same, k, n_windows)
+    # site pairs: a == a first (distance 0), then a < b in condensed order
+    a, b = np.triu_indices(n_sites, 1)
+    sq, n_pairs = (
+        np.hstack([np.diagonal(x, axis1=1, axis2=2), x[:, a, b] + x[:, b, a] + x0[:, a, b]])
+        for x, x0 in ((sums, sums0), (counts, counts0))
+    )
+    window, site_pair = np.nonzero(n_pairs)
+    dist = np.concatenate([np.zeros(n_sites), _pair_distances(table.sites, a, b)])
+    return window, dist[site_pair], sq[window, site_pair], n_pairs[window, site_pair]
 
 
 def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVariogram:
@@ -571,13 +668,18 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
 
     # the temporal window of each pair is its group for the spatial windows
     times, values = data.times, data.values
-    i, j = _pairs(np.zeros(len(times), dtype=np.int64))
-    it, kt = _windows(np.abs(times[i] - times[j]), tau_bins, _half_median_gap(times))
-    i, j = i[it], j[it]
-    sums, counts = _window_sums(
-        kt, tau_bins.size, _pair_distances(data.coords, i, j), (values[i] - values[j]) ** 2,
-        r_bins, tolerance,
-    )
+    t_tol = _half_median_gap(times)
+    if data.stations is None:
+        i, j = _pairs(np.zeros(len(times), dtype=np.int64))
+        it, kt = _windows(np.abs(times[i] - times[j]), tau_bins, t_tol)
+        i, j = i[it], j[it]
+        sums, counts = _window_sums(
+            kt, tau_bins.size, _pair_distances(data.coords, i, j),
+            (values[i] - values[j]) ** 2, r_bins, tolerance,
+        )
+    else:
+        kt, dist, sq, n_pairs = _station_window_sums(data.stations, values, tau_bins, t_tol)
+        sums, counts = _window_sums(kt, tau_bins.size, dist, sq, r_bins, tolerance, n_pairs)
     return _drop_empty(
         VariogramKind.SPACE_TIME,
         centers_r,

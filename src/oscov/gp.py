@@ -18,6 +18,7 @@ import re
 import warnings
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -138,10 +139,73 @@ class SpaceTimeDataset:
     def dim(self) -> int:
         return self.coords.shape[1]
 
+    @cached_property
+    def stations(self) -> "StationTable | None":
+        """The dataset's sites x times structure, or ``None`` where it does not pay.
+
+        Built on first use and kept; see :class:`StationTable`.
+        """
+        return _station_table(self.coords, self.times)
+
     @classmethod
     def from_arrays(cls, coords, times, values, mean: float = 0.0) -> "SpaceTimeDataset":
         """Build a dataset from an ``(n, d)`` coordinate array and flat vectors."""
         return cls(coords, times, values, mean)
+
+
+@dataclass(frozen=True, eq=False)
+class StationTable:
+    """Scattered points as fixed sites sampled at shared times.
+
+    Point ``i`` is the cell ``(site_of[i], time_of[i])`` of a sites x times
+    table, and the time pair ``(p, q)`` lies ``lags[lag_of[p, q]]`` apart.
+    Every point pair's lag is a site-pair distance paired with one of the U
+    distinct gaps ``|times[p] - times[q]|``, so pair statistics cost
+    O(S^2 U) instead of O(n^2).
+
+    Attributes
+    ----------
+    sites : array of shape (S, d)
+        The distinct sample locations.
+    site_of, time_of : int arrays of shape (n,)
+        Each point's row in ``sites`` and in ``times``.
+    times : array of shape (T,)
+        The distinct sample times, ascending.
+    lags : array of shape (U,)
+        The distinct time gaps between them, ascending.
+    lag_of : int array of shape (T, T)
+        The index in ``lags`` of each time pair's gap.
+    """
+
+    sites: np.ndarray
+    site_of: np.ndarray
+    times: np.ndarray
+    time_of: np.ndarray
+    lags: np.ndarray
+    lag_of: np.ndarray
+
+
+def _station_table(coords: np.ndarray, times: np.ndarray) -> StationTable | None:
+    """The station table of a point set, if it has fewer site-pair x lag
+    cells than point pairs (``S^2 U < n(n-1)/2``) and no repeated cell.
+
+    ``S^2 T`` bounds ``S^2 U`` from below, so data without station structure
+    are turned away after two ``np.unique`` calls, before any T x T table.
+    """
+    n = times.size
+    pairs = n * (n - 1) // 2
+    sites, site_of = np.unique(coords, axis=0, return_inverse=True)
+    uniq, time_of = np.unique(times, return_inverse=True)
+    site_of, time_of = site_of.ravel(), time_of.ravel()
+    n_sites = sites.shape[0]
+    if n_sites * n_sites * uniq.size >= pairs:
+        return None
+    if np.unique(site_of * uniq.size + time_of).size < n:
+        return None  # coincident points: cells cannot hold them apart
+    lags, lag_of = np.unique(np.abs(uniq[:, None] - uniq[None, :]), return_inverse=True)
+    if n_sites * n_sites * lags.size >= pairs:
+        return None
+    return StationTable(sites, site_of, uniq, time_of, lags, lag_of.reshape(uniq.size, -1))
 
 
 @dataclass(frozen=True)
@@ -190,14 +254,51 @@ def gram(m: KernelModel, points) -> GramMatrix:
     ``points`` is a :class:`SpaceTimeDataset` or a sequence of
     :class:`SpaceTimePoint`.  The kernel is evaluated once per unordered pair
     and mirrored, so the result is exactly symmetric; the diagonal holds
-    ``m.variance()`` plus the nugget.
+    ``m.variance()`` plus the nugget.  Station data (see :class:`StationTable`)
+    evaluate the kernel once per site pair and time gap instead, and the
+    matrix is gathered from that table, to the same bits.
     """
     coords, times = _arrays(points)
     _check_dim(m, coords, "sample")
-    upper = m.covariance(pdist(coords), pdist(times[:, None], "cityblock"))
-    K = squareform(np.asarray(upper, dtype=float))
+    if isinstance(points, SpaceTimeDataset):
+        table = points.stations
+    else:
+        table = _station_table(coords, times)
+    if table is None:
+        upper = m.covariance(pdist(coords), pdist(times[:, None], "cityblock"))
+        K = squareform(np.asarray(upper, dtype=float))
+    else:
+        K = _gather_gram(m, table)
     np.fill_diagonal(K, m.variance() + m.nugget)
     return GramMatrix(matrix=K)
+
+
+def _gather_gram(m: KernelModel, table: StationTable) -> np.ndarray:
+    """The Gram matrix (diagonal unset) from the kernel on site pairs x time gaps.
+
+    Site distances come from ``pdist`` of the sites, whose bits are those
+    ``pdist`` gives for the points, and the kernel sees flat arrays as on the
+    pair path; each unordered site pair is evaluated once and mirrored.
+    """
+    n_sites, n_lags = table.sites.shape[0], table.lags.size
+    a, b = np.triu_indices(n_sites)
+    r = squareform(pdist(table.sites))[a, b]
+    c = np.asarray(
+        m.covariance(np.repeat(r, n_lags), np.tile(table.lags, a.size)), dtype=float
+    ).reshape(a.size, n_lags)
+    cells = np.empty((n_sites, n_sites, n_lags))
+    cells[a, b] = c
+    cells[b, a] = c
+    cells = cells.ravel()
+    site, time_of = table.site_of, table.time_of
+    # flat offset of cell (site_i, site_j, lag_of[t_i, t_j]): row part, and
+    # column part per row time
+    row = site * (n_sites * n_lags)
+    col = site * n_lags + table.lag_of[:, time_of]
+    K = np.empty((site.size, site.size))
+    for i in range(site.size):
+        K[i] = cells[col[time_of[i]] + row[i]]
+    return K
 
 
 def _find_duplicates(coords: np.ndarray, times: np.ndarray) -> tuple[int, int] | None:
@@ -209,9 +310,11 @@ def _find_duplicates(coords: np.ndarray, times: np.ndarray) -> tuple[int, int] |
     hits = np.flatnonzero(dup)
     if hits.size == 0:
         return None
-    # condensed order is the row-major order of the pairs i < j
-    i, j = np.triu_indices(n, 1)
-    return int(i[hits[0]]), int(j[hits[0]])
+    # condensed order is the row-major order of the pairs i < j: row i
+    # starts at sum_{k < i} (n - 1 - k)
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    i = int(np.searchsorted(starts, hits[0], side="right")) - 1
+    return i, int(hits[0] - starts[i]) + i + 1
 
 
 _PIVOT_RE = re.compile(r"(\d+)")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from oscov import Dispersion, LdhoParams, OuParams
 
@@ -68,3 +69,28 @@ def random_lag_points(rng: np.random.Generator, n: int, r_max=5.0, tau_max=5.0):
         (float(r), float(t))
         for r, t in zip(rng.uniform(0.0, r_max, n), rng.uniform(0.0, tau_max, n))
     ]
+
+
+@st.composite
+def station_arrays(draw, max_sites=7, min_times=1, max_times=10, min_keep=0.2):
+    """Coordinates, times and values of sites observed at shared times.
+
+    Sites lie in a 5 x 5 square; the times are regular (multiples of 0.3,
+    whose gaps differ in the last bit) or uniform random.  Each cell is kept
+    with one drawn probability of at least ``min_keep`` (and one cell always
+    is), the points come shuffled, and the values carry an offset of 1e3.
+    """
+    n_sites = draw(st.integers(1, max_sites))
+    n_times = draw(st.integers(min_times, max_times))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    locs = rng.uniform(0.0, 5.0, (n_sites, 2))
+    if draw(st.booleans()):
+        stamps = 0.3 * np.arange(n_times)
+    else:
+        stamps = np.sort(rng.uniform(0.0, 6.0, n_times))
+    seen = rng.random((n_sites, n_times)) < draw(st.floats(min_keep, 1.0))
+    seen.flat[rng.integers(seen.size)] = True
+    site, step = np.nonzero(seen)
+    order = rng.permutation(site.size)
+    site, step = site[order], step[order]
+    return locs[site], stamps[step], 1e3 + rng.standard_normal(site.size)

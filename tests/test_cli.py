@@ -288,6 +288,21 @@ def test_temporal_variogram_refuses_a_tolerance(tmp_path, sim_dir):
     assert not (tmp_path / "variogram_temporal.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    (("temporal", "--r-bins", "1,2"), ("spatial", "--tau-bins", "0.5,1")),
+)
+def test_variogram_refuses_the_bins_of_the_other_axis(tmp_path, sim_dir, kind, flag, value):
+    # each marginal reads the bins of its own axis only
+    res = run_cli(
+        "variogram", "--field", sim_dir / "field.bin", "--kind", kind,
+        flag, value, "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and flag in res.stderr
+    assert not (tmp_path / f"variogram_{kind}.json").exists()
+
+
 def test_variogram_requires_input(tmp_path):
     res = run_cli("variogram", "--kind", "spatial", "--out", tmp_path)
     assert res.returncode == 1

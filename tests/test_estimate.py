@@ -12,6 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import station_arrays
+from hypothesis import assume, given, settings
+from scipy.spatial.distance import cdist, pdist
 
 from oscov.errors import (
     AllBinsSkipped,
@@ -24,6 +27,7 @@ from oscov.estimate import (
     EmpiricalVariogram,
     VariogramKind,
     WlsObjective,
+    _default_spatial_tolerance,
     _lag_table,
     default_spatial_bins,
     default_temporal_bins,
@@ -390,6 +394,104 @@ def _check_joint_against_pair_mask(inputs, r_bins, tau_bins, tol, t_tol):
         assert (got[0], got[1]) == (rk, tm)
         assert got[2] == pytest.approx(gam, rel=1e-12)
         assert got[3] == cnt
+
+
+# r bins, tau bins and spatial half-width: windows that overlap on both
+# axes, so one pair counts in several bins
+_JOINT_BINS = ([0.0, 1.0, 2.5, 4.0], [0.0, 0.3, 0.5, 0.9, 1.5, 2.7], 0.75)
+
+
+def _check_joint_on_arrays(coords, t, values):
+    """The scattered joint variogram of the arrays against the pair mask."""
+    data = SpaceTimeDataset.from_arrays(coords, t, values)
+    gaps = np.diff(np.unique(t))
+    t_tol = 0.5 * float(np.median(gaps)) if gaps.size else 0.0
+    inputs = (data, None, None, coords, t, values)
+    r_bins, tau_bins, tol = _JOINT_BINS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyBin)
+        try:
+            _check_joint_against_pair_mask(inputs, r_bins, tau_bins, tol, t_tol)
+        except EmptyBinError:
+            # no pair in any bin: the pair mask must agree
+            d, gaps, _ = _pair_lags(coords, t, values)
+            assert not any(
+                ((np.abs(d - rk) <= tol) & (np.abs(gaps - tm) <= t_tol)).any()
+                for tm in tau_bins for rk in r_bins if (rk, tm) != (0.0, 0.0)
+            )
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays=station_arrays(min_times=5, min_keep=0.7))
+def test_station_joint_variogram_matches_pair_mask(arrays):
+    assume(SpaceTimeDataset.from_arrays(*arrays).stations is not None)
+    _check_joint_on_arrays(*arrays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays=station_arrays(max_sites=1, min_times=6, min_keep=0.7))
+def test_station_joint_variogram_of_one_site_series(arrays):
+    assume(SpaceTimeDataset.from_arrays(*arrays).stations is not None)
+    _check_joint_on_arrays(*arrays)
+
+
+@pytest.mark.parametrize("n", (2, 40))
+def test_joint_variogram_without_station_structure_matches_pair_mask(n):
+    rng = np.random.default_rng(n)
+    coords, t = rng.uniform(0.0, 4.0, (n, 2)), rng.uniform(0.0, 3.0, n)
+    data = _check_joint_on_arrays(coords, t, 1e3 + rng.standard_normal(n))
+    assert data.stations is None
+
+
+def _quantile_bins(coords):
+    d = pdist(coords)
+    return np.linspace(*np.quantile(d[d > 0], [0.02, 0.6]), 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays=station_arrays(min_times=5, min_keep=0.7))
+def test_station_default_bins_are_the_pair_quantiles(arrays):
+    coords, t, values = arrays
+    data = SpaceTimeDataset.from_arrays(coords, t, values)
+    assume(data.stations is not None)
+    if data.stations.sites.shape[0] < 2:
+        with pytest.raises(DomainError, match="two distinct sites"):
+            default_spatial_bins(data)
+    else:
+        assert np.array_equal(default_spatial_bins(data), _quantile_bins(coords))
+
+
+@pytest.mark.parametrize("n", (1, 2, 40))
+def test_default_bins_without_station_structure_are_the_pair_quantiles(n):
+    rng = np.random.default_rng(n)
+    data = SpaceTimeDataset.from_arrays(
+        rng.uniform(0.0, 4.0, (n, 2)), rng.uniform(0.0, 3.0, n), np.zeros(n)
+    )
+    assert data.stations is None
+    if n == 1:
+        with pytest.raises(DomainError, match="two distinct sites"):
+            default_spatial_bins(data)
+    else:
+        assert np.array_equal(default_spatial_bins(data), _quantile_bins(data.coords))
+
+
+@pytest.mark.parametrize("sites, times", ((60, 24), (1200, 1)))
+def test_default_tolerance_is_half_the_median_nearest_neighbour(sites, times):
+    # over 1 000 points, so the median runs over every second one; 60 sites
+    # x 24 times take the station table, 1 200 lone points the pair path
+    rng = np.random.default_rng(sites)
+    locs = rng.uniform(0.0, 10.0, (sites, 2))
+    # time-major order, so the sample favours some sites over others
+    step, site = np.divmod(np.arange(sites * times), sites)
+    keep = rng.random(site.size) < 0.95
+    coords, t = locs[site[keep]], 0.4 * step[keep]
+    data = SpaceTimeDataset.from_arrays(coords, t, np.zeros(coords.shape[0]))
+    assert (data.stations is None) == (times == 1)
+    sample = coords[:: max(1, coords.shape[0] // 500)]
+    d = cdist(sample, coords)
+    d[d == 0.0] = np.inf
+    assert _default_spatial_tolerance(data) == 0.5 * float(np.median(d.min(axis=1)))
 
 
 def test_white_noise_semivariance_is_unbiased():

@@ -8,8 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import station_arrays
+from hypothesis import assume, given, settings
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import oscov.gp as gp
 from oscov import (
@@ -98,6 +100,68 @@ def test_gram_psd_for_all_variants(variants_2d):
         assert min_eig >= -1e-8 * float(np.trace(K)), name
 
 
+def _pairwise_gram(m, coords, times):
+    K = squareform(m.covariance(pdist(coords), pdist(times[:, None], "cityblock")))
+    np.fill_diagonal(K, m.variance() + m.nugget)
+    return K
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays=station_arrays(min_times=5, min_keep=0.7))
+def test_station_gram_is_the_pairwise_kernel(arrays):
+    coords, times, values = arrays
+    data = SpaceTimeDataset.from_arrays(coords, times, values)
+    assume(data.stations is not None)
+    m = KernelModel(UNDER, nugget=0.1)
+    expected = _pairwise_gram(m, coords, times)
+    assert np.array_equal(gram(m, data).matrix, expected)
+    # a point list builds its own table
+    assert np.array_equal(gram(m, points_of(coords, times)).matrix, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays=station_arrays(max_sites=1, min_times=6, min_keep=0.7))
+def test_station_gram_of_one_site_series(arrays):
+    coords, times, values = arrays
+    data = SpaceTimeDataset.from_arrays(coords, times, values)
+    assume(data.stations is not None)
+    m = KernelModel(UNDER)
+    assert np.array_equal(gram(m, data).matrix, _pairwise_gram(m, coords, times))
+
+
+@pytest.mark.parametrize("n", (1, 2, 30))
+def test_gram_without_station_structure_is_the_pairwise_kernel(n):
+    # every point its own site: S^2 T >= n(n - 1)/2, so the pair path runs
+    coords, times = random_arrays(np.random.default_rng(n), n, 2)
+    data = SpaceTimeDataset.from_arrays(coords, times, np.zeros(n))
+    assert data.stations is None
+    m = KernelModel(UNDER, nugget=0.1)
+    assert np.array_equal(gram(m, data).matrix, _pairwise_gram(m, coords, times))
+
+
+def test_a_repeated_cell_keeps_the_pair_path():
+    # 4 sites x 6 times would take the table, but one cell is observed twice
+    site, step = np.divmod(np.arange(24), 6)
+    coords = np.stack([site, site % 2], axis=1).astype(float)
+    times = 0.5 * step
+    assert SpaceTimeDataset.from_arrays(coords, times, np.zeros(24)).stations is not None
+    coords, times = np.vstack([coords, coords[:1]]), np.append(times, times[0])
+    data = SpaceTimeDataset.from_arrays(coords, times, np.zeros(25))
+    assert data.stations is None
+    m = KernelModel(UNDER, nugget=0.1)
+    assert np.array_equal(gram(m, data).matrix, _pairwise_gram(m, coords, times))
+
+
+def test_station_table_is_built_once_per_dataset():
+    coords = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], 8, axis=0)
+    data = SpaceTimeDataset.from_arrays(coords, np.tile(np.arange(8.0), 3), np.zeros(24))
+    table = data.stations
+    assert table is data.stations
+    assert table.sites.shape == (3, 2) and table.times.size == 8 and table.lags.size == 8
+    assert np.array_equal(table.sites[table.site_of], coords)
+    assert np.array_equal(table.lags[table.lag_of[table.time_of[3], table.time_of[13]]], 2.0)
+
+
 def test_gram_dimension_mismatch():
     m = KernelModel(UNDER)  # dim 2
     with pytest.raises(DimensionMismatch):
@@ -184,6 +248,16 @@ def test_duplicate_points_need_a_nugget():
         predict(KernelModel(UNDER, nugget=0.0), data, [q])
     means, variances = predict(KernelModel(UNDER, nugget=0.2), data, [q])
     assert np.all(np.isfinite(means)) and np.all(variances >= 0.0)
+    # the error names the first coincident pair in row-major order
+    coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (3.0, 0.0), (2.0, 0.5)]
+    times = [0.0, 0.0, 1.0, 1.0, 1.0]
+    data = SpaceTimeDataset.from_arrays(coords, times, np.arange(5.0))
+    with pytest.raises(DomainError, match="points 2 and 4 coincide"):
+        Posterior(KernelModel(UNDER), data)
+    coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (2.0, 0.5), (1.0, 0.0)]
+    data = SpaceTimeDataset.from_arrays(coords, np.ones(5), np.arange(5.0))
+    with pytest.raises(DomainError, match="points 1 and 4 coincide"):
+        Posterior(KernelModel(UNDER), data)
 
 
 def test_factorization_failure_names_a_pivot():
