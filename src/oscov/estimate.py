@@ -8,11 +8,11 @@ in two stages: the marginal variograms pin down the spatial and temporal
 hyperparameters separately, and the joint variogram refines the full vector
 starting from the marginal estimates.
 
-All hyperparameters are positive, so the simplex search runs in log
-coordinates; the overdamped branch parametrizes the damping ratio through a
-logistic map so the regime constraint never binds.  Because the damping
-regime of real data is unknown a priori, the fitting entry points try all
-three regimes and keep the lowest objective.
+All hyperparameters are positive, so each start runs one Nelder-Mead
+search in log coordinates; the overdamped branch parametrizes the damping
+ratio through a logistic map so the regime constraint never binds.  Because
+the damping regime of real data is unknown a priori, the fitting entry points
+try all three regimes and keep the lowest objective.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,11 +61,10 @@ __all__ = [
 # information for the relative-error weights and are skipped.
 _WLS_FLOOR = 1e-12
 
-# Simplex search budget and tolerances (relative objective change).
+# Objective calls allowed per start, and the search's stopping tolerance on
+# the objective, relative to the start's value (or to 1, if that is smaller).
 _MAX_EVALS = 10_000
 _REL_TOL = 1e-4
-_RESTARTS = 3
-_SHRINK = 0.5
 
 # Default search box: a factor this large either side of each start value.
 _BOUND_SPAN = 1e3
@@ -160,14 +159,14 @@ class EmpiricalVariogram:
     def from_dict(cls, data: dict) -> "EmpiricalVariogram":
         try:
             kind = VariogramKind(data["kind"])
-            bins = data["bins"]
-            tol = data.get("tolerance", 0.0)
+            bins = list(data["bins"])
+            tol = float(data.get("tolerance", 0.0))
+            gamma = [float(b["gamma"]) for b in bins]
+            counts = [int(b["n"]) for b in bins]
+            r = [float(b["r"]) for b in bins] if bins and "r" in bins[0] else None
+            tau = [float(b["tau"]) for b in bins] if bins and "tau" in bins[0] else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed variogram description: {exc}") from exc
-        gamma = [b["gamma"] for b in bins]
-        counts = [b["n"] for b in bins]
-        r = [b["r"] for b in bins] if bins and "r" in bins[0] else None
-        tau = [b["tau"] for b in bins] if bins and "tau" in bins[0] else None
+            raise DomainError(f"malformed variogram description: {exc!r}") from exc
         return cls(kind=kind, gamma=gamma, counts=counts, r=r, tau=tau, tolerance=tol)
 
     @classmethod
@@ -197,7 +196,8 @@ class FitResult:
 
     ``objective`` is the WLS value at ``model``; it never exceeds the value
     at the initial guess because failed searches fall back to the guess.
-    ``trace`` records the best objective after each simplex stage.
+    ``n_evaluations`` counts every objective call of every start searched;
+    ``converged`` is False when a winning search ran out of evaluations.
     """
 
     model: KernelModel
@@ -206,7 +206,6 @@ class FitResult:
     converged: bool
     theta0: dict
     theta_star: dict
-    trace: tuple[float, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         return {
@@ -216,7 +215,6 @@ class FitResult:
             "converged": self.converged,
             "theta0": self.theta0,
             "theta_star": self.theta_star,
-            "trace": list(self.trace),
         }
 
     def to_json(self) -> str:
@@ -740,53 +738,6 @@ def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(func, x0: np.ndarray):
-    """Nelder-Mead with shrinking restarts and a relative stopping rule.
-
-    Runs up to ``1 + _RESTARTS`` simplex stages, halving the initial simplex
-    scale each stage, stopping early when a stage improves the objective by
-    less than ``_REL_TOL`` relatively.  Returns the best point, its value,
-    the evaluation count, a convergence flag, and the per-stage trace.
-    """
-    from scipy.optimize import minimize
-
-    x_best = np.asarray(x0, dtype=float)
-    f_best = float(func(x_best))
-    evals = 1
-    trace = [f_best]
-    converged = False
-    scale = 0.25
-    for stage in range(1 + _RESTARTS):
-        remaining = _MAX_EVALS - evals
-        if remaining < 2 * (x_best.size + 1):
-            break
-        simplex = np.vstack([x_best] + [
-            x_best + scale * np.eye(x_best.size)[i] for i in range(x_best.size)
-        ])
-        res = minimize(
-            func,
-            x_best,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxfev": remaining,
-                "fatol": _REL_TOL * max(1.0, abs(f_best)),
-                "xatol": 1e-4,
-            },
-        )
-        evals += res.nfev
-        improved = res.fun < f_best
-        gain = f_best - res.fun if improved else 0.0
-        if improved:
-            x_best, f_best = np.asarray(res.x, dtype=float), float(res.fun)
-        trace.append(f_best)
-        scale *= _SHRINK
-        if gain <= _REL_TOL * max(1.0, abs(f_best)):
-            converged = True
-            break
-    return x_best, f_best, evals, converged, trace
-
-
 # Search-vector order of each fit branch: a stage searches the names it does
 # not fix, in this order.
 _BRANCH_PARAMS = {
@@ -795,7 +746,7 @@ _BRANCH_PARAMS = {
     "overdamped": ("c0", "epsilon", "damping_ratio", "tau_c", "interaction", "nugget"),
     "ou": ("sigma0_sq", "beta", "tau_c", "scale", "nugget"),
 }
-_LDHO_BRANCHES = ("underdamped", "critical", "overdamped")
+_FAMILY_BRANCHES = {"ldho": ("underdamped", "critical", "overdamped"), "ou": ("ou",)}
 
 # The spatial stage fits one branch per family with its temporal constants
 # fixed at placeholders: the spatial marginal is independent of them in
@@ -843,24 +794,48 @@ def _branch_model(branch: str, dispersion, dim: int, theta: dict) -> KernelModel
     return KernelModel(params=params, nugget=theta["nugget"])
 
 
+def _checked_bounds(bounds, family: str) -> dict:
+    """``bounds`` as float ``(lo, hi)`` pairs, each on a parameter that some
+    branch of ``family`` searches, with no NaN edge and ``lo < hi``.
+    """
+    searched = {name for b in _FAMILY_BRANCHES[family] for name in _BRANCH_PARAMS[b]}
+    checked = {}
+    for name, edges in (bounds or {}).items():
+        if name not in searched:
+            raise DomainError(f"bound on {name!r}: no {family} branch searches it")
+        try:
+            lo, hi = (float(e) for e in edges)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bound on {name!r} is not a (lo, hi) pair") from exc
+        if math.isnan(lo) or math.isnan(hi):
+            raise DomainError(f"bound on {name!r} has a NaN edge")
+        if not lo < hi:
+            raise DomainError(f"bound on {name!r} is empty: lo {lo:g} >= hi {hi:g}")
+        checked[name] = (lo, hi)
+    return checked
+
+
 def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
-    """Simplex search over the branch's parameters not in ``fixed``, from one start.
+    """One Nelder-Mead search over the branch's parameters not in ``fixed``.
 
     Plain parameters travel through ``log``; ``damping_ratio`` is a ratio in
     (0, 1) and travels through ``log(u/(1-u))``.  ``bounds`` overrides the
     default bounds (a factor 1e3 either side of the start) and applies to the
     searched parameters only; a start value outside its bound in ``bounds``
-    moves to the nearer edge.  Returns the searched parameters at the best
+    moves to the nearer edge.  The initial simplex steps 0.25 from the start
+    along each transformed axis.  Returns the searched parameters at the best
     point (the start when the search fails to improve on it), the objective,
-    the evaluation count, a convergence flag and the per-stage trace.
+    the number of objective calls, and whether the search met its
+    tolerances within ``_MAX_EVALS`` calls.
     """
+    from scipy.optimize import minimize
+
     names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
-    user_bounds = bounds or {}
-    bounds = {
+    box = {
         name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (v / _BOUND_SPAN, v * _BOUND_SPAN)
         for name, v in theta0.items()
     }
-    bounds.update(user_bounds)
+    box.update(bounds)
 
     def from_vector(x) -> dict:
         theta = {}
@@ -875,7 +850,7 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
         try:
             theta = from_vector(x)
             for name, value in theta.items():
-                lo, hi = bounds.get(name, (0.0, float("inf")))
+                lo, hi = box.get(name, (0.0, float("inf")))
                 if not (lo <= value <= hi) or not math.isfinite(value):
                     return float("inf")
             m = _branch_model(branch, dispersion, dim, {**fixed, **theta})
@@ -887,7 +862,7 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
     start = dict(theta0)
     for name in names:
         v = float(theta0[name])
-        lo, hi = user_bounds.get(name, (v, v))
+        lo, hi = bounds.get(name, (v, v))
         if not lo <= v <= hi:
             # to the nearer edge, 1e-12 inside it: the log/logit round trip
             # of the edge itself may land just outside
@@ -903,10 +878,19 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
         raise OptimizerStalled(
             f"objective is not finite at the initial guess {start}"
         )
-    x, f, evals, converged, trace = _nelder_mead(func, x0)
-    if f >= f0 and not np.allclose(x, x0):
-        x, f = x0, f0
-    return from_vector(x), float(f), evals, converged, trace
+    res = minimize(
+        func,
+        x0,
+        method="Nelder-Mead",
+        options={
+            "initial_simplex": np.vstack([x0, x0 + 0.25 * np.eye(x0.size)]),
+            "maxfev": _MAX_EVALS - 1,
+            "fatol": _REL_TOL * max(1.0, abs(f0)),
+            "xatol": 1e-4,
+        },
+    )
+    x, f = (res.x, float(res.fun)) if res.fun < f0 else (x0, f0)
+    return from_vector(x), f, 1 + res.nfev, bool(res.success)
 
 
 def _best_branch(starts, dispersion, dim, fixed, variogram, bounds):
@@ -916,29 +900,27 @@ def _best_branch(starts, dispersion, dim, fixed, variogram, bounds):
     later start of a branch replaces an earlier one in the record, and a
     start whose objective is not finite is listed but skipped.  Returns the
     winning ``(branch, theta, objective, converged)``, the evaluation count
-    and simplex trace of all searched starts, and the record of starts.
+    of all searched starts, and the record of starts.
     """
     best = None
     evals = 0
-    trace: list[float] = []
     record = {}
     for branch, theta0 in starts:
         record[branch] = theta0
         try:
-            theta, obj, n_ev, conv, tr = _search(
+            theta, obj, n_ev, conv = _search(
                 branch, dispersion, dim, theta0, fixed, variogram, bounds
             )
         except OptimizerStalled:
             continue
         evals += n_ev
-        trace.extend(tr)
         if best is None or obj < best[2]:
             best = (branch, theta, obj, conv)
     if best is None:
         raise OptimizerStalled(
             f"no start produced a finite objective on the {variogram.kind.value} variogram"
         )
-    return best, evals, trace, record
+    return best, evals, record
 
 
 # ---------------------------------------------------------------------------
@@ -1090,10 +1072,16 @@ def fit_marginals(
     The combined model takes the smaller of the two nuggets.  For oscillator
     models every damping regime is tried and the best temporal objective
     wins.  The reported objective is the sum of the two stage optima.
+
+    ``bounds`` maps parameter names to ``(lo, hi)`` boxes that replace the
+    default factor of 1e3 either side of each start; a name that no branch
+    of the family searches, a NaN edge or ``lo >= hi`` raises
+    :class:`DomainError` before any search.
     """
     if family not in _SPATIAL_STAGE:
         raise DomainError(f"unknown kernel family {family!r}")
     dispersion = Dispersion(dispersion)
+    bounds = _checked_bounds(bounds, family)
     dim = data.grid.dim if isinstance(data, FieldRealization) else data.dim
 
     v_s = spatial_marginal_variogram(data, bins=r_bins)
@@ -1102,14 +1090,14 @@ def fit_marginals(
     # stage A: spatial marginal
     sp_branch, placeholders = _SPATIAL_STAGE[family]
     sp_theta0 = _spatial_theta0(v_s, family, dispersion, dim)
-    sp_theta, sp_obj, sp_evals, sp_conv, sp_trace = _search(
+    sp_theta, sp_obj, sp_evals, sp_conv = _search(
         sp_branch, dispersion, dim, sp_theta0, placeholders, v_s, bounds
     )
     nugget_s = sp_theta["nugget"]
     spatial = {k: v for k, v in sp_theta.items() if k != "nugget"}
 
     # stage B: temporal marginal, every branch of the family
-    (branch, t_theta, t_obj, t_conv), t_evals, t_trace, t_starts = _best_branch(
+    (branch, t_theta, t_obj, t_conv), t_evals, t_starts = _best_branch(
         _temporal_starts(family, v_t, spatial), dispersion, dim, spatial, v_t, bounds
     )
     nugget = min(nugget_s, t_theta["nugget"])
@@ -1121,7 +1109,6 @@ def fit_marginals(
         converged=bool(sp_conv and t_conv),
         theta0={"spatial": sp_theta0, "temporal": t_starts},
         theta_star={"spatial": spatial, "temporal": t_theta, "nugget": nugget},
-        trace=tuple(sp_trace) + tuple(t_trace),
     )
 
 
@@ -1168,19 +1155,20 @@ def fit_full(
     includes.  The start sets the family and the dispersion, and seeds every
     damping regime of its family.  The winning branch's objective never
     exceeds the objective of the start, because each branch falls back to
-    its start on failure.
+    its start on failure.  ``bounds`` is checked as in :func:`fit_marginals`.
     """
     if isinstance(theta0, FitResult):
         start_model, evals0 = theta0.model, theta0.n_evaluations
     else:
         start_model, evals0 = theta0, 0
     p = start_model.params
+    bounds = _checked_bounds(bounds, start_model.family)
 
     v_st = space_time_variogram(data, r_bins=r_bins, tau_bins=tau_bins)
 
-    branches = ("ou",) if isinstance(p, OuParams) else _LDHO_BRANCHES
+    branches = _FAMILY_BRANCHES[start_model.family]
     starts = [(b, _full_theta_from_model(start_model, b)) for b in branches]
-    (branch, theta, obj, conv), evals, trace, record = _best_branch(
+    (branch, theta, obj, conv), evals, record = _best_branch(
         starts, p.dispersion, p.dim, {}, v_st, bounds
     )
     return FitResult(
@@ -1190,5 +1178,4 @@ def fit_full(
         converged=bool(conv),
         theta0=record,
         theta_star=theta,
-        trace=tuple(trace),
     )

@@ -23,6 +23,7 @@ counter-based Philox engine seeded from the grid spec, and the draw order
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -85,8 +86,8 @@ class GridSpec:
             )
         if any(n < 2 for n in ns) or int(self.nt) < 2:
             raise DomainError("every grid axis needs at least 2 nodes")
-        if any(s <= 0.0 for s in ds) or float(self.dt) <= 0.0:
-            raise DomainError("grid spacings must be positive")
+        if not all(0.0 < s < math.inf for s in ds + (float(self.dt),)):
+            raise DomainError("grid spacings must be positive and finite")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "ds", ds)
         object.__setattr__(self, "nt", int(self.nt))
@@ -307,8 +308,11 @@ def load_field(bin_path: str) -> FieldRealization:
         raise DomainError(f"missing field sidecar {sidecar_path}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{sidecar_path}: sidecar does not parse: {exc}") from exc
-    grid = GridSpec.from_dict(sidecar["grid"])
-    shape = tuple(sidecar["shape"])
+    try:
+        grid = GridSpec.from_dict(sidecar["grid"])
+        shape = tuple(sidecar["shape"])
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"{sidecar_path}: sidecar lacks its grid or shape: {exc!r}") from exc
     if shape != grid.shape:
         raise DomainError(
             f"sidecar shape {shape} disagrees with its grid {grid.shape}"

@@ -229,6 +229,19 @@ def test_simulate_rejects_a_surrogate_model(tmp_path):
     assert not (tmp_path / "field.bin").exists()
 
 
+@pytest.mark.parametrize("dt", ("inf", "nan"))
+def test_simulate_rejects_a_non_finite_step(tmp_path, model_file, dt):
+    res = run_cli(
+        "simulate", "--model", model_file, "--ns", "8,8", "--ds", "1.0,1.0",
+        "--nt", "8", "--dt", dt, "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "oscov simulate: grid spacings must be positive and finite"
+    ]
+    assert not (tmp_path / "field.bin").exists()
+
+
 # ---------------------------------------------------------------------------
 # variogram
 # ---------------------------------------------------------------------------
@@ -275,6 +288,29 @@ def test_variogram_on_a_nan_field_exits_config(tmp_path, sim_dir):
     )
     assert res.returncode == 1
     assert "not all finite" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "edit",
+    (
+        lambda side: side["grid"].update(dt=math.inf),
+        lambda side: side.pop("shape"),
+        lambda side: side.pop("grid"),
+    ),
+    ids=("dt-inf", "no-shape", "no-grid"),
+)
+def test_variogram_on_a_bad_sidecar_exits_config(tmp_path, sim_dir, edit):
+    (tmp_path / "field.bin").write_bytes((sim_dir / "field.bin").read_bytes())
+    sidecar = json.loads((sim_dir / "field.json").read_text())
+    edit(sidecar)
+    (tmp_path / "field.json").write_text(json.dumps(sidecar))
+    res = run_cli(
+        "variogram", "--field", tmp_path / "field.bin", "--kind", "spatial",
+        "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert not (tmp_path / "variogram_spatial.json").exists()
 
 
 def test_temporal_variogram_refuses_a_tolerance(tmp_path, sim_dir):

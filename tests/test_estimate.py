@@ -16,6 +16,7 @@ from conftest import station_arrays
 from hypothesis import assume, given, settings
 from scipy.spatial.distance import cdist, pdist
 
+import oscov.estimate as estimate
 from oscov.errors import (
     AllBinsSkipped,
     DomainError,
@@ -335,6 +336,13 @@ def _check_spatial_against_slice_loops(inputs, bins, tol):
         assert got[2] == cnt
 
 
+def _in_window(lags, center, tol):
+    """The estimators' window ``center - tol <= lag <= center + tol``, with
+    their rounding: ``|lag - center| <= tol`` differs from it at the edges.
+    """
+    return (lags >= center - tol) & (lags <= center + tol)
+
+
 def test_scattered_temporal_averages_location_ratios(scattered_data, grid_aligned_data):
     for inputs, bins, tol in (
         (scattered_data, [1.0, 2.0], 0.5),
@@ -354,7 +362,7 @@ def _check_temporal_against_location_loops(inputs, bins, tol):
         for loc in locs:
             sel = np.all(coords == loc, axis=1)
             _, gaps, sq = _pair_lags(coords[sel], t[sel], values[sel])
-            in_bin = np.abs(gaps - tauk) <= tol
+            in_bin = _in_window(gaps, tauk, tol)
             n = int(in_bin.sum())
             if n:
                 ratios.append(float(sq[in_bin].sum()) / (2.0 * n))
@@ -386,7 +394,7 @@ def _check_joint_against_pair_mask(inputs, r_bins, tau_bins, tol, t_tol):
     expected = []
     for tm in tau_bins:  # bins run tau-major
         for rk in r_bins:
-            mask = (d >= rk - tol) & (d <= rk + tol) & (np.abs(gaps - tm) <= t_tol)
+            mask = _in_window(d, rk, tol) & _in_window(gaps, tm, t_tol)
             if (rk, tm) != (0.0, 0.0) and mask.any():
                 expected.append((rk, tm, float(sq[mask].sum()) / (2.0 * mask.sum()), mask.sum()))
     assert len(v) == len(expected)
@@ -416,7 +424,7 @@ def _check_joint_on_arrays(coords, t, values):
             # no pair in any bin: the pair mask must agree
             d, gaps, _ = _pair_lags(coords, t, values)
             assert not any(
-                ((np.abs(d - rk) <= tol) & (np.abs(gaps - tm) <= t_tol)).any()
+                (_in_window(d, rk, tol) & _in_window(gaps, tm, t_tol)).any()
                 for tm in tau_bins for rk in r_bins if (rk, tm) != (0.0, 0.0)
             )
     return data
@@ -716,6 +724,9 @@ def test_true_parameters_beat_random_probes(dispersion):
 # ---------------------------------------------------------------------------
 
 
+_OSCILLATOR_JOINT_BINS = dict(r_bins=np.arange(0.0, 7.0), tau_bins=0.4 * np.arange(0, 26, 2))
+
+
 @pytest.fixture(scope="module")
 def oscillator_fit():
     """One simulated oscillator field pushed through both fitting stages."""
@@ -733,15 +744,13 @@ def oscillator_fit():
     g = GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.4, seed=101)
     f = simulate_field(model_true, g)
     res_m = fit_marginals(f, r_bins=np.arange(1.0, 9.0), tau_bins=0.4 * np.arange(1, 41))
-    jr = np.arange(0.0, 7.0)
-    jt = 0.4 * np.arange(0, 26, 2)
-    res_f = fit_full(f, theta0=res_m, r_bins=jr, tau_bins=jt)
-    v_joint = space_time_variogram(f, r_bins=jr, tau_bins=jt)
-    return model_true, res_m, res_f, v_joint
+    res_f = fit_full(f, theta0=res_m, **_OSCILLATOR_JOINT_BINS)
+    v_joint = space_time_variogram(f, **_OSCILLATOR_JOINT_BINS)
+    return model_true, res_m, res_f, v_joint, f
 
 
 def test_two_stage_fit_recovers_oscillator_parameters(oscillator_fit):
-    model_true, res_m, res_f, v_joint = oscillator_fit
+    model_true, res_m, res_f, v_joint, f = oscillator_fit
     p_true, p = model_true.params, res_f.model.params
     assert isinstance(p, LdhoParams)
     assert abs(p.c0 - p_true.c0) / p_true.c0 <= 0.20
@@ -753,7 +762,7 @@ def test_two_stage_fit_recovers_oscillator_parameters(oscillator_fit):
 
 
 def test_joint_stage_never_degrades_the_marginal_model(oscillator_fit):
-    model_true, res_m, res_f, v_joint = oscillator_fit
+    model_true, res_m, res_f, v_joint, f = oscillator_fit
     obj_marginal = float(wls_objective(res_m.model, v_joint))
     obj_full = float(wls_objective(res_f.model, v_joint))
     assert obj_full < obj_marginal
@@ -761,18 +770,25 @@ def test_joint_stage_never_degrades_the_marginal_model(oscillator_fit):
 
 
 def test_fit_result_records_the_search(oscillator_fit):
-    model_true, res_m, res_f, v_joint = oscillator_fit
+    model_true, res_m, res_f, v_joint, f = oscillator_fit
     for res in (res_m, res_f):
         assert res.n_evaluations > 0
         assert math.isfinite(res.objective) and res.objective >= 0.0
         assert isinstance(res.converged, bool)
-        assert len(res.trace) >= 1 and all(math.isfinite(t) for t in res.trace)
     # the joint stage counts the marginal stage's evaluations as its own
     assert res_f.n_evaluations > res_m.n_evaluations
 
 
+def test_joint_fit_from_its_own_optimum_finds_no_lower_objective(oscillator_fit):
+    # each start runs one simplex search; a second search from the joint
+    # optimum, on the same bins, must not find a markedly lower objective
+    model_true, res_m, res_f, v_joint, f = oscillator_fit
+    again = fit_full(f, theta0=res_f.model, **_OSCILLATOR_JOINT_BINS)
+    assert again.objective >= res_f.objective * (1.0 - 1e-5)
+
+
 def test_fit_result_json_round_trip(oscillator_fit):
-    model_true, res_m, res_f, v_joint = oscillator_fit
+    model_true, res_m, res_f, v_joint, f = oscillator_fit
     d = json.loads(res_f.to_json())
     assert set(d) == {
         "model",
@@ -781,7 +797,6 @@ def test_fit_result_json_round_trip(oscillator_fit):
         "converged",
         "theta0",
         "theta_star",
-        "trace",
     }
     rebuilt = KernelModel.from_dict(d["model"])
     assert rebuilt.to_dict() == res_f.model.to_dict()
@@ -912,6 +927,38 @@ def test_bounds_excluding_the_start_move_it_inside(tiny_field):
     )
     assert res.theta0["spatial"]["c0"] < 1e9
     assert 1e9 <= res.theta_star["spatial"]["c0"] <= 1e10
+
+
+@pytest.mark.parametrize(
+    "family, bounds, match",
+    (
+        ("ldho", {"tauc": (0.5, 3.0)}, "'tauc'.*no ldho branch"),
+        ("ldho", {"sigma0_sq": (0.5, 3.0)}, "'sigma0_sq'.*no ldho branch"),
+        ("ou", {"c0": (0.5, 3.0)}, "'c0'.*no ou branch"),
+        ("ldho", {"c0": (math.nan, 1e9)}, "'c0'.*NaN"),
+        ("ou", {"tau_c": (1.0, math.nan)}, "'tau_c'.*NaN"),
+        ("ldho", {"c0": (5.0, 1.0)}, "'c0'.*empty"),
+        ("ldho", {"epsilon": (2.0, 2.0)}, "'epsilon'.*empty"),
+        ("ldho", {"nugget": 0.5}, "'nugget'.*pair"),
+    ),
+)
+def test_bad_bounds_raise_before_any_search(tiny_field, monkeypatch, family, bounds, match):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the objective ran before the bounds were checked")
+
+    monkeypatch.setattr(estimate, "wls_objective", no_search)
+    f, coords, flat = tiny_field
+    if family == "ldho":
+        params = LdhoParams.from_damped_frequency(
+            c0=1.0, tau_c=1.0, omega_d=1.0, regime=Regime.UNDERDAMPED,
+            epsilon=1.0, interaction=0.5,
+        )
+    else:
+        params = OuParams(sigma0_sq=1.0, tau_c=1.0, a=1.0, scale=0.5, beta=1.0)
+    with pytest.raises(DomainError, match=match):
+        fit_marginals(f, family=family, bounds=bounds)
+    with pytest.raises(DomainError, match=match):
+        fit_full(f, theta0=KernelModel(params=params, nugget=0.1), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,6 +1097,21 @@ def test_malformed_variogram_json_raises():
         EmpiricalVariogram.from_dict(
             {"kind": "no_such_kind", "bins": [{"r": 1.0, "gamma": 0.5, "n": 3}]}
         )
+    # malformed bins: no gamma, bins not a list, a later bin without tau
+    malformed = (
+        {"kind": "spatial_marginal", "bins": [{"r": 1.0, "n": 3}]},
+        {"kind": "spatial_marginal", "bins": 5},
+        {
+            "kind": "temporal_marginal",
+            "bins": [{"tau": 0.5, "gamma": 0.5, "n": 3}, {"gamma": 0.7, "n": 2}],
+        },
+        {"kind": "spatial_marginal", "bins": [{"r": 1.0, "gamma": "high", "n": 3}]},
+    )
+    for data in malformed:
+        with pytest.raises(DomainError, match="malformed"):
+            EmpiricalVariogram.from_dict(data)
+        with pytest.raises(DomainError, match="malformed"):
+            EmpiricalVariogram.from_json(json.dumps(data))
 
 
 def test_default_bins_respect_the_sampling_geometry(tiny_field, scattered_data):

@@ -1,5 +1,6 @@
 """Spectral field synthesis: determinism, fidelity, and file interchange."""
 
+import json
 import math
 import warnings
 
@@ -48,6 +49,11 @@ def test_grid_spec_validation():
         GridSpec(ns=(8, 8, 8, 8), ds=(1.0,) * 4, nt=16, dt=0.5)
     with pytest.raises(DomainError):
         GridSpec(ns=(8,), ds=(1.0, 1.0), nt=16, dt=0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(ns=(8, 8), ds=(1.0, bad), nt=16, dt=0.5)
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=bad)
 
 
 def test_grid_spec_round_trip_and_shape():
@@ -308,3 +314,21 @@ def test_field_load_errors(tmp_path):
     values.astype("<f8").tofile(bin_path)
     with pytest.raises(DomainError, match="not all finite"):
         load_field(bin_path)
+
+    # a sidecar without its grid or shape, or with a non-finite step (json
+    # writes and reads Infinity and NaN)
+    sidecar_path = write_field(f, bin_path)
+    with open(sidecar_path) as fh:
+        good = fh.read()
+    for edit in (
+        lambda side: side.pop("grid"),
+        lambda side: side.pop("shape"),
+        lambda side: side["grid"].update(dt=math.inf),
+        lambda side: side["grid"].update(ds=[1.0, math.nan]),
+    ):
+        sidecar = json.loads(good)
+        edit(sidecar)
+        with open(sidecar_path, "w") as fh:
+            json.dump(sidecar, fh)
+        with pytest.raises(DomainError):
+            load_field(bin_path)
