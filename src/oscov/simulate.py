@@ -1,11 +1,17 @@
 """Spectral (FFT) simulation of Gaussian space-time fields on regular grids.
 
 The synthesis samples the model's spectral density on the discrete
-(k, omega) grid: it draws independent complex Gaussian amplitudes at every
-node, scales them by the square root of the node variance, inverse-FFTs and
-keeps the real part.  The real part is the transform of the amplitudes'
-Hermitian part, so no explicit pairing of k with -k is needed.  The per-node
-variance is the Riemann cell of the spectral representation,
+(k, omega) grid: it draws independent complex Gaussian amplitudes
+``a + i b`` at every node and scales them by the square root of the node
+variance.  The field is the real part of their inverse FFT, which is the
+inverse FFT of their Hermitian part
+
+    H(k) = sqrt(var(k)) / 2 * [(a(k) + a(-k)) + i (b(k) - b(-k))],
+
+with ``-k`` taken modulo each axis length (``var`` is even in k).  Only the
+half spectrum on the last axis is built, and one real inverse FFT
+(``irfftn``) turns it into the field.  The per-node variance is the Riemann
+cell of the spectral representation,
 
     var(k, omega) = C~(k, omega) * dk^d * dw / (2 pi)^(d+1)
                   = C~(k, omega) / (N_total * dt * prod(ds)),
@@ -192,11 +198,22 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         )
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    amp = np.empty(g.shape, dtype=complex)
-    amp.real = rng.standard_normal(g.shape)
-    amp.imag = rng.standard_normal(g.shape)
-    amp *= np.sqrt(var, out=var)
-    z = np.fft.ifftn(amp).real * g.n_total
+    a, b = rng.standard_normal((2,) + g.shape)
+    # the Hermitian part on the last axis's non-negative bins; `mirror` picks
+    # the -k partner of each of them
+    half = g.shape[-1] // 2 + 1
+    kept = g.shape[:-1] + (half,)
+    mirror = np.ix_(*[-np.arange(n) % size for n, size in zip(kept, g.shape)])
+    spec = np.empty(kept, dtype=complex)
+    np.add(a[..., :half], a[mirror], out=spec.real)
+    np.subtract(b[..., :half], b[mirror], out=spec.imag)
+    # free the draws and the variances before the transform allocates its own
+    del a, b
+    spec *= np.sqrt(var[..., :half])
+    del var
+    z = np.fft.irfftn(spec, s=g.shape, axes=tuple(range(g.dim + 1)))
+    # the 1/2 of H joins the inverse transform's scale
+    z *= 0.5 * g.n_total
     if m.nugget > 0.0:
         z += np.sqrt(m.nugget) * rng.standard_normal(g.shape)
 
@@ -217,6 +234,8 @@ def _lag_to_shift(lag, g: GridSpec) -> tuple[int, ...]:
             f"lag needs {g.dim + 1} components (tau, then {g.dim} spatial), "
             f"got {lag.size}"
         )
+    if not np.all(np.isfinite(lag)):
+        raise LagOutOfRange(f"lag {lag.tolist()} has a non-finite component")
     steps = (g.dt,) + g.ds
     shift = []
     for value, step, count in zip(lag, steps, (g.nt,) + g.ns):
@@ -243,10 +262,24 @@ def empirical_covariance(f: FieldRealization, lags) -> np.ndarray:
     the products of sample-mean-centered values over all in-grid pairs and
     divides by the total node count (the biased convention, which keeps the
     lag-covariance sequence positive semidefinite).
+
+    Raises
+    ------
+    DomainError
+        When the field holds a non-finite value.
+    LagOutOfRange
+        When a lag is non-finite, off the grid steps or beyond an axis.
     """
     g = f.grid
-    z = f.values - f.values.mean()
+    mean = f.values.mean()
+    # one NaN or infinity makes the mean non-finite, so this costs no extra pass
+    if not math.isfinite(mean):
+        raise DomainError("field holds non-finite values")
+    z = f.values - mean
     n_total = g.n_total
+    # one fused product-sum over the two overlapping views, no product array
+    axes = "tijk"[: z.ndim]
+    subscripts = f"{axes},{axes}->"
     out = np.empty(len(lags), dtype=float)
     for i, lag in enumerate(lags):
         shift = _lag_to_shift(lag, g)
@@ -259,7 +292,7 @@ def empirical_covariance(f: FieldRealization, lags) -> np.ndarray:
             else:
                 head.append(slice(-h, None))
                 tail.append(slice(None, count + h))
-        out[i] = float(np.sum(z[tuple(head)] * z[tuple(tail)])) / n_total
+        out[i] = float(np.einsum(subscripts, z[tuple(head)], z[tuple(tail)])) / n_total
     return out
 
 

@@ -53,12 +53,17 @@ def test_import_loads_no_submodule_and_no_scipy():
 
 
 def test_simulation_loads_no_scipy(tmp_path):
-    """Field synthesis, in the library and through the CLI, needs numpy only."""
+    """Field synthesis, in the library and through the CLI, a file round trip
+    and the empirical covariance need numpy only."""
+    field = str(tmp_path / "field.bin")
     out = _fresh_python(
         "import sys\n"
         "from oscov.cli import main\n"
+        "from oscov.simulate import empirical_covariance, load_field\n"
         "assert main(['simulate', '--figure', 'fig1', '--ns', '8,8', '--nt', '8',"
         f" '--out', {str(tmp_path)!r}]) == 0\n"
+        f"f = load_field({field!r})\n"
+        "assert len(empirical_covariance(f, [(0.0, 0.0, 0.0), (f.grid.dt, 0.0, 0.0)])) == 2\n"
         "print(*sorted(sys.modules))"
     )
     loaded = out.splitlines()[-1].split()

@@ -1,5 +1,6 @@
 """Spectral field synthesis: determinism, fidelity, and file interchange."""
 
+import itertools
 import json
 import math
 import warnings
@@ -22,6 +23,7 @@ from oscov import (
     simulate_field,
     write_field,
 )
+from oscov.simulate import _node_variances
 
 # moderate oscillation and short memory keep periodic wraparound far below
 # the Monte-Carlo noise floor on the grids used here
@@ -133,6 +135,34 @@ def test_seeded_field_values_are_pinned(nugget, grid, pinned):
         assert z[index] == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.parametrize("nugget", [0.0, 0.1], ids=["no-nugget", "nugget"])
+@pytest.mark.parametrize(
+    "ns, nt",
+    [((16,), 24), ((9,), 15), ((8, 6), 10), ((7, 5), 9), ((4, 6, 5), 8), ((5, 3, 4), 7)],
+    ids=["1d-even", "1d-odd", "2d-even", "2d-odd", "3d-mixed", "3d-odd"],
+)
+def test_half_spectrum_synthesis_matches_the_complex_transform(ns, nt, nugget):
+    # the field is the real part of the complex inverse FFT of the scaled
+    # amplitudes, drawn in the same order from the same stream; the half
+    # spectrum reproduces it up to roundoff
+    params = LdhoParams.from_damped_frequency(
+        1.0, 1.0, 2.0, Regime.UNDERDAMPED, 1.0, 0.3, dim=len(ns)
+    )
+    m = KernelModel(params, nugget=nugget)
+    g = GridSpec(ns=ns, ds=(0.5,) * len(ns), nt=nt, dt=0.25, seed=13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTruncationWarning)
+        got = simulate_field(m, g).values
+
+    rng = np.random.Generator(np.random.Philox(g.seed))
+    amp = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    amp *= np.sqrt(_node_variances(m, g))
+    expected = np.fft.ifftn(amp).real * g.n_total
+    if nugget > 0.0:
+        expected += math.sqrt(nugget) * rng.standard_normal(g.shape)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.std(expected)
+
+
 def test_provenance_records_the_recipe():
     g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=32, dt=0.25, seed=5)
     f = simulate_field(KernelModel(LOOP_PARAMS, nugget=0.1), g)
@@ -230,25 +260,31 @@ def test_white_noise_has_flat_empirical_covariance():
 
 
 def test_empirical_covariance_matches_hand_loop():
+    # the product-sum follows the grid's rank: cover 1, 2 and 3 spatial axes,
+    # with shifts of either sign on every axis
+    cases = [
+        ((6,), [(1, 0), (0, 2), (-2, 3), (3, -5)]),
+        ((4, 3), [(1, 0, 0), (0, 2, 0), (0, 0, 1), (2, 1, -1), (-1, -2, 1)]),
+        ((3, 4, 2), [(1, 0, 0, 0), (0, -2, 3, 1), (-3, 1, -1, -1), (2, 2, 0, -1)]),
+    ]
     rng = np.random.default_rng(8)
-    g = GridSpec(ns=(4, 3), ds=(1.0, 0.5), nt=5, dt=0.25)
-    values = rng.normal(0.0, 1.0, g.shape)
-    f = FieldRealization(values=values, grid=g, provenance={})
-    z = values - values.mean()
+    for ns, shifts in cases:
+        g = GridSpec(ns=ns, ds=(1.0, 0.5, 2.0)[: len(ns)], nt=5, dt=0.25)
+        values = rng.normal(0.0, 1.0, g.shape)
+        f = FieldRealization(values=values, grid=g, provenance={})
+        z = values - values.mean()
+        steps = (g.dt,) + g.ds
 
-    for shift in [(1, 0, 0), (0, 2, 0), (0, 0, 1), (2, 1, -1), (-1, -2, 1)]:
-        lag = (shift[0] * g.dt, shift[1] * g.ds[0], shift[2] * g.ds[1])
-        acc = 0.0
-        nt, n1, n2 = g.shape
-        for it in range(nt):
-            for i1 in range(n1):
-                for i2 in range(n2):
-                    jt, j1, j2 = it + shift[0], i1 + shift[1], i2 + shift[2]
-                    if 0 <= jt < nt and 0 <= j1 < n1 and 0 <= j2 < n2:
-                        acc += z[it, i1, i2] * z[jt, j1, j2]
-        expected = acc / g.n_total
-        got = empirical_covariance(f, [lag])[0]
-        assert got == pytest.approx(expected, rel=1e-12), shift
+        for shift in shifts:
+            lag = tuple(h * step for h, step in zip(shift, steps))
+            acc = 0.0
+            for i in itertools.product(*(range(n) for n in g.shape)):
+                j = tuple(a + h for a, h in zip(i, shift))
+                if all(0 <= b < n for b, n in zip(j, g.shape)):
+                    acc += z[i] * z[j]
+            expected = acc / g.n_total
+            got = empirical_covariance(f, [lag])[0]
+            assert got == pytest.approx(expected, rel=1e-12), (ns, shift)
 
 
 def test_empirical_covariance_zero_lag_is_sample_variance():
@@ -269,6 +305,21 @@ def test_empirical_covariance_lag_validation():
         empirical_covariance(f, [(0.0, 6.0, 0.0)])  # beyond the axis
     with pytest.raises(LagOutOfRange):
         empirical_covariance(f, [(0.0, 1.0)])  # wrong arity
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(LagOutOfRange, match="non-finite"):
+            empirical_covariance(f, [(0.0, bad, 0.0)])
+        with pytest.raises(LagOutOfRange, match="non-finite"):
+            empirical_covariance(f, [(bad, 0.0, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_covariance_rejects_a_non_finite_field(bad):
+    g = GridSpec(ns=(6, 6), ds=(1.0, 1.0), nt=8, dt=0.5)
+    values = np.zeros(g.shape)
+    values[3, 1, 4] = bad
+    f = FieldRealization(values=values, grid=g, provenance={})
+    with pytest.raises(DomainError, match="non-finite"):
+        empirical_covariance(f, [(0.0, 0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
