@@ -22,9 +22,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import (
     AllBinsSkipped,
@@ -226,6 +226,20 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer ``2^a 3^b 5^c >= n``: a fast real FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     """Squared-increment sums and pair counts for every lattice shift in reach.
 
@@ -251,7 +265,7 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     shifts = [np.arange(-r, r + 1) for r in reach]
     z = f.values - f.values.mean()
     axes = tuple(range(z.ndim))
-    padded = tuple(next_fast_len(n + r, real=True) for n, r in zip(z.shape, reach))
+    padded = tuple(_fast_len(n + r) for n, r in zip(z.shape, reach))
     spec = np.fft.rfftn(z, s=padded, axes=axes)
     spec = spec.real**2 + spec.imag**2
     cross = np.fft.irfftn(spec, s=padded, axes=axes)
@@ -699,37 +713,56 @@ def model_variogram(m: KernelModel, r, tau) -> np.ndarray | float:
     The nugget contributes only away from the origin, producing the usual
     discontinuity at zero lag; the origin itself is exactly zero.
     """
-    r_arr = np.asarray(r, dtype=float)
-    tau_arr = np.asarray(tau, dtype=float)
-    scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
-    out, _ = _semivariance(m, *np.broadcast_arrays(r_arr, tau_arr))
-    return float(out.reshape(())) if scalar else out
+    r_arr, tau_arr = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(tau, dtype=float))
+    out, _ = _semivariance(m, _lay_out(r_arr, tau_arr))
+    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
 
 
-def _semivariance(m: KernelModel, r: np.ndarray, tau: np.ndarray):
-    """Model semivariance at equal-shape lag arrays, and the sill ``C(0, 0)`` from the same call."""
-    cov = np.asarray(m.covariance(np.append(r, 0.0), np.append(tau, 0.0)), dtype=float)
+class _Bins(NamedTuple):
+    """Variogram bins laid out for repeated objective calls: the lags with
+    the zero lag appended, the mask of bins off the origin, the estimates
+    and their pair counts."""
+
+    r: np.ndarray
+    tau: np.ndarray
+    off_origin: np.ndarray
+    gamma: np.ndarray | None
+    counts: np.ndarray | None
+
+
+def _lay_out(r, tau, gamma=None, counts=None) -> _Bins:
+    """Bins at the lags ``r``, ``tau`` (raveled), with the zero lag appended for the sill."""
+    r, tau = np.append(r, 0.0), np.append(tau, 0.0)
+    return _Bins(r, tau, (r[:-1] != 0.0) | (tau[:-1] != 0.0), gamma, counts)
+
+
+def _semivariance(m: KernelModel, bins: _Bins):
+    """Model semivariance at the bins' lags, and the sill ``C(0, 0)`` from the same call."""
+    cov = np.asarray(m.covariance(bins.r, bins.tau), dtype=float)
     sill = cov[-1]
-    gamma = (sill - cov[:-1].reshape(r.shape) + m.nugget) * ((r != 0.0) | (tau != 0.0))
-    return gamma, sill
+    return (sill - cov[:-1] + m.nugget) * bins.off_origin, sill
 
 
-def wls_objective(m: KernelModel, v: EmpiricalVariogram) -> WlsObjective:
+def wls_objective(m: KernelModel, v: EmpiricalVariogram | _Bins) -> WlsObjective:
     """Cressie's approximate weighted least squares criterion.
 
     ``sum_bins N (gamma_hat / gamma_model - 1)^2``; bins whose model value is
     below 1e-12 of the sill are skipped (their relative error is meaningless)
-    and reported through the result's ``n_skipped``.
+    and reported through the result's ``n_skipped``.  A search passes its
+    variogram laid out once, so each call costs the kernel and one sum.
     """
-    gam_model, sill = _semivariance(m, *v.lags())
+    bins = _lay_out(*v.lags(), v.gamma, v.counts) if isinstance(v, EmpiricalVariogram) else v
+    gam_model, sill = _semivariance(m, bins)
+    gamma, counts = bins.gamma, bins.counts
     usable = gam_model > _WLS_FLOOR * (sill + m.nugget)
     n_used = int(np.count_nonzero(usable))
     if n_used == 0:
         raise AllBinsSkipped(
             "model variogram vanishes on every bin; nothing to fit against"
         )
-    ratio = v.gamma[usable] / gam_model[usable]
-    value = float((v.counts[usable] * (ratio - 1.0) ** 2).sum())
+    if n_used < usable.size:
+        gamma, counts, gam_model = gamma[usable], counts[usable], gam_model[usable]
+    value = float((counts * (gamma / gam_model - 1.0) ** 2).sum())
     return WlsObjective(value, n_skipped=usable.size - n_used, n_used=n_used)
 
 
@@ -836,6 +869,7 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
         for name, v in theta0.items()
     }
     box.update(bounds)
+    bins = _lay_out(*variogram.lags(), variogram.gamma, variogram.counts)
 
     def from_vector(x) -> dict:
         theta = {}
@@ -854,7 +888,7 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
                 if not (lo <= value <= hi) or not math.isfinite(value):
                     return float("inf")
             m = _branch_model(branch, dispersion, dim, {**fixed, **theta})
-            return float(wls_objective(m, variogram))
+            return float(wls_objective(m, bins))
         except (OscovError, ValueError, OverflowError, FloatingPointError):
             return float("inf")
 

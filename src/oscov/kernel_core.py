@@ -348,7 +348,7 @@ def _as_distance(x, name: str) -> np.ndarray:
     """A distance or wavenumber as floats; negative or NaN raises :class:`DomainError`."""
     arr = np.asarray(x, dtype=float)
     # written so that a NaN fails the test too
-    if not np.all(arr >= 0.0):
+    if not (arr >= 0.0).all():
         raise DomainError(f"{name} must be >= 0 and not NaN")
     return arr
 
@@ -365,13 +365,15 @@ def _prepare_lags(r, tau):
     """Validate and broadcast lag inputs; returns (r, |tau|, scalar_flag).
 
     Scalars become 1-element arrays: NumPy's scalar and array loops may round
-    apart, and one path gives every input shape the same value.
+    apart, and one path gives every input shape the same value.  Equal-shape
+    arrays, the hot path of a fit, skip the broadcast.
     """
     r_arr = _as_distance(r, "spatial distance r")
     tau_arr = _as_lag(tau, "time lag tau")
     scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
-    r_b, tau_b = np.broadcast_arrays(np.atleast_1d(r_arr), np.atleast_1d(tau_arr))
-    return r_b, np.abs(tau_b), scalar
+    if scalar or r_arr.shape != tau_arr.shape:
+        r_arr, tau_arr = np.broadcast_arrays(np.atleast_1d(r_arr), np.atleast_1d(tau_arr))
+    return r_arr, np.abs(tau_arr), scalar
 
 
 def _ret(value: np.ndarray, scalar: bool):

@@ -29,6 +29,7 @@ from oscov.estimate import (
     VariogramKind,
     WlsObjective,
     _default_spatial_tolerance,
+    _fast_len,
     _lag_table,
     default_spatial_bins,
     default_temporal_bins,
@@ -179,6 +180,14 @@ def _shift_pairs(f: FieldRealization):
             s, n = out.get(h, (0.0, 0))
             out[h] = (s + (z[y] - z[x]) ** 2, n + 1)
     return out
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 5001)] == [
+        next_fast_len(n, real=True) for n in range(1, 5001)
+    ]
 
 
 @pytest.mark.parametrize("g", TABLE_GRIDS, ids=("1d", "2d"))
@@ -674,6 +683,115 @@ def test_wls_all_bins_skipped_raises():
     )
     with pytest.raises(AllBinsSkipped):
         wls_objective(bare, v)
+
+
+def _parent_wls(m, v):
+    """The WLS objective as written before searches laid their bins out once:
+    ``(value.hex(), n_skipped, n_used)``, or None where every bin is skipped."""
+    r, tau = v.lags()
+    cov = np.asarray(m.covariance(np.append(r, 0.0), np.append(tau, 0.0)), dtype=float)
+    sill = cov[-1]
+    gam = (sill - cov[:-1].reshape(r.shape) + m.nugget) * ((r != 0.0) | (tau != 0.0))
+    usable = gam > 1e-12 * (sill + m.nugget)
+    n_used = int(np.count_nonzero(usable))
+    if n_used == 0:
+        return None
+    ratio = v.gamma[usable] / gam[usable]
+    value = float((v.counts[usable] * (ratio - 1.0) ** 2).sum())
+    return value.hex(), usable.size - n_used, n_used
+
+
+def _bits(w):
+    return None if w is None else (float(w).hex(), w.n_skipped, w.n_used)
+
+
+def _assert_parent_bits(m, v):
+    """``wls_objective`` on the variogram and on its laid-out bins equals the
+    parent formula bit for bit, or raises AllBinsSkipped where it skipped all."""
+    want = _parent_wls(m, v)
+    got = []
+    for arg in (v, estimate._lay_out(*v.lags(), v.gamma, v.counts)):
+        try:
+            got.append(_bits(wls_objective(m, arg)))
+        except AllBinsSkipped:
+            got.append(None)
+    assert got == [want, want], m
+
+
+def test_wls_matches_the_parent_formula_bit_for_bit(tiny_field, variants_2d):
+    f, coords, flat = tiny_field
+    variograms = (
+        spatial_marginal_variogram(f),
+        temporal_marginal_variogram(f),
+        space_time_variogram(f, r_bins=[0.0, 1.0, 2.5], tau_bins=[0.0, 0.5, 1.0, 2.0]),
+    )
+    models = [KernelModel(params=p, nugget=0.3) for _, p in variants_2d]
+    models.append(KernelModel.surrogate_of(models[0]))
+    for v in variograms:
+        for m in models:
+            _assert_parent_bits(m, v)
+    # bins under the floor: a vanishing lag and the origin of a nugget-free model
+    bare = KernelModel(params=UNDER, nugget=0.0)
+    r, tau = np.array([0.0, 1e-8, 1.0, 2.0, 0.5]), np.array([0.0, 0.0, 0.0, 0.3, 0.9])
+    v = EmpiricalVariogram(
+        kind=VariogramKind.SPACE_TIME, gamma=1.1 * model_variogram(bare, r, tau) + 0.01,
+        counts=np.arange(1, 6), r=r, tau=tau,
+    )
+    assert wls_objective(bare, v).n_skipped == 2
+    _assert_parent_bits(bare, v)
+    # every bin under the floor
+    v = EmpiricalVariogram(
+        kind=VariogramKind.SPATIAL_MARGINAL, gamma=np.zeros(2), counts=np.ones(2), r=[1e-8, 2e-8]
+    )
+    assert _parent_wls(bare, v) is None
+    _assert_parent_bits(bare, v)
+
+
+def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatch):
+    """The benchmark counts ``wls_objective`` and ``KernelModel.covariance``
+    calls from outside: a fit makes one of each per evaluation, and every
+    objective value equals the parent formula's on the searched variogram."""
+    truth = LdhoParams.from_damped_frequency(
+        c0=2.0, tau_c=2.0, omega_d=1.2, regime=Regime.UNDERDAMPED, epsilon=1.0,
+        interaction=0.5, dispersion=Dispersion.QUADRATIC, dim=2,
+    )
+    g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=48, dt=0.4, seed=5)
+    f = simulate_field(KernelModel(params=truth, nugget=0.1), g)
+    calls = {"covariance": 0}
+    records = []
+    searched = []
+    covariance, objective = KernelModel.covariance, estimate.wls_objective
+    search = estimate._search
+
+    def counted_covariance(self, r, tau):
+        calls["covariance"] += 1
+        return covariance(self, r, tau)
+
+    def recorded_objective(m, v):
+        try:
+            out = objective(m, v)
+        except AllBinsSkipped:
+            records.append((m, searched[-1], None))
+            raise
+        records.append((m, searched[-1], _bits(out)))
+        return out
+
+    def recorded_search(*args):
+        searched.append(args[5])
+        return search(*args)
+
+    monkeypatch.setattr(KernelModel, "covariance", counted_covariance)
+    monkeypatch.setattr(estimate, "wls_objective", recorded_objective)
+    monkeypatch.setattr(estimate, "_search", recorded_search)
+    res_m = fit_marginals(f, r_bins=np.arange(1.0, 6.0), tau_bins=0.4 * np.arange(1, 13))
+    res_f = fit_full(
+        f, theta0=res_m, r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2)
+    )
+    assert calls["covariance"] == len(records) > 1000
+    assert len(records) <= res_f.n_evaluations
+    monkeypatch.undo()
+    for m, v, out in records:
+        assert out == _parent_wls(m, v)
 
 
 @pytest.mark.parametrize("dispersion", [Dispersion.QUADRATIC, Dispersion.LINEAR])

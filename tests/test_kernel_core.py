@@ -35,7 +35,7 @@ from oscov import (
     temporal_kernel,
     vlrt_kernel,
 )
-from oscov.kernel_core import _OVERDAMPED_SERIES_CUT
+from oscov.kernel_core import _OVERDAMPED_SERIES_CUT, _prepare_lags
 
 UNDER = LdhoParams(2.0, 3.0, 1.5 * math.pi, 1.0, 0.4)
 
@@ -232,6 +232,51 @@ def test_kernel_rejects_negative_distance():
                              (temporal_kernel, UNDER), (interaction_functions_quadratic, UNDER)):
             with pytest.raises(DomainError):
                 func(params, tau)
+
+
+def _parent_prepare_lags(r, tau):
+    """Lag preparation as written before equal shapes skipped the broadcast."""
+    r_arr = np.asarray(r, dtype=float)
+    if not np.all(r_arr >= 0.0):
+        raise DomainError("spatial distance r must be >= 0 and not NaN")
+    tau_arr = np.asarray(tau, dtype=float)
+    if np.isnan(tau_arr).any():
+        raise DomainError("time lag tau must not be NaN")
+    scalar = r_arr.ndim == 0 and tau_arr.ndim == 0
+    r_b, tau_b = np.broadcast_arrays(np.atleast_1d(r_arr), np.atleast_1d(tau_arr))
+    return r_b, np.abs(tau_b), scalar
+
+
+def _same_lags(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert got[2] is want[2]
+
+
+@pytest.mark.parametrize(
+    "form",
+    (float, np.asarray, lambda x: [x, 1.0], lambda x: np.array([[1.0, 2.0], [x, 3.0]])),
+    ids=("scalar", "0-d", "list", "2-D"),
+)
+def test_prepare_lags_rejects_bad_lags_in_every_form(form):
+    r_msg, tau_msg = "spatial distance r must be >= 0 and not NaN", "time lag tau must not be NaN"
+    for r, tau, msg in ((-0.5, 1.0, r_msg), (np.nan, 1.0, r_msg), (0.5, np.nan, tau_msg)):
+        with pytest.raises(DomainError, match=msg):
+            _prepare_lags(form(r), form(tau))
+
+
+def test_prepare_lags_broadcasts_and_keeps_the_parent_values():
+    r = np.linspace(0.0, 2.0, 3)[:, None]
+    tau = np.array([-1.5, 0.0, 0.5, 3.0])
+    r_b, tau_b = np.broadcast_arrays(r, tau)
+    got = _prepare_lags(r, tau)
+    _same_lags(got, (r_b, np.abs(tau_b), False))
+    _same_lags(got, _parent_prepare_lags(r, tau))
+    # a signed zero distance and infinite time lags pass as before
+    for r, tau in ((-0.0, np.inf), (-0.0, -np.inf), (np.asarray(-0.0), np.asarray(-np.inf)),
+                   ([-0.0, 1.0], [np.inf, -np.inf]), (np.array([[-0.0]]), [-np.inf, 2.0])):
+        _same_lags(_prepare_lags(r, tau), _parent_prepare_lags(r, tau))
 
 
 def test_marginal_consistency_all_variants(variants_by_dim):
