@@ -122,12 +122,15 @@ class EmpiricalVariogram:
             raise DomainError("spatial lags r must be finite and >= 0")
         if tau is not None and not np.all(np.isfinite(tau)):
             raise DomainError("time lags tau must be finite")
+        tolerance = float(self.tolerance)
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise DomainError(f"bin tolerance must be finite and >= 0, got {tolerance}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "tolerance", tolerance)
 
     def __len__(self) -> int:
         return self.gamma.size
@@ -299,10 +302,23 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     return sums.reshape(-1, k), counts.reshape(-1, k), dist
 
 
-def _drop_empty(kind, centers_r, centers_t, gamma, counts, tolerance):
-    """Assemble an EmpiricalVariogram, warning for and dropping empty bins."""
-    gamma = np.asarray(gamma, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
+def _grid_cells(f: FieldRealization, max_step, r_max: float):
+    """Time step, distance, squared-increment sum and pair count of each
+    non-empty cell of :func:`_lag_table` up to ``max_step`` (at most
+    ``nt - 1``).  Step 0 keeps one of ``h`` and ``-h``, so no pair repeats.
+    """
+    sums, counts, dist = _lag_table(f, int(min(max_step, f.grid.nt - 1)), r_max)
+    # in C order the columns up to the origin mirror those past it
+    counts[0, : dist.size // 2 + 1] = 0
+    step, col = np.nonzero(counts)
+    return step, dist[col], sums[step, col], counts[step, col]
+
+
+def _drop_empty(kind, centers_r, centers_t, sums, counts, tolerance):
+    """Assemble an EmpiricalVariogram with ``gamma = sums / 2 counts`` per bin,
+    warning for and dropping empty bins."""
+    gamma = 0.5 * np.asarray(sums, dtype=float).ravel()
+    counts = np.asarray(counts, dtype=np.int64).ravel()
     keep = counts >= 1
     for idx in np.nonzero(~keep)[0]:
         where = []
@@ -321,6 +337,24 @@ def _drop_empty(kind, centers_r, centers_t, gamma, counts, tolerance):
         tau=None if centers_t is None else np.asarray(centers_t, dtype=float)[keep],
         tolerance=tolerance,
     )
+
+
+def _lag_bins(bins, name: str) -> np.ndarray:
+    """Bin centers in ascending order; each must be a finite lag >= 0."""
+    bins = np.sort(np.atleast_1d(np.asarray(bins, dtype=float)))
+    if not np.all(np.isfinite(bins) & (bins >= 0.0)):
+        raise DomainError(f"{name} must be finite and >= 0, got {bins}")
+    return bins
+
+
+def _spatial_tolerance(data, tolerance) -> float:
+    """The spatial bin half-width: the given one, checked, or the default."""
+    if tolerance is None:
+        return _default_spatial_tolerance(data)
+    tolerance = float(tolerance)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"spatial tolerance must be finite and >= 0, got {tolerance}")
+    return tolerance
 
 
 def _default_spatial_tolerance(data) -> float:
@@ -347,7 +381,10 @@ def _default_spatial_tolerance(data) -> float:
     nn = d.min(axis=1)
     if table is not None:
         nn = nn[table.site_of[sample]]
-    return 0.5 * float(np.median(nn))
+    tolerance = 0.5 * float(np.median(nn))
+    if not math.isfinite(tolerance):
+        raise DomainError("need two distinct sites for a default spatial tolerance")
+    return tolerance
 
 
 def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
@@ -416,16 +453,13 @@ def _half_median_gap(times: np.ndarray) -> float:
     return 0.5 * float(np.median(gaps)) if gaps.size else 0.0
 
 
-def _as_time_steps(tau_bins, dt: float) -> list[int]:
-    steps = []
-    for tau in np.atleast_1d(np.asarray(tau_bins, dtype=float)):
-        ratio = abs(tau) / dt
-        m = round(ratio)
-        if abs(ratio - m) > 1e-9 * max(1.0, ratio):
-            raise DomainError(
-                f"temporal lag {tau} is not a multiple of the grid step {dt}"
-            )
-        steps.append(int(m))
+def _as_time_steps(tau_bins: np.ndarray, dt: float) -> np.ndarray:
+    """Each lag as a whole number of grid steps (as floats); off-grid lags raise."""
+    ratio = tau_bins / dt
+    steps = np.round(ratio)
+    off = np.abs(ratio - steps) > 1e-9 * np.maximum(1.0, ratio)
+    if off.any():
+        raise DomainError(f"temporal lag {tau_bins[off][0]} is not a multiple of the grid step {dt}")
     return steps
 
 
@@ -483,9 +517,9 @@ def _group_average(labels, values, lags_of, bins, tolerance: float):
     """Semivariance per bin, averaged over the groups of points sharing a label.
 
     Pairs form within groups only; ``lags_of(i, j)`` gives their lags.  Each
-    group's ratio ``sum / (2 n)`` counts in the bins it populates, and a bin's
-    estimate is the mean of those ratios.  Returns the estimate times the
-    pair count (the sums :func:`_drop_empty` divides) and the pair count.
+    group's ratio ``sum / n`` counts in the bins it populates, and a bin's
+    estimate is half the mean of those ratios.  Returns the mean times the
+    pair count (the sums :func:`_drop_empty` takes) and the pair count.
     """
     uniq, labels = np.unique(labels, axis=0, return_inverse=True)
     labels = labels.ravel()
@@ -494,11 +528,11 @@ def _group_average(labels, values, lags_of, bins, tolerance: float):
         labels[i], len(uniq), lags_of(i, j), (values[i] - values[j]) ** 2, bins, tolerance
     )
     hit = counts > 0
-    ratios = np.where(hit, sums / (2.0 * np.maximum(counts, 1)), 0.0)
+    ratios = np.where(hit, sums / np.maximum(counts, 1), 0.0)
     hits = hit.sum(axis=0)
     total = counts.sum(axis=0)
-    gamma = np.where(hits > 0, ratios.sum(axis=0) / np.maximum(hits, 1), 0.0)
-    return gamma * np.maximum(total, 1), total
+    mean = np.where(hits > 0, ratios.sum(axis=0) / np.maximum(hits, 1), 0.0)
+    return mean * np.maximum(total, 1), total
 
 
 def _pair_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -568,64 +602,48 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
     Each bin collects pairs whose separation falls within ``tolerance`` of
     the bin center; pairs are formed within time slices only.  On a grid the
     per-slice geometry repeats, so the slice average reduces to one pooled
-    ratio; for scattered data each slice is normalized separately and slices
-    are averaged, matching the estimator's definition.
+    ratio over the time-step-0 cells; for scattered data each slice is
+    normalized separately and slices are averaged, matching the estimator's
+    definition.
     """
     if bins is None:
         bins = default_spatial_bins(data)
-    bins = np.sort(np.atleast_1d(np.asarray(bins, dtype=float)))
-    if tolerance is None:
-        tolerance = _default_spatial_tolerance(data)
-    tolerance = float(tolerance)
+    bins = _lag_bins(bins, "spatial bins")
+    tolerance = _spatial_tolerance(data, tolerance)
 
     if isinstance(data, FieldRealization):
-        # the full row counts each unordered pair twice, once per sign of h
-        sums, counts, dist = _lag_table(data, 0, float(bins.max()) + tolerance)
-        members = (dist >= bins[:, None] - tolerance) & (dist <= bins[:, None] + tolerance)
-        return _drop_empty(
-            VariogramKind.SPATIAL_MARGINAL,
-            bins,
-            None,
-            0.25 * (members * sums[0]).sum(axis=1),
-            (members * counts[0]).sum(axis=1) // 2,
-            tolerance,
+        step, dist, sq, n = _grid_cells(data, 0, bins.max(initial=0.0) + tolerance)
+        sums, counts = _window_sums(step, 1, dist, sq, bins, tolerance, n)
+    else:
+        coords = data.coords
+        sums, counts = _group_average(
+            data.times, data.values, lambda i, j: _pair_distances(coords, i, j), bins, tolerance
         )
-
-    coords = data.coords
-    sums, counts = _group_average(
-        data.times, data.values, lambda i, j: _pair_distances(coords, i, j), bins, tolerance
-    )
     return _drop_empty(VariogramKind.SPATIAL_MARGINAL, bins, None, sums, counts, tolerance)
 
 
 def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
     """Temporal semivariance at each lag, averaged over locations.
 
-    Scattered data bin the pairs within half the median time gap of a lag.
+    A grid bins its zero-distance cells on whole time steps, so a lag of zero
+    or past the time axis finds none; scattered data bin the pairs within
+    half the median time gap of a lag.
     """
     if bins is None:
         bins = default_temporal_bins(data)
-    bins = np.sort(np.atleast_1d(np.asarray(bins, dtype=float)))
+    bins = _lag_bins(bins, "temporal bins")
 
     if isinstance(data, FieldRealization):
-        # lags of zero or beyond the grid read the origin entry, which is empty
-        steps = np.array(_as_time_steps(bins, data.grid.dt), dtype=np.int64)
-        steps[steps >= data.grid.nt] = 0
-        sums, counts, _ = _lag_table(data, int(steps.max(initial=0)), 0.0)
-        return _drop_empty(
-            VariogramKind.TEMPORAL_MARGINAL,
-            None,
-            bins,
-            0.5 * sums[steps, 0],
-            counts[steps, 0],
-            0.0,
+        tolerance = 0.0
+        steps = _as_time_steps(bins, data.grid.dt)
+        step, _, sq, n = _grid_cells(data, steps.max(initial=0.0), 0.0)
+        sums, counts = _window_sums(np.zeros_like(step), 1, step, sq, steps, tolerance, n)
+    else:
+        times = data.times
+        tolerance = _half_median_gap(times)
+        sums, counts = _group_average(
+            data.coords, data.values, lambda i, j: np.abs(times[i] - times[j]), bins, tolerance
         )
-
-    times = data.times
-    tolerance = _half_median_gap(times)
-    sums, counts = _group_average(
-        data.coords, data.values, lambda i, j: np.abs(times[i] - times[j]), bins, tolerance
-    )
     return _drop_empty(VariogramKind.TEMPORAL_MARGINAL, None, bins, sums, counts, tolerance)
 
 
@@ -634,72 +652,50 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
 
     The (0, 0) class is excluded by construction: a point is never paired
     with itself.  Temporal lags use their absolute value, so the estimate is
-    symmetric under reversing the time ordering.  On grids the bin count is
-    ``(N_T - m) N(r_k)`` with ``N(r_k)`` the per-slice pair count of the
-    spatial class, matching the marginal estimators' conventions.
+    symmetric under reversing the time ordering.  A bin counts each distinct
+    pair of points once, except on grids at ``tau = 0``, where it counts each
+    node pair twice (once per sign of the spatial shift): there the counts
+    are twice the spatial marginal's per-slice ``N(r_k)`` times ``N_T``.
     """
     if r_bins is None:
         r_bins = np.concatenate([[0.0], default_spatial_bins(data, n_bins=6)])
-    if tau_bins is None:
-        if isinstance(data, FieldRealization):
-            g = data.grid
-            top = min(24, g.nt - 1)
-            tau_bins = g.dt * np.arange(0, top + 1, 2)
-        else:
-            tau_bins = np.concatenate([[0.0], default_temporal_bins(data)])
-    r_bins = np.sort(np.atleast_1d(np.asarray(r_bins, dtype=float)))
-    tau_bins = np.sort(np.atleast_1d(np.asarray(tau_bins, dtype=float)))
-    if tolerance is None:
-        tolerance = _default_spatial_tolerance(data)
-    tolerance = float(tolerance)
+    if tau_bins is None and isinstance(data, FieldRealization):
+        tau_bins = data.grid.dt * np.arange(0, min(24, data.grid.nt - 1) + 1, 2)
+    elif tau_bins is None:
+        tau_bins = np.concatenate([[0.0], default_temporal_bins(data)])
+    r_bins = _lag_bins(r_bins, "spatial bins")
+    tau_bins = _lag_bins(tau_bins, "temporal bins")
+    tolerance = _spatial_tolerance(data, tolerance)
 
     # bins in tau-major order, without the (0, 0) class
     grid_t, grid_r = np.meshgrid(tau_bins, r_bins, indexing="ij")
     keep = ~((grid_r == 0.0) & (grid_t == 0.0)).ravel()
     centers_r, centers_t = grid_r.ravel()[keep], grid_t.ravel()[keep]
 
+    # every item (a cell, a pair or a station cell) in each temporal window
+    # that holds its lag; the window is its group for the spatial windows
     if isinstance(data, FieldRealization):
-        steps = np.array(_as_time_steps(centers_t, data.grid.dt), dtype=np.int64)
-        inside = steps < data.grid.nt
-        steps[~inside] = 0
-        table, pair_counts, dist = _lag_table(
-            data, int(steps.max(initial=0)), float(r_bins.max()) + tolerance
+        steps = _as_time_steps(tau_bins, data.grid.dt)
+        step, dist, sq, n = _grid_cells(
+            data, steps.max(initial=0.0), r_bins.max(initial=0.0) + tolerance
         )
-        members = (dist >= centers_r[:, None] - tolerance) & (
-            dist <= centers_r[:, None] + tolerance
-        )
-        members &= inside[:, None]  # lags past the time axis read row 0
-        return _drop_empty(
-            VariogramKind.SPACE_TIME,
-            centers_r,
-            centers_t,
-            0.5 * (members * table[steps]).sum(axis=1),
-            (members * pair_counts[steps]).sum(axis=1),
-            tolerance,
-        )
-
-    # the temporal window of each pair is its group for the spatial windows
-    times, values = data.times, data.values
-    t_tol = _half_median_gap(times)
-    if data.stations is None:
+        # as documented above: a tau = 0 node pair counts once per sign of h
+        twice = np.where(step == 0, 2, 1)
+        item, window = _windows(step, steps, 0.0)
+        dist, sq, n = dist[item], (twice * sq)[item], (twice * n)[item]
+    elif data.stations is None:
+        times, values = data.times, data.values
         i, j = _pairs(np.zeros(len(times), dtype=np.int64))
-        it, kt = _windows(np.abs(times[i] - times[j]), tau_bins, t_tol)
-        i, j = i[it], j[it]
-        sums, counts = _window_sums(
-            kt, tau_bins.size, _pair_distances(data.coords, i, j),
-            (values[i] - values[j]) ** 2, r_bins, tolerance,
-        )
+        item, window = _windows(np.abs(times[i] - times[j]), tau_bins, _half_median_gap(times))
+        i, j = i[item], j[item]
+        dist, sq, n = _pair_distances(data.coords, i, j), (values[i] - values[j]) ** 2, None
     else:
-        kt, dist, sq, n_pairs = _station_window_sums(data.stations, values, tau_bins, t_tol)
-        sums, counts = _window_sums(kt, tau_bins.size, dist, sq, r_bins, tolerance, n_pairs)
-    return _drop_empty(
-        VariogramKind.SPACE_TIME,
-        centers_r,
-        centers_t,
-        0.5 * sums.ravel()[keep],
-        counts.ravel()[keep],
-        tolerance,
-    )
+        window, dist, sq, n = _station_window_sums(
+            data.stations, data.values, tau_bins, _half_median_gap(data.times)
+        )
+    sums, counts = _window_sums(window, tau_bins.size, dist, sq, r_bins, tolerance, n)
+    sums, counts = sums.ravel()[keep], counts.ravel()[keep]
+    return _drop_empty(VariogramKind.SPACE_TIME, centers_r, centers_t, sums, counts, tolerance)
 
 
 # ---------------------------------------------------------------------------

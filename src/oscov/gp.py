@@ -590,6 +590,10 @@ def write_predictions_csv(path, query, means, variances) -> None:
     d = coords.shape[1]
     means = np.asarray(means, dtype=float).ravel()
     variances = np.asarray(variances, dtype=float).ravel()
+    if not times.size == means.size == variances.size:
+        raise DimensionMismatch(
+            f"{times.size} queries but {means.size} means and {variances.size} variances"
+        )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"s{i + 1}" for i in range(d)] + ["t", "mean", "variance"])

@@ -1,12 +1,18 @@
 """Shared fixtures: the kernel variant roster and the acceptance report hook."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from oscov import Dispersion, LdhoParams, OuParams
+
+# The tests' subprocesses (`python -m oscov.cli`, fresh interpreters) import
+# the package from this tree, as the tests themselves do.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Filled by the acceptance tests through the `acceptance` fixture; printed as
 # one line per criterion in the terminal summary.

@@ -325,6 +325,23 @@ def test_temporal_variogram_refuses_a_tolerance(tmp_path, sim_dir):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    (
+        ("--kind", "spatial", "--tolerance", "nan"),
+        ("--kind", "space_time", "--tolerance", "-1"),
+        ("--kind", "spatial", "--r-bins", "1,inf"),
+        ("--kind", "temporal", "--tau-bins", "0.25,nan"),
+    ),
+    ids=("tolerance-nan", "tolerance-negative", "r-bins-inf", "tau-bins-nan"),
+)
+def test_variogram_refuses_bad_bins_and_tolerances(tmp_path, sim_dir, flags):
+    res = run_cli("variogram", "--field", sim_dir / "field.bin", *flags, "--out", tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and "must be finite and >= 0" in res.stderr
+    assert not list(tmp_path.glob("variogram_*.json"))
+
+
+@pytest.mark.parametrize(
     "kind, flag, value",
     (("temporal", "--r-bins", "1,2"), ("spatial", "--tau-bins", "0.5,1")),
 )

@@ -511,6 +511,13 @@ def test_default_tolerance_is_half_the_median_nearest_neighbour(sites, times):
     assert _default_spatial_tolerance(data) == 0.5 * float(np.median(d.min(axis=1)))
 
 
+def test_one_site_has_no_default_tolerance():
+    # every distance is zero, so no nearest-neighbour distance sets a width
+    data = SpaceTimeDataset.from_arrays(np.zeros((6, 2)), 0.5 * np.arange(6), np.arange(6.0))
+    with pytest.raises(DomainError, match="two distinct sites"):
+        space_time_variogram(data, r_bins=[0.0, 1.0], tau_bins=[0.0, 0.5])
+
+
 def test_white_noise_semivariance_is_unbiased():
     # iid noise has a flat variogram at the marginal variance, so any
     # systematic offset in the estimators shows up as seed-averaged bias
@@ -1117,6 +1124,69 @@ def test_temporal_bins_must_align_with_the_grid(tiny_field):
         temporal_marginal_variogram(f, bins=np.array([0.3]))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -1.0))
+def test_estimators_reject_bad_bins_and_tolerances(tiny_field, scattered_data, bad):
+    # grid and scattered data alike, before any binning pass
+    for data in (tiny_field[0], scattered_data[0]):
+        calls = (
+            lambda: spatial_marginal_variogram(data, bins=[1.0, bad], tolerance=0.5),
+            lambda: spatial_marginal_variogram(data, bins=[1.0, 2.0], tolerance=bad),
+            lambda: temporal_marginal_variogram(data, bins=[0.5, bad]),
+            lambda: space_time_variogram(data, r_bins=[0.0, bad], tau_bins=[0.0, 0.5]),
+            lambda: space_time_variogram(data, r_bins=[0.0, 1.0], tau_bins=[bad, 0.5]),
+            lambda: space_time_variogram(
+                data, r_bins=[0.0, 1.0], tau_bins=[0.0, 0.5], tolerance=bad
+            ),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="must be finite and >= 0"):
+                call()
+
+
+def _lattice_and_dataset(ns, ds, nt, dt, seed):
+    """A random field on a lattice and the same nodes as a scattered dataset."""
+    g = GridSpec(ns=ns, ds=ds, nt=nt, dt=dt, seed=0)
+    z = np.random.default_rng(seed).standard_normal((nt,) + ns)
+    idx = np.indices(z.shape).reshape(z.ndim, -1)
+    coords = np.stack([i * s for i, s in zip(idx[1:], ds)], axis=1)
+    data = SpaceTimeDataset.from_arrays(coords, dt * idx[0], z.ravel())
+    return FieldRealization(values=z, grid=g, provenance={}), data
+
+
+@pytest.mark.parametrize(
+    "ns, ds, nt, dt, r_bins, tol",
+    (
+        ((6, 5), (1.0, 1.0), 7, 0.5, [1.0, 2.0, 3.0, 4.0], 0.5),
+        ((9,), (0.5,), 6, 0.25, [0.5, 1.0, 1.5, 2.0, 3.5], 0.5),
+    ),
+    ids=("6x5x7", "9x6"),
+)
+def test_gridded_marginals_equal_the_scattered_ones(ns, ds, nt, dt, r_bins, tol):
+    # every slice and every location holds the same pairs, so the scattered
+    # estimators' slice and location averages equal the grid's pooled ratios;
+    # power-of-two steps make every lag exact, window edges included
+    f, data = _lattice_and_dataset(ns, ds, nt, dt, seed=len(ns))
+    assert data.stations is not None
+    tau_bins = dt * np.arange(1, nt)
+    for grid_v, scattered_v in (
+        (spatial_marginal_variogram(f, r_bins, tol), spatial_marginal_variogram(data, r_bins, tol)),
+        (temporal_marginal_variogram(f, tau_bins), temporal_marginal_variogram(data, tau_bins)),
+    ):
+        assert np.array_equal(grid_v.counts, scattered_v.counts)
+        np.testing.assert_allclose(grid_v.gamma, scattered_v.gamma, rtol=1e-12, atol=0.0)
+        for a, b in ((grid_v.r, scattered_v.r), (grid_v.tau, scattered_v.tau)):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    # the joint estimators agree too, except that the grid counts each
+    # tau = 0 node pair twice, once per sign of the spatial shift
+    joint = dict(r_bins=[0.0] + r_bins, tau_bins=dt * np.arange(0, nt, 2), tolerance=tol)
+    grid_v, scattered_v = space_time_variogram(f, **joint), space_time_variogram(data, **joint)
+    assert np.array_equal(grid_v.tau, scattered_v.tau)
+    twice = np.where(grid_v.tau == 0.0, 2, 1)
+    assert np.array_equal(grid_v.counts, twice * scattered_v.counts)
+    np.testing.assert_allclose(grid_v.gamma, scattered_v.gamma, rtol=1e-12, atol=0.0)
+
+
 def test_variogram_container_validation():
     good = dict(gamma=[0.5, 0.7], counts=[3, 4], r=[1.0, 2.0])
     EmpiricalVariogram(kind=VariogramKind.SPATIAL_MARGINAL, **good)
@@ -1187,6 +1257,13 @@ def test_variogram_container_validation():
     text = '{"kind": "temporal_marginal", "bins": [{"tau": Infinity, "gamma": 0.5, "n": 3}]}'
     with pytest.raises(DomainError, match="time lags"):
         EmpiricalVariogram.from_json(text)
+    for literal in ("NaN", "Infinity", "-0.5"):
+        text = (
+            '{"kind": "spatial_marginal", "bins": [{"r": 1.0, "gamma": 0.5, "n": 3}], '
+            f'"tolerance": {literal}}}'
+        )
+        with pytest.raises(DomainError, match="tolerance"):
+            EmpiricalVariogram.from_json(text)
 
 
 def test_variogram_json_round_trip(tiny_field):

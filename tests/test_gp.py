@@ -535,3 +535,12 @@ def test_predictions_csv(tmp_path):
     row = [float(c) for c in lines[1].split(",")]
     assert row[3] == pytest.approx(means[0], rel=1e-15)
     assert row[4] == pytest.approx(variances[0], rel=1e-15)
+
+
+def test_predictions_csv_refuses_unequal_columns(tmp_path):
+    # three queries, two means and one variance: no row may be dropped silently
+    queries = random_points(np.random.default_rng(4), 3, 2)
+    out = tmp_path / "pred.csv"
+    with pytest.raises(DimensionMismatch, match="3 queries"):
+        write_predictions_csv(out, queries, [0.1, 0.2], [0.3])
+    assert not out.exists()

@@ -1,6 +1,5 @@
 """The package namespace: public names resolve lazily, on first use."""
 
-import os
 import subprocess
 import sys
 
@@ -33,11 +32,8 @@ EXPORTED = {
 
 
 def _fresh_python(code: str) -> str:
-    src = os.path.dirname(os.path.dirname(oscov.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
