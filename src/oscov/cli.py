@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -189,6 +190,9 @@ def cmd_eval(args) -> int:
         raise _UsageError("--nr and --ntau must be at least 1")
     r_max = DEFAULT_R_MAX if args.r_max is None else args.r_max
     tau_max = DEFAULT_TAU_MAX if args.tau_max is None else args.tau_max
+    for flag, value in (("--r-max", r_max), ("--tau-max", tau_max)):
+        if not 0.0 <= value < math.inf:
+            raise _UsageError(f"{flag} must be finite and >= 0, got {value}")
     rs = np.linspace(0.0, r_max, args.nr) if args.nr > 1 else np.array([0.0])
     taus = np.linspace(0.0, tau_max, args.ntau) if args.ntau > 1 else np.array([0.0])
 

@@ -10,13 +10,15 @@ starting from the marginal estimates.
 
 All hyperparameters are positive, so each start runs one Nelder-Mead
 search in log coordinates; the overdamped branch parametrizes the damping
-ratio through a logistic map so the regime constraint never binds.  Because
-the damping regime of real data is unknown a priori, the fitting entry points
-try all three regimes and keep the lowest objective.
+ratio through a logistic map so the regime constraint never binds.  The
+search is SciPy's Nelder-Mead reproduced step for step, so fits load no SciPy
+optimizer.  Because the damping regime of real data is unknown a priori, the
+fitting entry points try all three regimes and keep the lowest objective.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -844,6 +846,64 @@ def _checked_bounds(bounds, family: str) -> dict:
     return checked
 
 
+class _BudgetSpent(Exception):
+    """The search's call budget ran out in the middle of an iteration."""
+
+
+def _nelder_mead(func, sim, maxfev: int, fatol: float, xatol: float):
+    """Nelder & Mead (1965) from the simplex ``sim`` (N+1 rows of N), step
+    for step as SciPy 1.17's ``minimize(method="Nelder-Mead")`` runs without
+    bounds or adaptive coefficients, so its iterates match SciPy's bit for
+    bit.  A call beyond ``maxfev`` ends its iteration.  Returns the best
+    vertex, its value, the call count and whether the tolerances held.
+    """
+    sim = np.array(sim, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(x)
+
+    with contextlib.suppress(_BudgetSpent):
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    ind = fsim.argsort()
+    sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    while calls < maxfev:
+        with contextlib.suppress(_BudgetSpent):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # contract outside the simplex or inside it; failing that, shrink
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    return sim[0], np.min(fsim), calls, calls < maxfev
+
+
 def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
     """One Nelder-Mead search over the branch's parameters not in ``fixed``.
 
@@ -857,8 +917,6 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
     the number of objective calls, and whether the search met its
     tolerances within ``_MAX_EVALS`` calls.
     """
-    from scipy.optimize import minimize
-
     names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
     box = {
         name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (v / _BOUND_SPAN, v * _BOUND_SPAN)
@@ -908,19 +966,10 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
         raise OptimizerStalled(
             f"objective is not finite at the initial guess {start}"
         )
-    res = minimize(
-        func,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": np.vstack([x0, x0 + 0.25 * np.eye(x0.size)]),
-            "maxfev": _MAX_EVALS - 1,
-            "fatol": _REL_TOL * max(1.0, abs(f0)),
-            "xatol": 1e-4,
-        },
-    )
-    x, f = (res.x, float(res.fun)) if res.fun < f0 else (x0, f0)
-    return from_vector(x), f, 1 + res.nfev, bool(res.success)
+    sim, fatol = np.vstack([x0, x0 + 0.25 * np.eye(x0.size)]), _REL_TOL * max(1.0, abs(f0))
+    x, fun, nfev, success = _nelder_mead(func, sim, _MAX_EVALS - 1, fatol, 1e-4)
+    x, f = (x, float(fun)) if fun < f0 else (x0, f0)
+    return from_vector(x), f, 1 + nfev, success
 
 
 def _best_branch(starts, dispersion, dim, fixed, variogram, bounds):

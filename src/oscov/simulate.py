@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -94,11 +95,17 @@ class GridSpec:
             raise DomainError("every grid axis needs at least 2 nodes")
         if not all(0.0 < s < math.inf for s in ds + (float(self.dt),)):
             raise DomainError("grid spacings must be positive and finite")
+        seed = self.seed
+        integral = isinstance(seed, numbers.Integral) or (
+            isinstance(seed, numbers.Real) and float(seed).is_integer()
+        )
+        if not integral or seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "ds", ds)
         object.__setattr__(self, "nt", int(self.nt))
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", int(seed))
 
     @property
     def dim(self) -> int:
@@ -346,6 +353,8 @@ def load_field(bin_path: str) -> FieldRealization:
         shape = tuple(sidecar["shape"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"{sidecar_path}: sidecar lacks its grid or shape: {exc!r}") from exc
+    except DomainError as exc:
+        raise DomainError(f"{sidecar_path}: {exc}") from exc
     if shape != grid.shape:
         raise DomainError(
             f"sidecar shape {shape} disagrees with its grid {grid.shape}"

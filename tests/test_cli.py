@@ -132,6 +132,17 @@ def test_eval_degenerate_grid_is_the_origin(tmp_path):
     assert row[6] == 1.0  # interaction ratio at the origin
 
 
+@pytest.mark.parametrize("value", ("inf", "nan", "-1"))
+@pytest.mark.parametrize("flag", ("--r-max", "--tau-max"))
+def test_eval_refuses_a_bad_lag_range(tmp_path, flag, value):
+    res = run_cli("eval", "--figure", "fig1", flag, value, "--out", tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        f"oscov eval: {flag} must be finite and >= 0, got {float(value)}"
+    ]
+    assert not (tmp_path / "kernel_grid.csv").exists()
+
+
 def test_eval_grid_matches_direct_library_calls(tmp_path, model_file):
     res = run_cli(
         "eval", "--model", model_file, "--nr", 5, "--ntau", 4,
@@ -242,6 +253,18 @@ def test_simulate_rejects_a_non_finite_step(tmp_path, model_file, dt):
     assert not (tmp_path / "field.bin").exists()
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, model_file):
+    res = run_cli(
+        "simulate", "--model", model_file, "--ns", "8,8", "--ds", "1.0,1.0",
+        "--nt", "8", "--dt", "0.5", "--seed", "-3", "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "oscov simulate: seed must be a non-negative integer, got -3"
+    ]
+    assert not (tmp_path / "field.bin").exists()
+
+
 # ---------------------------------------------------------------------------
 # variogram
 # ---------------------------------------------------------------------------
@@ -296,8 +319,9 @@ def test_variogram_on_a_nan_field_exits_config(tmp_path, sim_dir):
         lambda side: side["grid"].update(dt=math.inf),
         lambda side: side.pop("shape"),
         lambda side: side.pop("grid"),
+        lambda side: side["grid"].update(seed=-3),
     ),
-    ids=("dt-inf", "no-shape", "no-grid"),
+    ids=("dt-inf", "no-shape", "no-grid", "seed-negative"),
 )
 def test_variogram_on_a_bad_sidecar_exits_config(tmp_path, sim_dir, edit):
     (tmp_path / "field.bin").write_bytes((sim_dir / "field.bin").read_bytes())
@@ -310,6 +334,7 @@ def test_variogram_on_a_bad_sidecar_exits_config(tmp_path, sim_dir, edit):
     )
     assert res.returncode == 1
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert str(tmp_path / "field.json") in res.stderr
     assert not (tmp_path / "variogram_spatial.json").exists()
 
 

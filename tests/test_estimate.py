@@ -845,6 +845,60 @@ def test_true_parameters_beat_random_probes(dispersion):
 
 
 # ---------------------------------------------------------------------------
+# the simplex search against SciPy's
+# ---------------------------------------------------------------------------
+
+
+def _weighted_quadratic(x):
+    return float(np.sum(np.arange(1, x.size + 1) * (x - 0.3) ** 2))
+
+
+def _walled_quadratic(x):
+    # the minimum lies beyond a wall at 0.2, as beyond an edge of a search box
+    return math.inf if np.any(x > 0.2) else _weighted_quadratic(x)
+
+
+def _rosenbrock(x):
+    y = np.append(x, 1.0)
+    return float(np.sum(100.0 * (y[1:] - y[:-1] ** 2) ** 2 + (1.0 - y[:-1]) ** 2))
+
+
+def _abs_sum(x):
+    return float(np.sum(np.abs(x - np.linspace(-1.0, 1.0, x.size))))
+
+
+@pytest.mark.parametrize("case", ["fit-like", "tight", "capped"])
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize(
+    "objective", [_weighted_quadratic, _walled_quadratic, _rosenbrock, _abs_sum]
+)
+def test_nelder_mead_matches_scipy_bit_for_bit(objective, dim, case):
+    """The search takes SciPy's steps: the same best vertex and value to the
+    last bit, the same call count and the same verdict, also when the call
+    budget cuts an iteration short."""
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(dim)
+    x0 = rng.uniform(-1.5, -0.1, dim)
+    if case == "fit-like":
+        # the simplex and tolerances of a fit's search
+        sim = np.vstack([x0, x0 + 0.25 * np.eye(dim)])
+        maxfev, fatol, xatol = 10_000, 1e-4 * max(1.0, objective(x0)), 1e-4
+    else:
+        sim = np.vstack([x0, x0 + rng.uniform(0.05, 0.25, (dim, dim)) * np.eye(dim)])
+        maxfev, fatol, xatol = (37 if case == "capped" else 10_000), 1e-12, 1e-12
+    ref = minimize(
+        objective, x0, method="Nelder-Mead",
+        options={"initial_simplex": sim, "maxfev": maxfev, "fatol": fatol, "xatol": xatol},
+    )
+    x, fun, nfev, success = estimate._nelder_mead(objective, sim, maxfev, fatol, xatol)
+    assert x.tobytes() == ref.x.tobytes()
+    assert float(fun).hex() == float(ref.fun).hex()
+    assert (nfev, success) == (ref.nfev, ref.success)
+    assert success is (case != "capped")
+
+
+# ---------------------------------------------------------------------------
 # fitting pipelines
 # ---------------------------------------------------------------------------
 

@@ -89,6 +89,39 @@ def test_gridded_variogram_loads_no_optimizer_pair_distances_or_gp(tmp_path):
     assert [name for name in loaded if name.startswith("scipy")] == []
 
 
+def test_fits_load_no_optimizer(tmp_path):
+    """Both fit stages on a field file need numpy only; a fit on scattered
+    data loads the GP module's SciPy, but no SciPy optimizer."""
+    g = oscov.GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=1.0)
+    field = str(tmp_path / "field.bin")
+    values = np.random.default_rng(0).normal(size=g.shape)
+    oscov.write_field(oscov.FieldRealization(values, g, {}), field)
+    data = tmp_path / "obs.csv"
+    data.write_text("s1,s2,t,z\n" + "".join(
+        f"{x},{y},{k},{float(values[k, x, y])!r}\n"
+        for k in range(16) for x in range(0, 8, 2) for y in range(0, 8, 2)
+    ))
+    runs = {
+        "marginals": ["--field", field, "--stage", "marginals"],
+        "full": ["--field", field, "--stage", "full"],
+        "scattered": ["--data", str(data)],
+    }
+    loaded = {}
+    for name, argv in runs.items():
+        out = _fresh_python(
+            "import sys\n"
+            "from oscov.cli import main\n"
+            f"assert main(['fit', *{argv!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(*sorted(sys.modules))"
+        )
+        loaded[name] = out.splitlines()[-1].split()
+    for name in ("marginals", "full"):
+        assert "oscov.estimate" in loaded[name]
+        assert [m for m in loaded[name] if m.startswith("scipy")] == []
+    assert "oscov.gp" in loaded["scattered"]
+    assert [m for m in loaded["scattered"] if m.startswith("scipy.optimize")] == []
+
+
 def test_every_exported_name_still_resolves():
     assert set(oscov.__all__) == EXPORTED
     assert set(dir(oscov)) == EXPORTED

@@ -56,6 +56,13 @@ def test_grid_spec_validation():
             GridSpec(ns=(8, 8), ds=(1.0, bad), nt=16, dt=0.5)
         with pytest.raises(DomainError, match="finite"):
             GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=bad)
+    # Philox takes a non-negative integer; int() would turn 2.5 into 2
+    for bad in (-3, 2.5, math.nan, math.inf, "3"):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=0.5, seed=bad)
+    for good in (2.0, np.int64(2), np.float64(2.0)):
+        seed = GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=0.5, seed=good).seed
+        assert seed == 2 and type(seed) is int
 
 
 def test_grid_spec_round_trip_and_shape():
@@ -376,6 +383,8 @@ def test_field_load_errors(tmp_path):
         lambda side: side.pop("shape"),
         lambda side: side["grid"].update(dt=math.inf),
         lambda side: side["grid"].update(ds=[1.0, math.nan]),
+        lambda side: side["grid"].update(seed=-3),
+        lambda side: side["grid"].update(seed=2.5),
     ):
         sidecar = json.loads(good)
         edit(sidecar)
