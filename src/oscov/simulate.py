@@ -9,9 +9,10 @@ inverse FFT of their Hermitian part
     H(k) = sqrt(var(k)) / 2 * [(a(k) + a(-k)) + i (b(k) - b(-k))],
 
 with ``-k`` taken modulo each axis length (``var`` is even in k).  Only the
-half spectrum on the last axis is built, and one real inverse FFT
-(``irfftn``) turns it into the field.  The per-node variance is the Riemann
-cell of the spectral representation,
+half spectrum on the last axis is built, variances included; one buffer holds
+each draw as it folds in, and the inverse FFT runs in place on every axis
+but the last.  The per-node variance is the Riemann cell of the spectral
+representation,
 
     var(k, omega) = C~(k, omega) * dk^d * dw / (2 pi)^(d+1)
                   = C~(k, omega) / (N_total * dt * prod(ds)),
@@ -23,11 +24,13 @@ Nugget noise is added independently per node.
 
 Realizations are reproducible byte-for-byte: the generator is the
 counter-based Philox engine seeded from the grid spec, and the draw order
-(real amplitudes, imaginary amplitudes, nugget noise) is fixed.
+(real amplitudes, imaginary amplitudes, nugget noise) is fixed; the buffer
+reads both amplitude draws from the stream in that order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -58,6 +61,11 @@ _GENERATOR_NAME = "numpy.random.Philox"
 _TRUNCATION_TOL = 0.01
 
 
+def _integral(value) -> bool:
+    real = isinstance(value, numbers.Real)
+    return isinstance(value, numbers.Integral) or (real and float(value).is_integer())
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A regular space-time grid with sampling steps and an RNG seed.
@@ -83,7 +91,11 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in np.atleast_1d(self.ns))
+        raw_ns = tuple(np.atleast_1d(self.ns).tolist())
+        for name, counts in (("ns", raw_ns), ("nt", (self.nt,))):
+            if not all(_integral(n) for n in counts):  # int() would truncate 2.5
+                raise DomainError(f"{name} must hold whole node counts, got {counts!r}")
+        ns = tuple(int(n) for n in raw_ns)
         ds = tuple(float(s) for s in np.atleast_1d(self.ds))
         if not 1 <= len(ns) <= 3:
             raise DomainError(f"grids support 1 to 3 spatial axes, got {len(ns)}")
@@ -96,10 +108,7 @@ class GridSpec:
         if not all(0.0 < s < math.inf for s in ds + (float(self.dt),)):
             raise DomainError("grid spacings must be positive and finite")
         seed = self.seed
-        integral = isinstance(seed, numbers.Integral) or (
-            isinstance(seed, numbers.Real) and float(seed).is_integer()
-        )
-        if not integral or seed < 0:
+        if not _integral(seed) or seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "ds", ds)
@@ -161,9 +170,10 @@ class FieldRealization:
 
 
 def _node_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
-    """Per-node spectral variances in FFT order, shape ``(nt, *ns)``."""
+    """Per-node spectral variances in FFT order, the last axis cut to ``n // 2 + 1`` bins."""
     omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)
     ks = [2.0 * np.pi * np.fft.fftfreq(n, s) for n, s in zip(g.ns, g.ds)]
+    ks[-1] = ks[-1][: g.ns[-1] // 2 + 1]
     mesh = np.meshgrid(*ks, indexing="ij")
     k_mag = np.sqrt(sum(km * km for km in mesh))
     dens = st_spectral_density(m.params, k_mag[None, ...], omega.reshape((-1,) + (1,) * g.dim))
@@ -196,7 +206,9 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
             f"model is {m.dim}-dimensional but the grid has {g.dim} spatial axes"
         )
     var = _node_variances(m, g)
-    mass_fraction = float(var.sum()) / m.variance()
+    # last-axis bins between 0 and the Nyquist also stand for their -k partners
+    partners = var[..., 1 : (g.shape[-1] + 1) // 2].sum()
+    mass_fraction = float(var.sum() + partners) / m.variance()
     if abs(mass_fraction - 1.0) > _TRUNCATION_TOL:
         warnings.warn(
             f"discrete spectrum holds {100 * mass_fraction:.2f}% of the model "
@@ -205,20 +217,25 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         )
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    a, b = rng.standard_normal((2,) + g.shape)
-    # the Hermitian part on the last axis's non-negative bins; `mirror` picks
-    # the -k partner of each of them
-    half = g.shape[-1] // 2 + 1
-    kept = g.shape[:-1] + (half,)
-    mirror = np.ix_(*[-np.arange(n) % size for n, size in zip(kept, g.shape)])
-    spec = np.empty(kept, dtype=complex)
-    np.add(a[..., :half], a[mirror], out=spec.real)
-    np.subtract(b[..., :half], b[mirror], out=spec.imag)
-    # free the draws and the variances before the transform allocates its own
-    del a, b
-    spec *= np.sqrt(var[..., :half])
+    spec = np.empty(var.shape, dtype=complex)
+    # on every axis bin 0 pairs with itself and bins 1.. with the reversed
+    # remainder, so each corner of the half spectrum folds from two views
+    pieces = [((slice(0, 1),) * 2, (slice(1, h), slice(n - 1, n - h, -1)))
+              for h, n in zip(var.shape, g.shape)]
+    corners = [tuple(zip(*corner)) for corner in itertools.product(*pieces)]
+    draw = np.empty(g.shape)  # the real amplitudes, then the imaginary ones
+    for fold, part in ((np.add, "real"), (np.subtract, "imag")):
+        rng.standard_normal(out=draw)
+        for index, mirror in corners:
+            fold(draw[index], draw[mirror], out=getattr(spec, part)[index])
+    del draw
+    spec *= np.sqrt(var, out=var)
     del var
-    z = np.fft.irfftn(spec, s=g.shape, axes=tuple(range(g.dim + 1)))
+    # irfftn's own passes, each in place but the last
+    for axis in range(g.dim):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    z = np.fft.irfft(spec, n=g.shape[-1], axis=-1)
+    del spec
     # the 1/2 of H joins the inverse transform's scale
     z *= 0.5 * g.n_total
     if m.nugget > 0.0:
@@ -322,7 +339,7 @@ def write_field(f: FieldRealization, bin_path: str) -> str:
     """
     values = np.ascontiguousarray(f.values, dtype="<f8")
     with open(bin_path, "wb") as fh:
-        fh.write(values.tobytes())
+        values.tofile(fh)
     sidecar = {
         "binary": os.path.basename(bin_path),
         "dtype": "<f8",
@@ -357,8 +374,11 @@ def load_field(bin_path: str) -> FieldRealization:
         raise DomainError(f"{sidecar_path}: {exc}") from exc
     if shape != grid.shape:
         raise DomainError(
-            f"sidecar shape {shape} disagrees with its grid {grid.shape}"
+            f"{sidecar_path}: sidecar shape {shape} disagrees with its grid {grid.shape}"
         )
+    layout = (sidecar.get("dtype"), sidecar.get("order"))
+    if layout != ("<f8", "C"):  # the only layout write_field writes
+        raise DomainError(f"{sidecar_path}: sidecar layout {layout} is not ('<f8', 'C')")
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != int(np.prod(shape)):
         raise DomainError(

@@ -320,8 +320,11 @@ def test_variogram_on_a_nan_field_exits_config(tmp_path, sim_dir):
         lambda side: side.pop("shape"),
         lambda side: side.pop("grid"),
         lambda side: side["grid"].update(seed=-3),
+        lambda side: side["grid"].update(nt=2.5),
+        lambda side: side.update(dtype=">f4"),
+        lambda side: side.update(order="F"),
     ),
-    ids=("dt-inf", "no-shape", "no-grid", "seed-negative"),
+    ids=("dt-inf", "no-shape", "no-grid", "seed-negative", "nt-fraction", "dtype-f4", "order-F"),
 )
 def test_variogram_on_a_bad_sidecar_exits_config(tmp_path, sim_dir, edit):
     (tmp_path / "field.bin").write_bytes((sim_dir / "field.bin").read_bytes())

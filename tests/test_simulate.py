@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from oscov import (
     simulate_field,
     write_field,
 )
-from oscov.simulate import _node_variances
+from oscov.spectral import st_spectral_density
 
 # moderate oscillation and short memory keep periodic wraparound far below
 # the Monte-Carlo noise floor on the grids used here
@@ -63,6 +65,16 @@ def test_grid_spec_validation():
     for good in (2.0, np.int64(2), np.float64(2.0)):
         seed = GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=0.5, seed=good).seed
         assert seed == 2 and type(seed) is int
+    # node counts follow the seed's rule: int() would truncate 2.5 and raise
+    # its own error on NaN or infinity
+    for bad in (2.5, math.nan, math.inf, "3", None):
+        with pytest.raises(DomainError, match="ns must hold whole node counts"):
+            GridSpec(ns=(bad, 3), ds=(1.0, 1.0), nt=16, dt=0.5)
+        with pytest.raises(DomainError, match="nt must hold whole node counts"):
+            GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=bad, dt=0.5)
+    g = GridSpec(ns=(8.0, np.int64(6)), ds=(1.0, 1.0), nt=np.float64(16.0), dt=0.5)
+    assert g.ns == (8, 6) and g.nt == 16
+    assert all(type(n) is int for n in g.ns + (g.nt,))
 
 
 def test_grid_spec_round_trip_and_shape():
@@ -142,6 +154,15 @@ def test_seeded_field_values_are_pinned(nugget, grid, pinned):
         assert z[index] == pytest.approx(value, rel=1e-12)
 
 
+def _full_grid_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
+    # the documented Riemann cell 1 / (N dt prod(ds)) on every (omega, k) node
+    omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)
+    ks = [2.0 * np.pi * np.fft.fftfreq(n, s) for n, s in zip(g.ns, g.ds)]
+    k_mag = np.sqrt(sum(k * k for k in np.meshgrid(*ks, indexing="ij")))
+    dens = st_spectral_density(m.params, k_mag[None], omega.reshape((-1,) + (1,) * g.dim))
+    return dens / (g.n_total * g.dt * math.prod(g.ds))
+
+
 @pytest.mark.parametrize("nugget", [0.0, 0.1], ids=["no-nugget", "nugget"])
 @pytest.mark.parametrize(
     "ns, nt",
@@ -163,11 +184,47 @@ def test_half_spectrum_synthesis_matches_the_complex_transform(ns, nt, nugget):
 
     rng = np.random.Generator(np.random.Philox(g.seed))
     amp = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    amp *= np.sqrt(_node_variances(m, g))
+    amp *= np.sqrt(_full_grid_variances(m, g))
     expected = np.fft.ifftn(amp).real * g.n_total
     if nugget > 0.0:
         expected += math.sqrt(nugget) * rng.standard_normal(g.shape)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.std(expected)
+
+
+@pytest.mark.parametrize(
+    "ns, nt",
+    [((16,), 24), ((9,), 15), ((2,), 3), ((8, 6), 10), ((7, 5), 9), ((4, 6, 5), 8), ((5, 3, 3), 7)],
+    ids=["1d-even", "1d-odd", "1d-two", "2d-even", "2d-odd", "3d-mixed", "3d-odd"],
+)
+def test_spectral_mass_fraction_is_the_full_grid_sum(ns, nt):
+    # the synthesis holds only the half spectrum; its mass must still be the
+    # sum over every node of the full grid
+    params = LdhoParams.from_damped_frequency(
+        1.0, 1.0, 2.0, Regime.UNDERDAMPED, 1.0, 0.3, dim=len(ns)
+    )
+    m = KernelModel(params)
+    g = GridSpec(ns=ns, ds=(0.5,) * len(ns), nt=nt, dt=0.25, seed=13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTruncationWarning)
+        got = simulate_field(m, g).provenance["spectral_mass_fraction"]
+    expected = float(_full_grid_variances(m, g).sum()) / m.variance()
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.5], ids=["no-nugget", "nugget"])
+def test_synthesis_allocates_under_three_and_a_half_fields(nugget):
+    # the draws, the half spectrum and its variances, never a full-grid copy
+    # of each: the traced peak stays a small multiple of the field's bytes
+    m = KernelModel(LOOP_PARAMS, nugget=nugget)
+    g = GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.25, seed=8)
+    simulate_field(m, g)  # first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        values = simulate_field(m, g).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * values.nbytes
 
 
 def test_provenance_records_the_recipe():
@@ -373,8 +430,9 @@ def test_field_load_errors(tmp_path):
     with pytest.raises(DomainError, match="not all finite"):
         load_field(bin_path)
 
-    # a sidecar without its grid or shape, or with a non-finite step (json
-    # writes and reads Infinity and NaN)
+    # a sidecar without its grid or shape, with a non-finite step (json
+    # writes and reads Infinity and NaN), a fractional or non-finite count,
+    # a shape off its grid, or a layout write_field never writes
     sidecar_path = write_field(f, bin_path)
     with open(sidecar_path) as fh:
         good = fh.read()
@@ -385,10 +443,16 @@ def test_field_load_errors(tmp_path):
         lambda side: side["grid"].update(ds=[1.0, math.nan]),
         lambda side: side["grid"].update(seed=-3),
         lambda side: side["grid"].update(seed=2.5),
+        lambda side: side["grid"].update(ns=[4.5, 4]),
+        lambda side: side["grid"].update(nt=math.nan),
+        lambda side: side.update(shape=[4, 4, 5]),
+        lambda side: side.update(dtype=">f4"),
+        lambda side: side.update(order="F"),
+        lambda side: side.pop("dtype"),
     ):
         sidecar = json.loads(good)
         edit(sidecar)
         with open(sidecar_path, "w") as fh:
             json.dump(sidecar, fh)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(sidecar_path)):
             load_field(bin_path)
