@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dlange, dpocon
+from scipy.linalg import LinAlgError, cho_factor
+# dtrtrs rather than solve_triangular: it reads L's lower triangle and scans
+# no operand for non-finite entries (query points are checked where made)
+from scipy.linalg.lapack import dlange, dpocon, dtrtrs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
@@ -62,7 +64,8 @@ _RCOND_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SpaceTimePoint:
-    """A location ``s`` in R^d paired with a time instant ``t``."""
+    """A location ``s`` in R^d paired with a time instant ``t``; non-finite
+    coordinates or times raise :class:`DomainError`."""
 
     s: tuple[float, ...]
     t: float
@@ -71,6 +74,8 @@ class SpaceTimePoint:
         coords = tuple(float(c) for c in np.atleast_1d(np.asarray(self.s, dtype=float)))
         if len(coords) == 0:
             raise DomainError("a space-time point needs at least one spatial coordinate")
+        if not np.all(np.isfinite(coords + (float(self.t),))):
+            raise DomainError(f"space-time point ({coords}, {self.t}) is not finite")
         object.__setattr__(self, "s", coords)
         object.__setattr__(self, "t", float(self.t))
 
@@ -330,8 +335,9 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
     the ceiling the matrix is declared not positive definite; the offending
     pivot (zero-based) is reported when the backend names one.
 
-    Returns the ``cho_factor`` pair and the jitter it applied; a jitter above
-    zero is reported as a :class:`JitterWarning`.
+    Returns the lower factor ``L`` (its strict upper triangle is not cleared)
+    and the jitter it applied; a jitter above zero is reported as a
+    :class:`JitterWarning`.  ``L`` is Fortran-ordered, as LAPACK reads it.
     """
     c00 = m.variance()
     jitter = 0.0
@@ -340,7 +346,7 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
     while True:
         try:
             mat = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-            factor = cho_factor(mat, lower=True)
+            factor = cho_factor(mat, lower=True)[0]
         except LinAlgError as exc:
             last_err = exc
         else:
@@ -371,14 +377,20 @@ class Posterior:
     """The GP posterior of one model conditioned on one dataset.
 
     Building it checks the data, assembles the Gram matrix ``K``, factorizes
-    it (with jitter if needed) and solves ``alpha = K^{-1} (z - m)``, once;
-    :meth:`predict` then serves any number of query batches from the factor.
-    The posterior keeps the factor, ``alpha``, the prior variance and the
-    dataset's coordinate, time and mean arrays, but neither ``K`` nor the
-    dataset itself.
+    it as ``K = L L^T`` (with jitter if needed) and solves
+    ``alpha = K^{-1} (z - m)``, once, at O(n^3/3); :meth:`predict` then
+    serves any number of query batches from the factor.  A batch of m
+    queries costs O(n^2 m) through one triangular solve ``v = L^{-1} k*``:
+    the variances are ``prior - |v|^2`` (Rasmussen & Williams 2006,
+    Algorithm 2.1).  The posterior keeps ``L``, ``alpha``, the prior variance
+    and the dataset's coordinate, time and mean arrays, but neither ``K`` nor
+    the dataset itself.
 
     Attributes
     ----------
+    factor : ndarray
+        The lower Cholesky factor ``L`` of the (jittered) Gram matrix; its
+        strict upper triangle holds no meaning.
     jitter : float
         Diagonal jitter the factorization needed on top of the nugget; 0.0
         for a healthy model.  A jitter above zero is also reported as a
@@ -414,7 +426,7 @@ class Posterior:
         # K is symmetric, so K.T is its Fortran-ordered view and LAPACK copies
         # nothing; the jitter adds itself to every column sum of K
         anorm = dlange("1", K.T) + self.jitter
-        self.rcond = float(dpocon(self.factor[0], anorm, uplo="L")[0])
+        self.rcond = float(dpocon(self.factor, anorm, uplo="L")[0])
         if self.rcond < _RCOND_FLOOR:
             warnings.warn(
                 f"Gram matrix is ill-conditioned (reciprocal condition number "
@@ -422,7 +434,9 @@ class Posterior:
                 IllConditionedWarning,
                 stacklevel=2,
             )
-        self.alpha = cho_solve(self.factor, data.values - data.mean)
+        # alpha = L^{-T} (L^{-1} (z - m))
+        w = dtrtrs(self.factor, data.values - data.mean, lower=1)[0]
+        self.alpha = dtrtrs(self.factor, w, lower=1, trans=1)[0]
         self.prior = m.variance() + m.nugget
         self.model = m
         self.coords, self.times, self.mean = coords, times, data.mean
@@ -441,8 +455,8 @@ class Posterior:
         means = self.mean + k_star @ self.alpha
 
         prior = self.prior
-        solved = cho_solve(self.factor, k_star.T)
-        variances = prior - np.einsum("ij,ji->i", k_star, solved)
+        v = dtrtrs(self.factor, k_star.T, lower=1)[0]
+        variances = prior - np.einsum("ij,ij->j", v, v)
         floor = -_VARIANCE_SLACK * prior
         if np.any(variances < floor):
             worst = float(variances.min())

@@ -239,7 +239,10 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
     # the 1/2 of H joins the inverse transform's scale
     z *= 0.5 * g.n_total
     if m.nugget > 0.0:
-        z += np.sqrt(m.nugget) * rng.standard_normal(g.shape)
+        # scaled in place, so the noise is the one field-sized temporary
+        noise = rng.standard_normal(g.shape)
+        noise *= np.sqrt(m.nugget)
+        z += noise
 
     provenance = {
         "model": m.to_dict(),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import station_arrays
 from hypothesis import assume, given, settings
-from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist, pdist, squareform
 
 import oscov.gp as gp
@@ -307,6 +307,59 @@ def test_prediction_dimension_mismatch():
     data = SpaceTimeDataset.from_arrays([[1.0, 2.0]], [0.0], [1.0])
     with pytest.raises(DimensionMismatch):
         predict(m, data, [SpaceTimePoint((1.0,), 0.0)])
+
+
+def test_non_finite_query_points_are_refused():
+    # refused where the point is made, before the kernel sees it: no
+    # RuntimeWarning, and no NaN mean or variance
+    rng = np.random.default_rng(6)
+    coords, times = random_arrays(rng, 10, 2)
+    post = Posterior(KernelModel(UNDER, nugget=0.1), SpaceTimeDataset.from_arrays(
+        coords, times, rng.normal(0.0, 1.0, 10)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, t in (((np.nan, 0.0), 0.1), ((0.0, 1.0), np.inf), ((-np.inf, 0.0), 0.0)):
+            with pytest.raises(DomainError, match="not finite"):
+                SpaceTimePoint(s, t)
+            with pytest.raises(DomainError, match="not finite"):
+                post.predict([((1.0, 1.0), 0.5), (s, t)])
+
+
+def _station_case(rng):
+    """12 sites x 15 times, a tenth of the cells unobserved."""
+    site, step = np.divmod(np.arange(180), 15)
+    keep = rng.random(180) < 0.9
+    coords = rng.uniform(0.0, 10.0, (12, 2))[site[keep]]
+    return coords, 0.4 * step[keep].astype(float)
+
+
+@pytest.mark.parametrize("stations", (True, False))
+def test_triangular_solve_is_the_cholesky_solve(stations):
+    rng = np.random.default_rng(13)
+    coords, times = _station_case(rng) if stations else random_arrays(rng, 150, 2)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.5, 1.0, times.size), 0.5)
+    assert (data.stations is not None) == stations
+    m = KernelModel(UNDER, nugget=0.05)
+    post = Posterior(m, data)
+    factor = (post.factor, True)
+    expected = cho_solve(factor, data.values - data.mean)
+    assert np.max(np.abs(post.alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
+    q_coords, q_times = random_arrays(rng, 40, 2, t_span=6.0)
+    _, variances = post.predict(points_of(q_coords, q_times))
+    k_star = m.covariance(cdist(q_coords, coords), q_times[:, None] - times[None, :])
+    direct = post.prior - np.einsum("ij,ji->i", k_star, cho_solve(factor, k_star.T))
+    assert np.max(np.abs(variances - direct)) <= 1e-13 * post.prior
+
+
+def test_a_jittered_posterior_predicts_variances_within_the_prior():
+    coords = [[0.0, 0.0], [1e-9, 0.0], [2e-9, 0.0], [3.0, 1.0]]
+    data = SpaceTimeDataset.from_arrays(coords, [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.5])
+    with pytest.warns(JitterWarning), pytest.warns(IllConditionedWarning):
+        post = Posterior(KernelModel(UNDER), data)
+    assert post.jitter > 0.0
+    queries = random_points(np.random.default_rng(9), 20, 2, box=3.0, t_span=1.0)
+    _, variances = post.predict(queries + points_of(coords, [0.0, 0.0, 0.0, 1.0]))
+    assert np.all(variances >= 0.0) and np.all(variances <= post.prior)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,23 @@ def test_synthesis_allocates_under_three_and_a_half_fields(nugget):
     assert peak <= 3.5 * values.nbytes
 
 
+def test_nugget_noise_adds_nothing_to_the_peak():
+    # the noise is scaled in place and added: beside the field it is the one
+    # field-sized temporary, so the synthesis's own peak still bounds it
+    g = GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.25, seed=8)
+    peaks = []
+    for nugget in (0.0, 0.5):
+        m = KernelModel(LOOP_PARAMS, nugget=nugget)
+        simulate_field(m, g)
+        tracemalloc.start()
+        try:
+            simulate_field(m, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * peaks[0]
+
+
 def test_provenance_records_the_recipe():
     g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=32, dt=0.25, seed=5)
     f = simulate_field(KernelModel(LOOP_PARAMS, nugget=0.1), g)
