@@ -42,6 +42,7 @@ from .kernel_core import (
     LdhoParams,
     OuParams,
     damped_frequency,
+    euclidean_length,
 )
 from .simulate import FieldRealization
 
@@ -297,9 +298,8 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     sums[origin] = 0.0
     counts[origin] = 0
 
-    mesh = np.meshgrid(*shifts[1:], indexing="ij")
-    offsets = np.stack([m.ravel() for m in mesh], axis=1)
-    dist = np.sqrt(((offsets * np.asarray(g.ds)) ** 2).sum(axis=1))
+    offsets = np.stack(np.meshgrid(*shifts[1:], indexing="ij"), axis=-1)
+    dist = euclidean_length(offsets * np.asarray(g.ds)).ravel()
     k = dist.size
     return sums.reshape(-1, k), counts.reshape(-1, k), dist
 
@@ -362,28 +362,20 @@ def _spatial_tolerance(data, tolerance) -> float:
 def _default_spatial_tolerance(data) -> float:
     """Half the median nearest-neighbour distance over (a sample of) the points.
 
-    A point's nearest non-zero distance is its site's distance to the
-    nearest other site, so station data take it from the sites alone.
+    A point's nearest non-zero distance is its distance to the nearest
+    other site, so station data measure it against the sites alone.
     """
     if isinstance(data, FieldRealization):
         return 0.5 * min(data.grid.ds)
-    from scipy.spatial.distance import cdist
-
     coords = data.coords
     n = coords.shape[0]
     if n < 2:
         raise DomainError("need at least two points for spatial lags")
     sample = slice(None) if n <= 500 else slice(None, None, max(1, n // 500))
-    table = data.stations
-    if table is None:
-        d = cdist(coords[sample], coords)
-    else:
-        d = cdist(table.sites, table.sites)
+    others = coords if data.stations is None else data.stations.sites
+    d = euclidean_length(coords[sample, None], others[None])
     d[d == 0.0] = np.inf
-    nn = d.min(axis=1)
-    if table is not None:
-        nn = nn[table.site_of[sample]]
-    tolerance = 0.5 * float(np.median(nn))
+    tolerance = 0.5 * float(np.median(d.min(axis=1)))
     if not math.isfinite(tolerance):
         raise DomainError("need two distinct sites for a default spatial tolerance")
     return tolerance
@@ -403,20 +395,19 @@ def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
         r_cap = 0.5 * min(n * s for n, s in zip(g.ns, g.ds))
         count = min(n_bins, int(r_cap / step))
         return step * np.arange(1, max(count, 1) + 1)
-    from scipy.spatial.distance import pdist
-
     quantiles = np.array([0.02, 0.6])
     table = data.stations
     if table is None:
-        d = pdist(data.coords)
+        coords = data.coords
+        d = np.concatenate([euclidean_length(x, coords[i + 1:]) for i, x in enumerate(coords)])
         d = d[d > 0]
         if d.size == 0:
             raise DomainError("need two distinct sites for spatial lags")
         lo, hi = np.quantile(d, quantiles)
         return np.linspace(lo, hi, n_bins)
-    d = pdist(table.sites)
     per_site = np.bincount(table.site_of)
     a, b = np.triu_indices(per_site.size, 1)
+    d = euclidean_length(table.sites[a], table.sites[b])
     keep = d > 0
     if not keep.any():
         raise DomainError("need two distinct sites for spatial lags")
@@ -439,12 +430,11 @@ def default_temporal_bins(data) -> np.ndarray:
     if isinstance(data, FieldRealization):
         g = data.grid
         return g.dt * np.arange(1, min(40, g.nt - 1) + 1)
-    from scipy.spatial.distance import pdist
-
     times = np.unique(data.times)
     if times.size < 2:
         raise DomainError("need at least two distinct times for temporal lags")
-    gaps = pdist(times[:, None], "cityblock")
+    # ascending, so every gap between a time and a later one is positive
+    gaps = np.concatenate([times[i + 1:] - t for i, t in enumerate(times)])
     lo, hi = np.quantile(gaps, [0.02, 0.6])
     return np.linspace(lo, hi, 12)
 
@@ -537,11 +527,6 @@ def _group_average(labels, values, lags_of, bins, tolerance: float):
     return mean * np.maximum(total, 1), total
 
 
-def _pair_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the pairs ``(i, j)``, summed axis by axis like ``cdist``."""
-    return np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords.T))
-
-
 # Elements of one site x site x time-pair block of differences (8 MB).
 _STATION_BLOCK = 1 << 20
 
@@ -594,7 +579,7 @@ def _station_window_sums(table, values, tau_bins, t_tol: float):
         for x, x0 in ((sums, sums0), (counts, counts0))
     )
     window, site_pair = np.nonzero(n_pairs)
-    dist = np.concatenate([np.zeros(n_sites), _pair_distances(table.sites, a, b)])
+    dist = np.concatenate([np.zeros(n_sites), euclidean_length(table.sites[a], table.sites[b])])
     return window, dist[site_pair], sq[window, site_pair], n_pairs[window, site_pair]
 
 
@@ -617,9 +602,9 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
         step, dist, sq, n = _grid_cells(data, 0, bins.max(initial=0.0) + tolerance)
         sums, counts = _window_sums(step, 1, dist, sq, bins, tolerance, n)
     else:
-        coords = data.coords
+        pts = data.coords
         sums, counts = _group_average(
-            data.times, data.values, lambda i, j: _pair_distances(coords, i, j), bins, tolerance
+            data.times, data.values, lambda i, j: euclidean_length(pts[i], pts[j]), bins, tolerance
         )
     return _drop_empty(VariogramKind.SPATIAL_MARGINAL, bins, None, sums, counts, tolerance)
 
@@ -686,11 +671,11 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
         item, window = _windows(step, steps, 0.0)
         dist, sq, n = dist[item], (twice * sq)[item], (twice * n)[item]
     elif data.stations is None:
-        times, values = data.times, data.values
+        coords, times, values = data.coords, data.times, data.values
         i, j = _pairs(np.zeros(len(times), dtype=np.int64))
         item, window = _windows(np.abs(times[i] - times[j]), tau_bins, _half_median_gap(times))
         i, j = i[item], j[item]
-        dist, sq, n = _pair_distances(data.coords, i, j), (values[i] - values[j]) ** 2, None
+        dist, sq, n = euclidean_length(coords[i], coords[j]), (values[i] - values[j]) ** 2, None
     else:
         window, dist, sq, n = _station_window_sums(
             data.stations, data.values, tau_bins, _half_median_gap(data.times)

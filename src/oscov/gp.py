@@ -14,18 +14,12 @@ sparse or inducing-point approximations.
 from __future__ import annotations
 
 import csv
-import re
 import warnings
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-# dtrtrs rather than solve_triangular: it reads L's lower triangle and scans
-# no operand for non-finite entries (query points are checked where made)
-from scipy.linalg.lapack import dlange, dpocon, dtrtrs
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     DimensionMismatch,
@@ -35,7 +29,7 @@ from .errors import (
     NegativeVariance,
     NotPositiveDefinite,
 )
-from .kernel_core import KernelModel, interaction_ratio
+from .kernel_core import KernelModel, euclidean_length, interaction_ratio
 
 __all__ = [
     "SpaceTimePoint",
@@ -257,11 +251,11 @@ def gram(m: KernelModel, points) -> GramMatrix:
     """Covariance (Gram) matrix ``K_ij = C(|s_i - s_j|, t_i - t_j)``.
 
     ``points`` is a :class:`SpaceTimeDataset` or a sequence of
-    :class:`SpaceTimePoint`.  The kernel is evaluated once per unordered pair
-    and mirrored, so the result is exactly symmetric; the diagonal holds
-    ``m.variance()`` plus the nugget.  Station data (see :class:`StationTable`)
-    evaluate the kernel once per site pair and time gap instead, and the
-    matrix is gathered from that table, to the same bits.
+    :class:`SpaceTimePoint`.  The kernel runs on the pairs ``i <= j`` in
+    blocks of rows and is mirrored, so the result is exactly symmetric; the
+    diagonal holds ``m.variance()`` plus the nugget.  Station data (see
+    :class:`StationTable`) evaluate the kernel once per site pair and time
+    gap instead, and the matrix is gathered from that table, to the same bits.
     """
     coords, times = _arrays(points)
     _check_dim(m, coords, "sample")
@@ -270,8 +264,10 @@ def gram(m: KernelModel, points) -> GramMatrix:
     else:
         table = _station_table(coords, times)
     if table is None:
-        upper = m.covariance(pdist(coords), pdist(times[:, None], "cityblock"))
-        K = squareform(np.asarray(upper, dtype=float))
+        K = np.empty((times.size, times.size))
+        for lo, hi, r, tau in _row_blocks(coords, times):
+            K[lo:hi, lo:] = m.covariance(r, tau)
+            K[hi:, lo:hi] = K[lo:hi, hi:].T
     else:
         K = _gather_gram(m, table)
     np.fill_diagonal(K, m.variance() + m.nugget)
@@ -281,13 +277,12 @@ def gram(m: KernelModel, points) -> GramMatrix:
 def _gather_gram(m: KernelModel, table: StationTable) -> np.ndarray:
     """The Gram matrix (diagonal unset) from the kernel on site pairs x time gaps.
 
-    Site distances come from ``pdist`` of the sites, whose bits are those
-    ``pdist`` gives for the points, and the kernel sees flat arrays as on the
-    pair path; each unordered site pair is evaluated once and mirrored.
+    A site pair's distance has the bits of its points' distance, and each
+    unordered site pair is evaluated once and mirrored.
     """
     n_sites, n_lags = table.sites.shape[0], table.lags.size
     a, b = np.triu_indices(n_sites)
-    r = squareform(pdist(table.sites))[a, b]
+    r = euclidean_length(table.sites[a], table.sites[b])
     c = np.asarray(
         m.covariance(np.repeat(r, n_lags), np.tile(table.lags, a.size)), dtype=float
     ).reshape(a.size, n_lags)
@@ -306,23 +301,29 @@ def _gather_gram(m: KernelModel, table: StationTable) -> np.ndarray:
     return K
 
 
+def _row_blocks(coords: np.ndarray, times: np.ndarray):
+    """The lags of the point pairs ``i <= j``, a block of rows at a time:
+    ``(lo, hi, r, tau)``, the distances and absolute time gaps from the points
+    ``lo:hi`` to the points ``lo:``, arrays of shape ``(hi - lo, n - lo)``.
+    """
+    n = times.size
+    step = max(1, (1 << 16) // n)  # about 0.5 MB per lag array
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        r = euclidean_length(coords[lo:hi, None], coords[None, lo:])
+        yield lo, hi, r, np.abs(times[lo:hi, None] - times[None, lo:])
+
+
 def _find_duplicates(coords: np.ndarray, times: np.ndarray) -> tuple[int, int] | None:
-    """First pair of sample points that coincide within rounding, if any."""
-    n = coords.shape[0]
+    """First pair ``i < j``, in row-major order, of points coinciding within rounding."""
     s_tol = _DUPLICATE_RTOL * (1.0 + float(np.abs(coords).max()))
     t_tol = _DUPLICATE_RTOL * (1.0 + float(np.abs(times).max()))
-    dup = (pdist(coords) <= s_tol) & (pdist(times[:, None], "cityblock") <= t_tol)
-    hits = np.flatnonzero(dup)
-    if hits.size == 0:
-        return None
-    # condensed order is the row-major order of the pairs i < j: row i
-    # starts at sum_{k < i} (n - 1 - k)
-    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    i = int(np.searchsorted(starts, hits[0], side="right")) - 1
-    return i, int(hits[0] - starts[i]) + i + 1
-
-
-_PIVOT_RE = re.compile(r"(\d+)")
+    for lo, _, r, tau in _row_blocks(coords, times):
+        hits = np.flatnonzero(np.triu((r <= s_tol) & (tau <= t_tol), 1))
+        if hits.size:
+            i, j = divmod(int(hits[0]), r.shape[1])
+            return lo + i, lo + j
+    return None
 
 
 def _chol_with_jitter(K: np.ndarray, m: KernelModel):
@@ -332,24 +333,22 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
     the diagonal).  On failure a jitter is added, starting at the nugget (or
     at 1e-12 C(0,0) for nugget-free models, since escalating from zero goes
     nowhere) and growing tenfold until it would exceed 1e-6 C(0,0).  Beyond
-    the ceiling the matrix is declared not positive definite; the offending
-    pivot (zero-based) is reported when the backend names one.
+    the ceiling the matrix is declared not positive definite, naming the
+    offending pivot (zero-based).
 
     Returns the lower factor ``L`` (its strict upper triangle is not cleared)
     and the jitter it applied; a jitter above zero is reported as a
     :class:`JitterWarning`.  ``L`` is Fortran-ordered, as LAPACK reads it.
     """
+    from scipy.linalg.lapack import dpotrf
+
     c00 = m.variance()
     jitter = 0.0
     ceiling = 1e-6 * c00
-    last_err: LinAlgError | None = None
     while True:
-        try:
-            mat = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-            factor = cho_factor(mat, lower=True)[0]
-        except LinAlgError as exc:
-            last_err = exc
-        else:
+        mat = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
+        factor, info = dpotrf(mat, lower=1, clean=0)
+        if info == 0:
             if jitter > 0.0:
                 warnings.warn(
                     f"Gram matrix factorized only with a diagonal jitter of "
@@ -364,12 +363,11 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
             jitter *= 10.0
         if jitter > ceiling:
             break
-    match = _PIVOT_RE.search(str(last_err))
-    pivot = int(match.group(1)) - 1 if match else None
+    # LAPACK's info is the one-based order of the first minor that failed
     raise NotPositiveDefinite(
         f"Gram matrix is not positive definite (jitter escalated to "
         f"{ceiling:.3e} without success)",
-        pivot=pivot,
+        pivot=info - 1,
     )
 
 
@@ -412,6 +410,10 @@ class Posterior:
     """
 
     def __init__(self, m: KernelModel, data: SpaceTimeDataset):
+        # dtrtrs, not solve_triangular: it reads L's lower triangle and scans
+        # no operand for non-finite entries (query points are checked where made)
+        from scipy.linalg.lapack import dlange, dpocon, dtrtrs
+
         coords, times = data.coords, data.times
         _check_dim(m, coords, "sample")
         if m.nugget == 0.0:
@@ -443,16 +445,18 @@ class Posterior:
 
     def predict(self, query) -> tuple[np.ndarray, np.ndarray]:
         """Conditional means and variances at ``query`` (see :func:`predict`)."""
-        m, coords = self.model, self.coords
+        from scipy.linalg.lapack import dtrtrs
+
         q_coords, q_times = _arrays(query)
-        _check_dim(m, q_coords, "query")
+        _check_dim(self.model, q_coords, "query")
 
-        r_star = cdist(q_coords, coords)
+        r_star = euclidean_length(q_coords[:, None], self.coords[None])
         dt_star = q_times[:, None] - self.times[None, :]
-        k_star = np.asarray(m.covariance(r_star, dt_star), dtype=float)
-        k_star = k_star.reshape(q_coords.shape[0], coords.shape[0])
+        k_star = np.asarray(self.model.covariance(r_star, dt_star), dtype=float)
 
-        means = self.mean + k_star @ self.alpha
+        # numpy's pairwise row sums, unlike BLAS gemv, give each query's mean
+        # the same bits in a batch of any size, and round less
+        means = self.mean + (k_star * self.alpha).sum(axis=1)
 
         prior = self.prior
         v = dtrtrs(self.factor, k_star.T, lower=1)[0]
@@ -539,18 +543,10 @@ def prediction_ratio(m: KernelModel, obs: SpaceTimePoint, query: SpaceTimePoint)
     covariance-to-marginal ratio.  With more observations the identity is
     only approximate; this helper implements the exact one-point case.
     """
-    if not isinstance(obs, SpaceTimePoint):
-        obs = SpaceTimePoint(*obs)
-    if not isinstance(query, SpaceTimePoint):
-        query = SpaceTimePoint(*query)
-    if obs.dim != m.dim or query.dim != m.dim:
-        raise DimensionMismatch(
-            f"model is {m.dim}-dimensional but the points are "
-            f"{obs.dim}- and {query.dim}-dimensional"
-        )
-    r = float(np.linalg.norm(np.asarray(query.s) - np.asarray(obs.s)))
-    tau = query.t - obs.t
-    return float(interaction_ratio(m, r, tau))
+    coords, times = _arrays([obs, query])
+    _check_dim(m, coords, "the")
+    r = float(euclidean_length(coords[1], coords[0]))
+    return float(interaction_ratio(m, r, times[1] - times[0]))
 
 
 # ---------------------------------------------------------------------------

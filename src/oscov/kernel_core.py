@@ -933,5 +933,24 @@ def anisotropic_distance(delta_s, length_scales=None) -> np.ndarray | float:
         if np.any(scales <= 0.0):
             raise DomainError("length scales must be positive")
         lags = lags / scales
-    out = np.sqrt(np.sum(lags * lags, axis=-1))
+    out = euclidean_length(lags)
     return float(out) if scalar else out
+
+
+def euclidean_length(a, b=None) -> np.ndarray:
+    """Euclidean lengths of the vectors ``a - b`` (of ``a`` if ``b`` is None).
+
+    The vectors run along the last axis; the others broadcast, so
+    ``euclidean_length(x[:, None], y[None])`` is a distance matrix.  The
+    squares are added in place, axis by axis, as SciPy's pairwise distances
+    add them to zero, so the lengths carry the same bits.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.zeros(a.shape[-1]) if b is None else np.asarray(b, dtype=float)
+    total = np.asarray(a[..., 0] - b[..., 0])
+    total *= total
+    for k in range(1, a.shape[-1]):
+        part = a[..., k] - b[..., k]
+        part *= part
+        total += part
+    return np.sqrt(total, out=total)

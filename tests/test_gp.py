@@ -78,17 +78,19 @@ def test_gram_coincident_pair_is_rank_one():
 def test_gram_symmetry_and_diagonal():
     rng = np.random.default_rng(7)
     m = KernelModel(UNDER, nugget=0.2)
-    coords, times = random_arrays(rng, 40, 2)
-    K = gram(m, points_of(coords, times)).matrix
-    assert np.array_equal(K, K.T)
-    assert np.allclose(np.diag(K), m.variance() + 0.2, rtol=1e-14)
-    # bit for bit the full kernel matrix plus the nugget on the diagonal,
-    # from a point list and from a dataset alike
-    brute = m.covariance(cdist(coords, coords), times[:, None] - times[None, :])
-    brute[np.diag_indices(40)] += 0.2
-    assert np.array_equal(K, brute)
-    data = SpaceTimeDataset.from_arrays(coords, times, np.zeros(40))
-    assert np.array_equal(gram(m, data).matrix, brute)
+    # 700 points take several blocks of rows
+    for n in (40, 700):
+        coords, times = random_arrays(rng, n, 2)
+        K = gram(m, points_of(coords, times)).matrix
+        assert np.array_equal(K, K.T)
+        assert np.allclose(np.diag(K), m.variance() + 0.2, rtol=1e-14)
+        # bit for bit the full kernel matrix plus the nugget on the diagonal,
+        # from a point list and from a dataset alike
+        brute = m.covariance(cdist(coords, coords), times[:, None] - times[None, :])
+        brute[np.diag_indices(n)] += 0.2
+        assert np.array_equal(K, brute)
+        data = SpaceTimeDataset.from_arrays(coords, times, np.zeros(n))
+        assert np.array_equal(gram(m, data).matrix, brute)
 
 
 def test_gram_psd_for_all_variants(variants_2d):
@@ -260,6 +262,28 @@ def test_duplicate_points_need_a_nugget():
         Posterior(KernelModel(UNDER), data)
 
 
+def test_duplicates_are_found_in_row_order_without_pair_arrays():
+    import tracemalloc
+
+    # 2 000 points take 63 blocks of rows; two coincident pairs lie in
+    # different blocks, and the first in row-major order is named
+    rng = np.random.default_rng(3)
+    coords, times = random_arrays(rng, 2000, 2)
+    for i, j in ((1900, 1950), (300, 1999)):
+        coords[j], times[j] = coords[i], times[i]
+    tracemalloc.start()
+    try:
+        assert gp._find_duplicates(coords, times) == (300, 1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # less than one float per pair (16 MB)
+    assert peak < 2000 * 1999 // 2 * 8
+    coords[1999] += 1e-6
+    assert gp._find_duplicates(coords, times) == (1900, 1950)
+    assert gp._find_duplicates(coords[:1900], times[:1900]) is None
+
+
 def test_factorization_failure_names_a_pivot():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(NotPositiveDefinite) as excinfo:
@@ -406,6 +430,23 @@ def test_repeated_predict_reuses_one_posterior(krige_case, monkeypatch):
         assert np.array_equal(means, first[0]) and np.array_equal(variances, first[1])
     assert np.array_equal(other_batch[0], first[0][:4])
     assert np.array_equal(other_batch[1], first[1][:4])
+
+
+def test_predict_rows_do_not_depend_on_batch_size():
+    # 30 stations x 20 times, and a batch of 50 queries: every prefix of the
+    # batch gets the full batch's rows, bit for bit
+    rng = np.random.default_rng(8)
+    sites = rng.uniform(0.0, 10.0, (30, 2))
+    coords = np.repeat(sites, 20, axis=0)
+    times = np.tile(0.5 * np.arange(20.0), 30)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(size=600))
+    assert data.stations is not None
+    post = Posterior(KernelModel(UNDER, nugget=0.05), data)
+    queries = random_points(rng, 50, 2)
+    means, variances = post.predict(queries)
+    for k in range(1, 50):
+        head = post.predict(queries[:k])
+        assert np.array_equal(head[0], means[:k]) and np.array_equal(head[1], variances[:k]), k
 
 
 def test_a_new_model_or_dataset_rebuilds_the_posterior(krige_case):

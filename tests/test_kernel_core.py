@@ -35,7 +35,7 @@ from oscov import (
     temporal_kernel,
     vlrt_kernel,
 )
-from oscov.kernel_core import _OVERDAMPED_SERIES_CUT, _prepare_lags
+from oscov.kernel_core import _OVERDAMPED_SERIES_CUT, _prepare_lags, euclidean_length
 
 UNDER = LdhoParams(2.0, 3.0, 1.5 * math.pi, 1.0, 0.4)
 
@@ -603,6 +603,37 @@ def test_anisotropic_distance_scales_axes():
     assert anisotropic_distance([3.0, 4.0], [1.0, 2.0]) == pytest.approx(
         math.sqrt(9.0 + 4.0), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_euclidean_length_has_scipys_bits(dim, scale):
+    # SciPy serves as the reference only; the package computes no distance with it
+    from scipy.spatial.distance import cdist, pdist
+
+    rng = np.random.default_rng(dim)
+    x = scale * rng.normal(size=(60, dim))
+    y = scale * rng.normal(size=(25, dim))
+    i, j = np.triu_indices(60, 1)
+    assert np.array_equal(euclidean_length(x[i], x[j]), pdist(x))
+    assert np.array_equal(euclidean_length(x[:, None], x[None])[i, j], pdist(x))
+    assert np.array_equal(euclidean_length(y[:, None], x[None]), cdist(y, x))
+    # one axis: the absolute difference, as the time lags are
+    t = x[:, :1]
+    assert np.array_equal(euclidean_length(t[i], t[j]), pdist(t, "cityblock"))
+    assert np.array_equal(np.abs(t[i, 0] - t[j, 0]), pdist(t, "cityblock"))
+    # anisotropic_distance is the same length of the lag vectors
+    lags = y[:, None] - x[None]
+    assert np.array_equal(anisotropic_distance(lags), cdist(y, x))
+    assert anisotropic_distance(lags[0, 0]) == cdist(y[:1], x[:1])[0, 0]
+
+
+def test_anisotropic_distance_keeps_its_result_types():
+    assert type(anisotropic_distance([3.0, 4.0])) is float
+    assert type(anisotropic_distance([3.0, 4.0], [1.0, 2.0])) is float
+    got = anisotropic_distance(np.ones((4, 3, 2)), [1.0, 2.0])
+    assert isinstance(got, np.ndarray) and got.shape == (4, 3)
+    assert np.all(got == math.sqrt(1.25))
 
 
 def test_anisotropic_distance_validation():

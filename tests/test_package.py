@@ -90,8 +90,8 @@ def test_gridded_variogram_loads_no_optimizer_pair_distances_or_gp(tmp_path):
 
 
 def test_fits_load_no_optimizer(tmp_path):
-    """Both fit stages on a field file need numpy only; a fit on scattered
-    data loads the GP module's SciPy, but no SciPy optimizer."""
+    """Both fit stages, on a field file and on scattered data, need numpy
+    only: the fit loads no SciPy optimizer, and scattered data no SciPy."""
     g = oscov.GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=1.0)
     field = str(tmp_path / "field.bin")
     values = np.random.default_rng(0).normal(size=g.shape)
@@ -115,11 +115,53 @@ def test_fits_load_no_optimizer(tmp_path):
             "print(*sorted(sys.modules))"
         )
         loaded[name] = out.splitlines()[-1].split()
-    for name in ("marginals", "full"):
+    for name in ("marginals", "full", "scattered"):
         assert "oscov.estimate" in loaded[name]
         assert [m for m in loaded[name] if m.startswith("scipy")] == []
     assert "oscov.gp" in loaded["scattered"]
-    assert [m for m in loaded["scattered"] if m.startswith("scipy.optimize")] == []
+
+
+def test_scattered_data_load_scipy_only_to_factorize(tmp_path):
+    """Variograms of scattered data, on stations and off them, compute their
+    distances with numpy and load no SciPy; a prediction loads SciPy's
+    LAPACK wrappers, but not ``scipy.spatial``."""
+    rng = np.random.default_rng(5)
+    stations = np.repeat(rng.uniform(0.0, 8.0, (12, 2)), 10, axis=0)
+    # half the points at the stations, half anywhere: no station table
+    scattered = np.where(np.arange(120)[:, None] % 2, stations, rng.uniform(0.0, 8.0, (120, 2)))
+    times = np.tile(np.arange(10.0), 12)
+    paths = []
+    for name, coords in (("stations", stations), ("scattered", scattered)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s1,s2,t,z\n" + "".join(
+            f"{x:.17g},{y:.17g},{t:.17g},{z:.17g}\n"
+            for (x, y), t, z in zip(coords, times, rng.normal(size=120))
+        ))
+        paths.append(str(path))
+    out = _fresh_python(
+        "import sys\n"
+        "from oscov.cli import main\n"
+        f"for data in {paths!r}:\n"
+        "    for kind in ('spatial', 'temporal', 'space_time'):\n"
+        "        assert main(['variogram', '--data', data, '--kind', kind,"
+        f" '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(*sorted(sys.modules))"
+    )
+    loaded = out.splitlines()[-1].split()
+    assert "oscov.gp" in loaded and "oscov.estimate" in loaded
+    assert [name for name in loaded if name.startswith("scipy")] == []
+    query = tmp_path / "query.csv"
+    query.write_text("s1,s2,t\n1.5,2.5,4.5\n6.0,1.0,9.5\n")
+    out = _fresh_python(
+        "import sys\n"
+        "from oscov.cli import main\n"
+        f"assert main(['predict', '--figure', 'fig1', '--data', {paths[1]!r},"
+        f" '--query', {str(query)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(*sorted(sys.modules))"
+    )
+    loaded = out.splitlines()[-1].split()
+    assert "scipy.linalg" in loaded
+    assert [name for name in loaded if name.startswith("scipy.spatial")] == []
 
 
 def test_every_exported_name_still_resolves():
