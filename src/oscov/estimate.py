@@ -246,6 +246,11 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _sum_out(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """``a`` summed over ``axes``, which stay as length-1 axes."""
+    return a.sum(axis=axes, keepdims=True) if axes else a
+
+
 def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     """Squared-increment sums and pair counts for every lattice shift in reach.
 
@@ -257,10 +262,13 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     with itself.
 
     The sums come from ``A(h) + B(h) - 2 X(h)`` (Marcotte 1996): ``X`` is
-    the autocorrelation of the mean-removed field from one real FFT, each
-    axis padded by its reach (up to a fast FFT length) so that no kept shift
-    wraps, and ``A``, ``B`` are box sums of ``z^2`` over the two overlap
-    regions, taken from prefix sums.
+    the autocorrelation of the mean-removed field from real FFTs along the
+    axes a kept shift moves, each padded by its reach (up to a fast FFT
+    length) so that no kept shift wraps, and ``A``, ``B`` are box sums of
+    ``z^2`` over the two overlap regions, taken from prefix sums.  An axis
+    that no shift moves is summed out first, from the power spectrum and
+    from ``z^2``, so the spatial marginal runs 2-D transforms per time slice
+    and the temporal marginal 1-D ones per node.
     """
     g = f.grid
     if not np.all(np.isfinite(f.values)):
@@ -270,20 +278,25 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     )
     shifts = [np.arange(-r, r + 1) for r in reach]
     z = f.values - f.values.mean()
-    axes = tuple(range(z.ndim))
-    padded = tuple(_fast_len(n + r) for n, r in zip(z.shape, reach))
-    spec = np.fft.rfftn(z, s=padded, axes=axes)
-    spec = spec.real**2 + spec.imag**2
-    cross = np.fft.irfftn(spec, s=padded, axes=axes)
-    del spec
+    moved = tuple(axis for axis, r in enumerate(reach) if r > 0)
+    still = tuple(axis for axis, r in enumerate(reach) if r == 0)
+    if moved:
+        padded = tuple(_fast_len(z.shape[axis] + reach[axis]) for axis in moved)
+        spec = np.fft.rfftn(z, s=padded, axes=moved)
+        spec = _sum_out(spec.real**2 + spec.imag**2, still)
+        cross = np.fft.irfftn(spec, s=padded, axes=moved)
+        del spec
+    else:
+        cross = np.zeros((1,) * z.ndim)  # only the origin, which is zeroed below
     # negative shifts index from the end, where the circular correlation keeps them
     cross = cross[np.ix_(*shifts)]
 
     # B(h): sums of z^2 over the nodes x whose partner x + h is in the grid;
     # A(h), the sum over the partners, is B(-h)
-    box = z * z
+    box = _sum_out(z * z, still)
     del z
-    for axis, (n, h) in enumerate(zip(g.shape, shifts)):
+    for axis in moved:
+        n, h = g.shape[axis], shifts[axis]
         prefix = np.zeros(box.shape[:axis] + (n + 1,) + box.shape[axis + 1:])
         np.cumsum(box, axis=axis, out=prefix[(slice(None),) * axis + (slice(1, None),)])
         box = np.take(prefix, n - np.maximum(h, 0), axis=axis) - np.take(
@@ -505,20 +518,47 @@ def _window_sums(groups, n_groups: int, lags, sq, centers, tol: float, pairs=Non
     return sums.reshape(n_groups, -1), counts.reshape(n_groups, -1)
 
 
-def _group_average(labels, values, lags_of, bins, tolerance: float):
-    """Semivariance per bin, averaged over the groups of points sharing a label.
-
-    Pairs form within groups only; ``lags_of(i, j)`` gives their lags.  Each
-    group's ratio ``sum / n`` counts in the bins it populates, and a bin's
-    estimate is half the mean of those ratios.  Returns the mean times the
-    pair count (the sums :func:`_drop_empty` takes) and the pair count.
+def _pair_group_sums(labels, values, lags_of, bins, tolerance: float):
+    """Window sums and pair counts per group of points sharing a label, shape
+    ``(groups, bins)``: pairs form within groups only, and ``lags_of(i, j)``
+    gives their lags.
     """
     uniq, labels = np.unique(labels, axis=0, return_inverse=True)
     labels = labels.ravel()
     i, j = _pairs(labels)
-    sums, counts = _window_sums(
+    return _window_sums(
         labels[i], len(uniq), lags_of(i, j), (values[i] - values[j]) ** 2, bins, tolerance
     )
+
+
+def _table_group_sums(lags, z_a, z_b, both, bins, tolerance: float):
+    """Window sums and pair counts per group from a table of cell pairs, shape
+    ``(groups, bins)``.
+
+    Row ``p`` holds one cell pair per group (column): its cells' values in
+    ``z_a`` and ``z_b``, whether both are observed in ``both``, and its lag,
+    ``lags[p]``, shared by the whole row.
+    """
+    sq = z_a - z_b
+    sq *= sq
+    sq *= both
+    item, k = _windows(lags, bins, tolerance)
+    n_groups = sq.shape[1]
+    key = (np.arange(n_groups) * bins.size + k[:, None]).ravel()
+    size = n_groups * bins.size
+    sums = np.bincount(key, weights=sq[item].ravel(), minlength=size)
+    counts = np.bincount(key, weights=both[item].ravel(), minlength=size).astype(np.int64)
+    return sums.reshape(n_groups, -1), counts.reshape(n_groups, -1)
+
+
+def _group_average(sums, counts):
+    """Semivariance per bin, averaged over groups, from the ``(groups, bins)``
+    window sums and pair counts.
+
+    Each group's ratio ``sum / n`` counts in the bins it populates, and a
+    bin's estimate is half the mean of those ratios.  Returns the mean times
+    the pair count (the sums :func:`_drop_empty` takes) and the pair count.
+    """
     hit = counts > 0
     ratios = np.where(hit, sums / np.maximum(counts, 1), 0.0)
     hits = hit.sum(axis=0)
@@ -551,20 +591,18 @@ def _cell_pair_sums(z, seen, p, q, windows, n_windows):
     return sums, counts
 
 
-def _station_window_sums(table, values, tau_bins, t_tol: float):
+def _station_window_sums(data, tau_bins, t_tol: float):
     """Squared-increment sums of station data per (temporal window, site pair).
 
     Site pairs ``a <= b`` (``a == b`` pairs a site's times with each other)
-    take their point pairs from an S x T table of the values: for ``a < b``
-    every time pair ``(p, q)`` in a window, for ``a == b`` only ``p < q``.
-    Returns, per non-empty (window, site pair) item, the window, the site
-    pair's distance, the sum and the pair count.
+    take their point pairs from the dataset's S x T table of the values: for
+    ``a < b`` every time pair ``(p, q)`` in a window, for ``a == b`` only
+    ``p < q``.  Returns, per non-empty (window, site pair) item, the window,
+    the site pair's distance, the sum and the pair count.
     """
-    n_sites, n_times = table.sites.shape[0], table.times.size
-    z = np.zeros((n_sites, n_times))
-    seen = np.zeros((n_sites, n_times), dtype=bool)
-    z[table.site_of, table.time_of] = values
-    seen[table.site_of, table.time_of] = True
+    table = data.stations
+    z, seen = data.station_values
+    n_sites, n_times = z.shape
     n_windows = tau_bins.size
     # time pairs p < q pair every ordered site pair; p == q only a < b
     p, q = np.triu_indices(n_times, 1)
@@ -591,7 +629,8 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
     per-slice geometry repeats, so the slice average reduces to one pooled
     ratio over the time-step-0 cells; for scattered data each slice is
     normalized separately and slices are averaged, matching the estimator's
-    definition.
+    definition.  Station data take each slice's pairs from the dataset's
+    S x T value table, site pair by site pair, to the same counts.
     """
     if bins is None:
         bins = default_spatial_bins(data)
@@ -601,11 +640,18 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
     if isinstance(data, FieldRealization):
         step, dist, sq, n = _grid_cells(data, 0, bins.max(initial=0.0) + tolerance)
         sums, counts = _window_sums(step, 1, dist, sq, bins, tolerance, n)
-    else:
+    elif data.stations is None:
         pts = data.coords
-        sums, counts = _group_average(
+        sums, counts = _group_average(*_pair_group_sums(
             data.times, data.values, lambda i, j: euclidean_length(pts[i], pts[j]), bins, tolerance
-        )
+        ))
+    else:
+        # site pairs a < b, paired in every time slice
+        sites, (z, seen) = data.stations.sites, data.station_values
+        a, b = np.triu_indices(sites.shape[0], 1)
+        sums, counts = _group_average(*_table_group_sums(
+            euclidean_length(sites[a], sites[b]), z[a], z[b], seen[a] & seen[b], bins, tolerance
+        ))
     return _drop_empty(VariogramKind.SPATIAL_MARGINAL, bins, None, sums, counts, tolerance)
 
 
@@ -614,7 +660,8 @@ def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
 
     A grid bins its zero-distance cells on whole time steps, so a lag of zero
     or past the time axis finds none; scattered data bin the pairs within
-    half the median time gap of a lag.
+    half the median time gap of a lag.  Station data take each site's pairs
+    from the dataset's S x T value table, time pair by time pair.
     """
     if bins is None:
         bins = default_temporal_bins(data)
@@ -625,12 +672,21 @@ def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
         steps = _as_time_steps(bins, data.grid.dt)
         step, _, sq, n = _grid_cells(data, steps.max(initial=0.0), 0.0)
         sums, counts = _window_sums(np.zeros_like(step), 1, step, sq, steps, tolerance, n)
-    else:
+    elif data.stations is None:
         times = data.times
         tolerance = _half_median_gap(times)
-        sums, counts = _group_average(
+        sums, counts = _group_average(*_pair_group_sums(
             data.coords, data.values, lambda i, j: np.abs(times[i] - times[j]), bins, tolerance
-        )
+        ))
+    else:
+        # time pairs p < q (ascending times, so positive gaps), paired at every site
+        times, (z, seen) = data.stations.times, data.station_values
+        tolerance = _half_median_gap(times)
+        p, q = np.triu_indices(times.size, 1)
+        z, seen = z.T, seen.T
+        sums, counts = _group_average(*_table_group_sums(
+            times[q] - times[p], z[p], z[q], seen[p] & seen[q], bins, tolerance
+        ))
     return _drop_empty(VariogramKind.TEMPORAL_MARGINAL, None, bins, sums, counts, tolerance)
 
 
@@ -677,9 +733,7 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
         i, j = i[item], j[item]
         dist, sq, n = euclidean_length(coords[i], coords[j]), (values[i] - values[j]) ** 2, None
     else:
-        window, dist, sq, n = _station_window_sums(
-            data.stations, data.values, tau_bins, _half_median_gap(data.times)
-        )
+        window, dist, sq, n = _station_window_sums(data, tau_bins, _half_median_gap(data.times))
     sums, counts = _window_sums(window, tau_bins.size, dist, sq, r_bins, tolerance, n)
     sums, counts = sums.ravel()[keep], counts.ravel()[keep]
     return _drop_empty(VariogramKind.SPACE_TIME, centers_r, centers_t, sums, counts, tolerance)

@@ -146,6 +146,25 @@ class SpaceTimeDataset:
         """
         return _station_table(self.coords, self.times)
 
+    @cached_property
+    def station_values(self) -> "tuple[np.ndarray, np.ndarray] | None":
+        """The values as an S x T table over :attr:`stations`, zero in the
+        unobserved cells, and the S x T mask of the observed cells; ``None``
+        where there is no station table.
+
+        Built on first use and kept, read-only.
+        """
+        table = self.stations
+        if table is None:
+            return None
+        shape = (table.sites.shape[0], table.times.size)
+        z, seen = np.zeros(shape), np.zeros(shape, dtype=bool)
+        z[table.site_of, table.time_of] = self.values
+        seen[table.site_of, table.time_of] = True
+        z.setflags(write=False)
+        seen.setflags(write=False)
+        return z, seen
+
     @classmethod
     def from_arrays(cls, coords, times, values, mean: float = 0.0) -> "SpaceTimeDataset":
         """Build a dataset from an ``(n, d)`` coordinate array and flat vectors."""
@@ -327,7 +346,7 @@ def _find_duplicates(coords: np.ndarray, times: np.ndarray) -> tuple[int, int] |
 
 
 def _chol_with_jitter(K: np.ndarray, m: KernelModel):
-    """Cholesky factorization with an escalating diagonal jitter.
+    """Cholesky factorization with an escalating diagonal jitter, in place.
 
     The first attempt factorizes ``K`` as assembled (the nugget is already on
     the diagonal).  On failure a jitter is added, starting at the nugget (or
@@ -336,18 +355,30 @@ def _chol_with_jitter(K: np.ndarray, m: KernelModel):
     the ceiling the matrix is declared not positive definite, naming the
     offending pivot (zero-based).
 
-    Returns the lower factor ``L`` (its strict upper triangle is not cleared)
+    ``K`` must be exactly symmetric, and C-ordered to be factorized without a
+    copy: LAPACK overwrites the lower triangle of ``K.T``, its Fortran-ordered
+    view, and never reads or writes the strict upper one.  A retry rebuilds
+    ``K + jitter I`` from that untouched triangle and ``K``'s diagonal, kept
+    aside, so it factorizes the same bits as a fresh ``K + jitter I``.
+
+    Returns the lower factor ``L`` (its strict upper triangle holds ``K``'s)
     and the jitter it applied; a jitter above zero is reported as a
     :class:`JitterWarning`.  ``L`` is Fortran-ordered, as LAPACK reads it.
     """
     from scipy.linalg.lapack import dpotrf
 
+    a = K.T
+    diag = a.diagonal().copy()
     c00 = m.variance()
     jitter = 0.0
     ceiling = 1e-6 * c00
     while True:
-        mat = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-        factor, info = dpotrf(mat, lower=1, clean=0)
+        if jitter > 0.0:
+            # column j's lower part is row j's upper part, which LAPACK left alone
+            for j in range(a.shape[0] - 1):
+                a[j + 1:, j] = a[j, j + 1:]
+            np.fill_diagonal(a, diag + jitter)
+        factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             if jitter > 0.0:
                 warnings.warn(
@@ -380,9 +411,11 @@ class Posterior:
     serves any number of query batches from the factor.  A batch of m
     queries costs O(n^2 m) through one triangular solve ``v = L^{-1} k*``:
     the variances are ``prior - |v|^2`` (Rasmussen & Williams 2006,
-    Algorithm 2.1).  The posterior keeps ``L``, ``alpha``, the prior variance
-    and the dataset's coordinate, time and mean arrays, but neither ``K`` nor
-    the dataset itself.
+    Algorithm 2.1).  ``L`` overwrites ``K`` in its one n x n buffer, so
+    building the posterior peaks at about one Gram matrix.  The posterior
+    keeps ``L``, ``alpha``, the prior variance, the dataset's coordinate,
+    time and mean arrays and its station table (query distances are then
+    taken to the sites alone), but not the dataset itself.
 
     Attributes
     ----------
@@ -424,10 +457,12 @@ class Posterior:
                     "nugget the Gram matrix is singular"
                 )
         K = gram(m, data).matrix
-        self.factor, self.jitter = _chol_with_jitter(K, m)
         # K is symmetric, so K.T is its Fortran-ordered view and LAPACK copies
-        # nothing; the jitter adds itself to every column sum of K
-        anorm = dlange("1", K.T) + self.jitter
+        # nothing; the norm is taken before the factor overwrites K, and the
+        # jitter adds itself to every column sum
+        anorm = dlange("1", K.T)
+        self.factor, self.jitter = _chol_with_jitter(K, m)
+        anorm += self.jitter
         self.rcond = float(dpocon(self.factor, anorm, uplo="L")[0])
         if self.rcond < _RCOND_FLOOR:
             warnings.warn(
@@ -442,6 +477,7 @@ class Posterior:
         self.prior = m.variance() + m.nugget
         self.model = m
         self.coords, self.times, self.mean = coords, times, data.mean
+        self.stations = data.stations
 
     def predict(self, query) -> tuple[np.ndarray, np.ndarray]:
         """Conditional means and variances at ``query`` (see :func:`predict`)."""
@@ -450,7 +486,14 @@ class Posterior:
         q_coords, q_times = _arrays(query)
         _check_dim(self.model, q_coords, "query")
 
-        r_star = euclidean_length(q_coords[:, None], self.coords[None])
+        table = self.stations
+        if table is None:
+            r_star = euclidean_length(q_coords[:, None], self.coords[None])
+        else:
+            # a site's distance has the bits of its points' distance; take,
+            # unlike [:, site_of], keeps the block C-ordered like dt_star
+            r_sites = euclidean_length(q_coords[:, None], table.sites[None])
+            r_star = np.take(r_sites, table.site_of, axis=1)
         dt_star = q_times[:, None] - self.times[None, :]
         k_star = np.asarray(self.model.covariance(r_star, dt_star), dtype=float)
 

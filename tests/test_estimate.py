@@ -6,6 +6,7 @@ and normalization conventions are pinned independently of the vectorized
 implementation.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -459,6 +460,91 @@ def test_joint_variogram_without_station_structure_matches_pair_mask(n):
     coords, t = rng.uniform(0.0, 4.0, (n, 2)), rng.uniform(0.0, 3.0, n)
     data = _check_joint_on_arrays(coords, t, 1e3 + rng.standard_normal(n))
     assert data.stations is None
+
+
+def _without_table(data):
+    """A copy of ``data`` whose station table is hidden, so every estimator
+    takes the pair pass."""
+    twin = SpaceTimeDataset.from_arrays(data.coords, data.times, data.values, data.mean)
+    twin.__dict__["stations"] = None
+    return twin
+
+
+def _check_marginals_against_pair_pass(data):
+    """Both scattered marginals from the station table against the pair pass:
+    equal counts and bins, gamma within 1e-12 relative (or both empty)."""
+    assert data.stations is not None
+    twin = _without_table(data)
+    for estimator, kwargs in (
+        (spatial_marginal_variogram, dict(bins=[0.5, 1.0, 2.0, 3.5], tolerance=0.75)),
+        (temporal_marginal_variogram, dict(bins=[0.3, 0.6, 0.9, 1.5, 2.7])),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyBin)
+            try:
+                got = estimator(data, **kwargs)
+            except EmptyBinError:
+                with pytest.raises(EmptyBinError):
+                    estimator(twin, **kwargs)
+                continue
+            expected = estimator(twin, **kwargs)
+        assert np.array_equal(got.counts, expected.counts)
+        assert got.tolerance == expected.tolerance
+        for a, b in ((got.r, expected.r), (got.tau, expected.tau)):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        np.testing.assert_allclose(got.gamma, expected.gamma, rtol=1e-12, atol=0.0)
+
+
+def _station_sample(rng, n_sites, n_times, keep=1.0, shuffle=False):
+    sites = rng.uniform(0.0, 5.0, (n_sites, 2))
+    site, step = np.divmod(np.arange(n_sites * n_times), n_times)
+    kept = np.flatnonzero(rng.random(site.size) < keep)
+    if shuffle:
+        kept = rng.permutation(kept)
+    coords, t = sites[site[kept]], 0.3 * step[kept]
+    return SpaceTimeDataset.from_arrays(coords, t, 1e3 + rng.standard_normal(kept.size))
+
+
+@pytest.mark.parametrize(
+    "keep, shuffle", ((1.0, False), (0.8, False), (1.0, True), (0.8, True)),
+    ids=("complete", "missing-cells", "shuffled", "missing-shuffled"),
+)
+def test_station_marginals_match_the_pair_pass(keep, shuffle):
+    _check_marginals_against_pair_pass(
+        _station_sample(np.random.default_rng(17), 12, 15, keep, shuffle)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=station_arrays(min_times=5, min_keep=0.5))
+def test_station_marginals_of_drawn_tables_match_the_pair_pass(arrays):
+    data = SpaceTimeDataset.from_arrays(*arrays)
+    assume(data.stations is not None)
+    _check_marginals_against_pair_pass(data)
+
+
+def test_station_value_table_is_built_once_per_dataset(monkeypatch):
+    data = _station_sample(np.random.default_rng(2), 10, 12, keep=0.8, shuffle=True)
+    table = data.stations
+    built = []
+    real = SpaceTimeDataset.station_values.func
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(SpaceTimeDataset, "station_values")
+    monkeypatch.setattr(SpaceTimeDataset, "station_values", spy)
+    spatial_marginal_variogram(data)
+    temporal_marginal_variogram(data)
+    space_time_variogram(data)
+    assert built == [data]
+    z, seen = data.station_values
+    assert z.shape == seen.shape == (10, 12) and seen.sum() == len(data)
+    assert np.array_equal(z[table.site_of, table.time_of], data.values)
+    assert not np.any(z[~seen]) and not (z.flags.writeable or seen.flags.writeable)
+    assert _without_table(data).station_values is None
 
 
 def _quantile_bins(coords):

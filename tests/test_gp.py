@@ -291,6 +291,55 @@ def test_factorization_failure_names_a_pivot():
     assert excinfo.value.pivot == 1
 
 
+def _near_duplicates(rng, n):
+    """``n`` random points, three of them 1e-9 apart at one time: the
+    nugget-free Gram matrix needs a jitter to factorize."""
+    coords, times = random_arrays(rng, n, 2)
+    coords[1:3] = coords[0] + [[1e-9, 0.0], [2e-9, 0.0]]
+    times[1:3] = times[0]
+    return SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.2, 1.0, n), mean=0.2)
+
+
+def test_a_jitter_retry_factorizes_the_fresh_jittered_gram():
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+
+    data = _near_duplicates(np.random.default_rng(21), 120)
+    m = KernelModel(UNDER)
+    with pytest.warns(JitterWarning), pytest.warns(IllConditionedWarning):
+        post = Posterior(m, data)
+    assert post.jitter > 0.0
+    # the retry rebuilt K + jitter I in the failed attempt's buffer
+    fresh = gram(m, data).matrix + post.jitter * np.eye(len(data))
+    factor, info = dpotrf(fresh, lower=1, clean=0)
+    assert info == 0
+    assert np.array_equal(np.tril(post.factor), np.tril(factor))
+    w = dtrtrs(factor, data.values - data.mean, lower=1)[0]
+    assert np.array_equal(post.alpha, dtrtrs(factor, w, lower=1, trans=1)[0])
+
+
+def test_the_factor_overwrites_the_gram_matrix():
+    import tracemalloc
+
+    # 40 stations x 25 times; a small posterior loads the kernel and LAPACK
+    # first, so the trace sees the Gram matrix and what is made beside it
+    rng = np.random.default_rng(4)
+    m = KernelModel(UNDER, nugget=0.05)
+    sites = rng.uniform(0.0, 10.0, (40, 2))
+    site, step = np.divmod(np.arange(1000), 25)
+    Posterior(m, SpaceTimeDataset.from_arrays(sites[site[:50]], 0.4 * step[:50], np.zeros(50)))
+    data = SpaceTimeDataset.from_arrays(sites[site], 0.4 * step, rng.normal(size=1000))
+    assert data.stations is not None
+    tracemalloc.start()
+    try:
+        post = Posterior(m, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n buffer, not K beside a copy of it (2.0)
+    assert peak < 1.25 * 1000 * 1000 * 8
+    assert post.factor.flags.f_contiguous
+
+
 def test_jitter_is_recorded_and_reported():
     # points 1e-9 apart are no duplicates, but C(r, 0) rounds to C(0, 0)
     # there, so the nugget-free Gram matrix is singular to working precision
@@ -373,6 +422,23 @@ def test_triangular_solve_is_the_cholesky_solve(stations):
     k_star = m.covariance(cdist(q_coords, coords), q_times[:, None] - times[None, :])
     direct = post.prior - np.einsum("ij,ji->i", k_star, cho_solve(factor, k_star.T))
     assert np.max(np.abs(variances - direct)) <= 1e-13 * post.prior
+
+
+def test_station_queries_match_the_pair_path():
+    # the station Gram matrix and the site distances have the bits of the
+    # pair path's, so the factor and the predictions do too
+    rng = np.random.default_rng(23)
+    coords, times = _station_case(rng)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(size=times.size))
+    twin = SpaceTimeDataset.from_arrays(coords, times, data.values)
+    twin.__dict__["stations"] = None
+    m = KernelModel(UNDER, nugget=0.05)
+    post, pair_post = Posterior(m, data), Posterior(m, twin)
+    assert post.stations is data.stations and pair_post.stations is None
+    assert np.array_equal(np.tril(post.factor), np.tril(pair_post.factor))
+    queries = random_points(rng, 30, 2, t_span=6.0) + points_of(coords[:5], times[:5])
+    for got, expected in zip(post.predict(queries), pair_post.predict(queries)):
+        assert np.array_equal(got, expected)
 
 
 def test_a_jittered_posterior_predicts_variances_within_the_prior():
