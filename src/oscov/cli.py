@@ -49,9 +49,9 @@ class _UsageError(Exception):
     """Configuration problem detected after argparse."""
 
 
-def _add_common(sub: argparse.ArgumentParser, figure: bool = True):
-    sub.add_argument("--model", help="path to a kernel model JSON file")
-    if figure:
+def _add_common(sub: argparse.ArgumentParser, model: bool = True):
+    if model:
+        sub.add_argument("--model", help="path to a kernel model JSON file")
         sub.add_argument(
             "--figure",
             choices=("fig1", "fig2", "fig3", "ou1", "ou2"),
@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
     p = subs.add_parser("variogram", help="empirical variogram")
-    _add_common(p, figure=False)
+    _add_common(p, model=False)
     p.add_argument("--field", help="field binary written by `simulate`")
     p.add_argument("--data", help="observation CSV (s1,...,sd,t,z)")
     p.add_argument(
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tolerance", type=float, default=None, help="spatial bin half-width")
 
     p = subs.add_parser("fit", help="fit hyperparameters")
-    _add_common(p, figure=False)
+    _add_common(p, model=False)
     p.add_argument("--field", help="field binary written by `simulate`")
     p.add_argument("--data", help="observation CSV (s1,...,sd,t,z)")
     p.add_argument("--family", choices=("ldho", "ou"), default="ldho")
@@ -129,11 +129,10 @@ def _resolve_model(args):
     from .kernel_core import KernelModel
     from .presets import preset_model
 
-    figure = getattr(args, "figure", None)
-    if figure and args.model:
+    if args.figure and args.model:
         raise _UsageError("give either --model or --figure, not both")
-    if figure:
-        return preset_model(figure)
+    if args.figure:
+        return preset_model(args.figure)
     if args.model:
         try:
             with open(args.model) as fh:
@@ -159,6 +158,14 @@ def _resolve_data(args):
             raise _UsageError(f"data file not found: {args.data}")
         return load_dataset_csv(args.data)
     raise _UsageError("input data required (--field <bin> or --data <csv>)")
+
+
+def _parse_bins(args):
+    """The ``--r-bins`` and ``--tau-bins`` lag centers, ``None`` where not given."""
+    return tuple(
+        None if text is None else _parse_list(text, float, flag)
+        for text, flag in ((args.r_bins, "--r-bins"), (args.tau_bins, "--tau-bins"))
+    )
 
 
 def _out_path(args, name: str) -> str:
@@ -234,8 +241,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_variogram(args) -> int:
-    import numpy as np
-
     from .estimate import (
         space_time_variogram,
         spatial_marginal_variogram,
@@ -249,8 +254,7 @@ def cmd_variogram(args) -> int:
     if args.kind == "spatial" and args.tau_bins is not None:
         raise _UsageError("--tau-bins are time lags; --kind spatial takes none")
     data = _resolve_data(args)
-    r_bins = None if args.r_bins is None else np.array(_parse_list(args.r_bins, float, "--r-bins"))
-    tau_bins = None if args.tau_bins is None else np.array(_parse_list(args.tau_bins, float, "--tau-bins"))
+    r_bins, tau_bins = _parse_bins(args)
     if args.kind == "spatial":
         v = spatial_marginal_variogram(data, bins=r_bins, tolerance=args.tolerance)
     elif args.kind == "temporal":
@@ -268,13 +272,10 @@ def cmd_variogram(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    import numpy as np
-
     from .estimate import fit_full, fit_marginals
 
     data = _resolve_data(args)
-    r_bins = None if args.r_bins is None else np.array(_parse_list(args.r_bins, float, "--r-bins"))
-    tau_bins = None if args.tau_bins is None else np.array(_parse_list(args.tau_bins, float, "--tau-bins"))
+    r_bins, tau_bins = _parse_bins(args)
     if args.stage == "marginals":
         result = fit_marginals(data, args.family, args.dispersion, r_bins=r_bins, tau_bins=tau_bins)
     else:
@@ -397,7 +398,7 @@ def _check_gram_psd(m, seed: int) -> dict:
 def cmd_checks(args) -> int:
     from .presets import available_presets, preset_model
 
-    if getattr(args, "figure", None) or args.model:
+    if args.figure or args.model:
         models = [(args.figure or os.path.basename(args.model), _resolve_model(args))]
     else:
         models = [(name, preset_model(name)) for name in available_presets()]

@@ -44,7 +44,7 @@ from .kernel_core import (
     damped_frequency,
     euclidean_length,
 )
-from .simulate import FieldRealization
+from .simulate import FieldRealization, _grid_steps
 
 __all__ = [
     "VariogramKind",
@@ -317,16 +317,14 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     return sums.reshape(-1, k), counts.reshape(-1, k), dist
 
 
-def _grid_cells(f: FieldRealization, max_step, r_max: float):
-    """Time step, distance, squared-increment sum and pair count of each
-    non-empty cell of :func:`_lag_table` up to ``max_step`` (at most
-    ``nt - 1``).  Step 0 keeps one of ``h`` and ``-h``, so no pair repeats.
-    """
+def _grid_table(f: FieldRealization, max_step, r_max: float):
+    """:func:`_lag_table` up to ``max_step`` (at most ``nt - 1``); step 0 keeps
+    one of ``h`` and ``-h`` and empties the other, so no pair repeats."""
     sums, counts, dist = _lag_table(f, int(min(max_step, f.grid.nt - 1)), r_max)
     # in C order the columns up to the origin mirror those past it
-    counts[0, : dist.size // 2 + 1] = 0
-    step, col = np.nonzero(counts)
-    return step, dist[col], sums[step, col], counts[step, col]
+    half = dist.size // 2 + 1
+    sums[0, :half], counts[0, :half] = 0.0, 0
+    return sums, counts, dist
 
 
 def _drop_empty(kind, centers_r, centers_t, sums, counts, tolerance):
@@ -418,7 +416,7 @@ def default_spatial_bins(data, n_bins: int = 8) -> np.ndarray:
             raise DomainError("need two distinct sites for spatial lags")
         lo, hi = np.quantile(d, quantiles)
         return np.linspace(lo, hi, n_bins)
-    per_site = np.bincount(table.site_of)
+    per_site = np.count_nonzero(data.station_values[1], axis=1)
     a, b = np.triu_indices(per_site.size, 1)
     d = euclidean_length(table.sites[a], table.sites[b])
     keep = d > 0
@@ -460,9 +458,7 @@ def _half_median_gap(times: np.ndarray) -> float:
 
 def _as_time_steps(tau_bins: np.ndarray, dt: float) -> np.ndarray:
     """Each lag as a whole number of grid steps (as floats); off-grid lags raise."""
-    ratio = tau_bins / dt
-    steps = np.round(ratio)
-    off = np.abs(ratio - steps) > 1e-9 * np.maximum(1.0, ratio)
+    steps, off = _grid_steps(tau_bins, dt)
     if off.any():
         raise DomainError(f"temporal lag {tau_bins[off][0]} is not a multiple of the grid step {dt}")
     return steps
@@ -500,22 +496,31 @@ def _windows(lags: np.ndarray, centers: np.ndarray, tol: float):
     return _ragged(np.maximum(stop - first, 0), first)
 
 
-def _window_sums(groups, n_groups: int, lags, sq, centers, tol: float, pairs=None):
-    """Sums of ``sq`` and pair counts per (group, window), shape ``(n_groups, bins)``.
+def _window_sums(lags, sq, centers, tol: float, n=None, group=None, n_groups=None):
+    """Sums of ``sq`` and pair counts per (group, window), shape ``(groups, windows)``.
 
-    Item ``p`` belongs to group ``groups[p]``, counts in every window that
-    holds ``lags[p]``, and stands for ``pairs[p]`` pairs (one by default).
+    Row ``p`` of the table has the lag ``lags[p]`` and adds to every window
+    that holds it.  Either ``sq`` is ``(rows, groups)``, a group per column
+    (grid shifts or time steps, time slices, sites or temporal windows), or a
+    vector of point pairs, row ``p`` in group ``group[p]`` of ``n_groups``.
+    ``n``, shaped like ``sq``, holds the pairs each entry stands for (one by
+    default).  Each (group, window) adds its entries in row order.
     """
-    item, k = _windows(lags, centers, tol)
-    key = groups[item] * centers.size + k
+    row, k = _windows(lags, centers, tol)
+    if group is None:
+        n_groups = sq.shape[1]
+        key = (np.arange(n_groups) * centers.size + k[:, None]).ravel()
+    else:
+        key = group[row] * centers.size + k
     size = n_groups * centers.size
-    sums = np.bincount(key, weights=sq[item], minlength=size)
-    if pairs is None:
+    sums = np.bincount(key, weights=sq[row].ravel(), minlength=size)
+    if n is None:
         counts = np.bincount(key, minlength=size)
     else:
         # integer weights below 2**53 sum exactly in float64
-        counts = np.bincount(key, weights=pairs[item], minlength=size).astype(np.int64)
-    return sums.reshape(n_groups, -1), counts.reshape(n_groups, -1)
+        counts = np.bincount(key, weights=n[row].ravel(), minlength=size).astype(np.int64)
+    shape = (n_groups, centers.size)  # no -1: a table may have no groups or no windows
+    return sums.reshape(shape), counts.reshape(shape)
 
 
 def _pair_group_sums(labels, values, lags_of, bins, tolerance: float):
@@ -526,29 +531,8 @@ def _pair_group_sums(labels, values, lags_of, bins, tolerance: float):
     uniq, labels = np.unique(labels, axis=0, return_inverse=True)
     labels = labels.ravel()
     i, j = _pairs(labels)
-    return _window_sums(
-        labels[i], len(uniq), lags_of(i, j), (values[i] - values[j]) ** 2, bins, tolerance
-    )
-
-
-def _table_group_sums(lags, z_a, z_b, both, bins, tolerance: float):
-    """Window sums and pair counts per group from a table of cell pairs, shape
-    ``(groups, bins)``.
-
-    Row ``p`` holds one cell pair per group (column): its cells' values in
-    ``z_a`` and ``z_b``, whether both are observed in ``both``, and its lag,
-    ``lags[p]``, shared by the whole row.
-    """
-    sq = z_a - z_b
-    sq *= sq
-    sq *= both
-    item, k = _windows(lags, bins, tolerance)
-    n_groups = sq.shape[1]
-    key = (np.arange(n_groups) * bins.size + k[:, None]).ravel()
-    size = n_groups * bins.size
-    sums = np.bincount(key, weights=sq[item].ravel(), minlength=size)
-    counts = np.bincount(key, weights=both[item].ravel(), minlength=size).astype(np.int64)
-    return sums.reshape(n_groups, -1), counts.reshape(n_groups, -1)
+    sq = (values[i] - values[j]) ** 2
+    return _window_sums(lags_of(i, j), sq, bins, tolerance, group=labels[i], n_groups=len(uniq))
 
 
 def _group_average(sums, counts):
@@ -592,13 +576,13 @@ def _cell_pair_sums(z, seen, p, q, windows, n_windows):
 
 
 def _station_window_sums(data, tau_bins, t_tol: float):
-    """Squared-increment sums of station data per (temporal window, site pair).
+    """Squared-increment sums of station data per (site pair, temporal window).
 
     Site pairs ``a <= b`` (``a == b`` pairs a site's times with each other)
     take their point pairs from the dataset's S x T table of the values: for
     ``a < b`` every time pair ``(p, q)`` in a window, for ``a == b`` only
-    ``p < q``.  Returns, per non-empty (window, site pair) item, the window,
-    the site pair's distance, the sum and the pair count.
+    ``p < q``.  Returns each site pair's distance and the site pair x window
+    tables of the sums and the pair counts.
     """
     table = data.stations
     z, seen = data.station_values
@@ -616,9 +600,8 @@ def _station_window_sums(data, tau_bins, t_tol: float):
         np.hstack([np.diagonal(x, axis1=1, axis2=2), x[:, a, b] + x[:, b, a] + x0[:, a, b]])
         for x, x0 in ((sums, sums0), (counts, counts0))
     )
-    window, site_pair = np.nonzero(n_pairs)
     dist = np.concatenate([np.zeros(n_sites), euclidean_length(table.sites[a], table.sites[b])])
-    return window, dist[site_pair], sq[window, site_pair], n_pairs[window, site_pair]
+    return dist, sq.T, n_pairs.T
 
 
 def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVariogram:
@@ -638,8 +621,9 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
     tolerance = _spatial_tolerance(data, tolerance)
 
     if isinstance(data, FieldRealization):
-        step, dist, sq, n = _grid_cells(data, 0, bins.max(initial=0.0) + tolerance)
-        sums, counts = _window_sums(step, 1, dist, sq, bins, tolerance, n)
+        # the shifts are the rows, time step 0 the one group
+        sums, counts, dist = _grid_table(data, 0, bins.max(initial=0.0) + tolerance)
+        sums, counts = _window_sums(dist, sums.T, bins, tolerance, counts.T)
     elif data.stations is None:
         pts = data.coords
         sums, counts = _group_average(*_pair_group_sums(
@@ -649,9 +633,9 @@ def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVari
         # site pairs a < b, paired in every time slice
         sites, (z, seen) = data.stations.sites, data.station_values
         a, b = np.triu_indices(sites.shape[0], 1)
-        sums, counts = _group_average(*_table_group_sums(
-            euclidean_length(sites[a], sites[b]), z[a], z[b], seen[a] & seen[b], bins, tolerance
-        ))
+        both = seen[a] & seen[b]
+        sq, dist = np.where(both, z[a] - z[b], 0.0) ** 2, euclidean_length(sites[a], sites[b])
+        sums, counts = _group_average(*_window_sums(dist, sq, bins, tolerance, both))
     return _drop_empty(VariogramKind.SPATIAL_MARGINAL, bins, None, sums, counts, tolerance)
 
 
@@ -669,9 +653,10 @@ def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
 
     if isinstance(data, FieldRealization):
         tolerance = 0.0
+        # the time steps are the rows, the zero shift the one group
         steps = _as_time_steps(bins, data.grid.dt)
-        step, _, sq, n = _grid_cells(data, steps.max(initial=0.0), 0.0)
-        sums, counts = _window_sums(np.zeros_like(step), 1, step, sq, steps, tolerance, n)
+        sums, counts, _ = _grid_table(data, steps.max(initial=0.0), 0.0)
+        sums, counts = _window_sums(np.arange(len(sums)), sums, steps, tolerance, counts)
     elif data.stations is None:
         times = data.times
         tolerance = _half_median_gap(times)
@@ -684,9 +669,9 @@ def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
         tolerance = _half_median_gap(times)
         p, q = np.triu_indices(times.size, 1)
         z, seen = z.T, seen.T
-        sums, counts = _group_average(*_table_group_sums(
-            times[q] - times[p], z[p], z[q], seen[p] & seen[q], bins, tolerance
-        ))
+        both = seen[p] & seen[q]
+        sq, gaps = np.where(both, z[p] - z[q], 0.0) ** 2, times[q] - times[p]
+        sums, counts = _group_average(*_window_sums(gaps, sq, bins, tolerance, both))
     return _drop_empty(VariogramKind.TEMPORAL_MARGINAL, None, bins, sums, counts, tolerance)
 
 
@@ -699,6 +684,12 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
     pair of points once, except on grids at ``tau = 0``, where it counts each
     node pair twice (once per sign of the spatial shift): there the counts
     are twice the spatial marginal's per-slice ``N(r_k)`` times ``N_T``.
+
+    Every input becomes spatial lags binned per temporal window.  A grid
+    bins its lag-sum table's time steps into the windows, so a window past
+    the time axis holds no step, and then the shift x window table on
+    distance; station data bin their site pair x window table on distance;
+    other scattered data bin each pair in the windows that hold its gap.
     """
     if r_bins is None:
         r_bins = np.concatenate([[0.0], default_spatial_bins(data, n_bins=6)])
@@ -715,26 +706,26 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
     keep = ~((grid_r == 0.0) & (grid_t == 0.0)).ravel()
     centers_r, centers_t = grid_r.ravel()[keep], grid_t.ravel()[keep]
 
-    # every item (a cell, a pair or a station cell) in each temporal window
-    # that holds its lag; the window is its group for the spatial windows
+    # spatial lags per temporal window: a table's columns, or each pair's own
+    window = None
     if isinstance(data, FieldRealization):
         steps = _as_time_steps(tau_bins, data.grid.dt)
-        step, dist, sq, n = _grid_cells(
+        sums, counts, dist = _grid_table(
             data, steps.max(initial=0.0), r_bins.max(initial=0.0) + tolerance
         )
         # as documented above: a tau = 0 node pair counts once per sign of h
-        twice = np.where(step == 0, 2, 1)
-        item, window = _windows(step, steps, 0.0)
-        dist, sq, n = dist[item], (twice * sq)[item], (twice * n)[item]
+        sums[0], counts[0] = 2.0 * sums[0], 2 * counts[0]
+        # time steps into the temporal windows: shifts x windows
+        sq, n = _window_sums(np.arange(len(sums)), sums, steps, 0.0, counts)
     elif data.stations is None:
         coords, times, values = data.coords, data.times, data.values
-        i, j = _pairs(np.zeros(len(times), dtype=np.int64))
+        i, j = np.triu_indices(len(times), 1)
         item, window = _windows(np.abs(times[i] - times[j]), tau_bins, _half_median_gap(times))
         i, j = i[item], j[item]
         dist, sq, n = euclidean_length(coords[i], coords[j]), (values[i] - values[j]) ** 2, None
     else:
-        window, dist, sq, n = _station_window_sums(data, tau_bins, _half_median_gap(data.times))
-    sums, counts = _window_sums(window, tau_bins.size, dist, sq, r_bins, tolerance, n)
+        dist, sq, n = _station_window_sums(data, tau_bins, _half_median_gap(data.times))
+    sums, counts = _window_sums(dist, sq, r_bins, tolerance, n, window, tau_bins.size)
     sums, counts = sums.ravel()[keep], counts.ravel()[keep]
     return _drop_empty(VariogramKind.SPACE_TIME, centers_r, centers_t, sums, counts, tolerance)
 

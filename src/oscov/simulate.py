@@ -254,6 +254,14 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
     return FieldRealization(values=z, grid=g, provenance=provenance)
 
 
+def _grid_steps(lags, step):
+    """Lags in whole grid steps (floats, half to even), and whether each lies
+    off the grid: more than 1e-9 max(1, |ratio|) away."""
+    ratio = np.asarray(lags, dtype=float) / step
+    steps = np.round(ratio)
+    return steps, np.abs(ratio - steps) > 1e-9 * np.maximum(1.0, np.abs(ratio))
+
+
 def _lag_to_shift(lag, g: GridSpec) -> tuple[int, ...]:
     lag = np.atleast_1d(np.asarray(lag, dtype=float))
     if lag.size != g.dim + 1:
@@ -264,20 +272,18 @@ def _lag_to_shift(lag, g: GridSpec) -> tuple[int, ...]:
     if not np.all(np.isfinite(lag)):
         raise LagOutOfRange(f"lag {lag.tolist()} has a non-finite component")
     steps = (g.dt,) + g.ds
-    shift = []
-    for value, step, count in zip(lag, steps, (g.nt,) + g.ns):
-        ratio = value / step
-        nearest = round(ratio)
-        if abs(ratio - nearest) > 1e-9 * max(1.0, abs(ratio)):
+    shift, off = _grid_steps(lag, np.array(steps))
+    shift = [int(h) for h in shift]
+    for value, step, count, h, bad in zip(lag, steps, (g.nt,) + g.ns, shift, off):
+        if bad:
             raise LagOutOfRange(
                 f"lag component {value} is not a multiple of grid step {step}"
             )
-        if abs(nearest) >= count:
+        if abs(h) >= count:
             raise LagOutOfRange(
-                f"lag component {value} spans {abs(nearest)} steps but the axis "
+                f"lag component {value} spans {abs(h)} steps but the axis "
                 f"has only {count} nodes"
             )
-        shift.append(int(nearest))
     return tuple(shift)
 
 

@@ -94,6 +94,22 @@ def test_unknown_flag_exits_config():
     assert "unrecognized arguments: --seed" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    (("variogram",), ("fit", "--stage", "marginals")),
+    ids=("variogram", "fit"),
+)
+def test_commands_without_a_model_refuse_one(tmp_path, sim_dir, args):
+    # variogram and fit estimate from data alone; a model flag would go unread
+    res = run_cli(
+        *args, "--field", sim_dir / "field.bin",
+        "--model", tmp_path / "nope.json", "--out", tmp_path,
+    )
+    assert res.returncode == 1
+    assert "unrecognized arguments: --model" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_requires_a_model(tmp_path):
     res = run_cli("eval", "--out", tmp_path)
     assert res.returncode == 1

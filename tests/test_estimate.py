@@ -462,6 +462,51 @@ def test_joint_variogram_without_station_structure_matches_pair_mask(n):
     assert data.stations is None
 
 
+def _window_sums_by_loop(lags, sq, centers, tol, n=None, group=None, n_groups=1):
+    """``estimate._window_sums`` as a loop over rows, windows and groups."""
+    if group is None:
+        n_groups = sq.shape[1]
+    sums = np.zeros((n_groups, centers.size))
+    counts = np.zeros((n_groups, centers.size), dtype=np.int64)
+    for p, lag in enumerate(lags):
+        for k, c in enumerate(centers):
+            if not c - tol <= lag <= c + tol:
+                continue
+            for g in range(n_groups) if group is None else [group[p]]:
+                entry = (p, g) if group is None else p
+                sums[g, k] += sq[entry]
+                counts[g, k] += 1 if n is None else n[entry]
+    return sums, counts
+
+
+@pytest.mark.parametrize("rows", (0, 1, 40))
+@pytest.mark.parametrize(
+    "centers", ([], [0.0, 0.5, 0.7, 1.5, 2.0]), ids=("no-windows", "overlapping")
+)
+@pytest.mark.parametrize("form", ("columns", "no-columns", "pairs", "weighted-pairs"))
+def test_window_sums_match_a_loop(form, centers, rows):
+    rng = np.random.default_rng(rows)
+    centers, tol = np.array(centers), 0.4  # the windows at 0.5 and 0.7 overlap
+    # lags on a lattice hit window edges and repeat; uniform ones fall between
+    lags = np.where(rng.random(rows) < 0.5, 0.1 * rng.integers(0, 25, rows), rng.uniform(0, 2.5, rows))
+    if form.endswith("columns"):
+        shape = (rows, 3 if form == "columns" else 0)
+        n = rng.integers(0, 4, shape)  # pair counts, some entries empty
+        sq, kwargs = np.where(n > 0, rng.uniform(0.0, 2.0, shape), 0.0), {"n": n}
+    else:
+        sq = rng.uniform(0.0, 2.0, rows)
+        kwargs = {"group": rng.integers(0, 4, rows), "n_groups": 5}  # group 4 stays empty
+        if form == "weighted-pairs":
+            kwargs["n"] = rng.integers(1, 6, rows)
+    sums, counts = estimate._window_sums(lags, sq, centers, tol, **kwargs)
+    expected_sums, expected_counts = _window_sums_by_loop(lags, sq, centers, tol, **kwargs)
+    assert sums.shape == counts.shape == expected_sums.shape
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, expected_counts)
+    # each (group, window) adds its entries in row order, as the loop does
+    np.testing.assert_array_equal(sums, expected_sums)
+
+
 def _without_table(data):
     """A copy of ``data`` whose station table is hidden, so every estimator
     takes the pair pass."""
@@ -506,12 +551,14 @@ def _station_sample(rng, n_sites, n_times, keep=1.0, shuffle=False):
 
 
 @pytest.mark.parametrize(
-    "keep, shuffle", ((1.0, False), (0.8, False), (1.0, True), (0.8, True)),
-    ids=("complete", "missing-cells", "shuffled", "missing-shuffled"),
+    "n_sites, keep, shuffle",
+    ((12, 1.0, False), (12, 0.8, False), (12, 1.0, True), (12, 0.8, True), (1, 1.0, False)),
+    # one site: the spatial marginal's site-pair table has no rows
+    ids=("complete", "missing-cells", "shuffled", "missing-shuffled", "one-site"),
 )
-def test_station_marginals_match_the_pair_pass(keep, shuffle):
+def test_station_marginals_match_the_pair_pass(n_sites, keep, shuffle):
     _check_marginals_against_pair_pass(
-        _station_sample(np.random.default_rng(17), 12, 15, keep, shuffle)
+        _station_sample(np.random.default_rng(17), n_sites, 15, keep, shuffle)
     )
 
 
