@@ -9,10 +9,8 @@ inverse FFT of their Hermitian part
     H(k) = sqrt(var(k)) / 2 * [(a(k) + a(-k)) + i (b(k) - b(-k))],
 
 with ``-k`` taken modulo each axis length (``var`` is even in k).  Only the
-half spectrum on the last axis is built, variances included; one buffer holds
-each draw as it folds in, and the inverse FFT runs in place on every axis
-but the last.  The per-node variance is the Riemann cell of the spectral
-representation,
+half spectrum on the last axis is built, variances included.  The per-node
+variance is the Riemann cell of the spectral representation,
 
     var(k, omega) = C~(k, omega) * dk^d * dw / (2 pi)^(d+1)
                   = C~(k, omega) / (N_total * dt * prod(ds)),
@@ -22,10 +20,20 @@ variance at every node.  The lattice covariance of the output converges to
 the model kernel as the grid grows and refines.
 Nugget noise is added independently per node.
 
+The synthesis works through the time axis in blocks of slices.  The half
+spectrum is allocated first and becomes the field's buffer.  The variances
+are filled a block at a time; each block of draws folds into the spectrum
+as it arrives, time slice ``t`` into rows ``t`` and ``(nt - t) % nt``; the
+inverse FFT runs in place on every axis but the last, and the last pass
+runs a block at a time, its output closed up into the rows already read.
+So a synthesis holds the spectrum, its variances and one block of draws,
+never a full grid of draws.
+
 Realizations are reproducible byte-for-byte: the generator is the
 counter-based Philox engine seeded from the grid spec, and the draw order
-(real amplitudes, imaginary amplitudes, nugget noise) is fixed; the buffer
-reads both amplitude draws from the stream in that order.
+(real amplitudes, imaginary amplitudes, nugget noise, each in C order) is
+fixed.  The blocks only split that stream; every bin sums the same two
+draws, so the field does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -59,6 +67,12 @@ _GENERATOR_NAME = "numpy.random.Philox"
 # Relative gap between the discrete spectral mass and the closed-form variance
 # beyond which the grid is flagged as unfit for the model.
 _TRUNCATION_TOL = 0.01
+
+# Block size of the synthesis's time pass (see _time_blocks): small enough to
+# keep one block of draws far below the field, large enough that each block's
+# numpy calls work on about a megabyte.
+_BLOCK_SHARE = 16
+_BLOCK_BYTES = 1 << 20
 
 
 def _integral(value) -> bool:
@@ -169,9 +183,15 @@ class FieldRealization:
         object.__setattr__(self, "values", vals)
 
 
-def _node_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
-    """Per-node spectral variances in FFT order, the last axis cut to ``n // 2 + 1`` bins."""
-    omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)
+def _node_variances(m: KernelModel, g: GridSpec, rows: slice) -> np.ndarray:
+    """Per-node spectral variances of the time slices ``rows``, in FFT order,
+    the last axis cut to ``n // 2 + 1`` bins.
+
+    The density's temporaries are the size of the slices asked for, so a
+    caller filling the half spectrum block by block never holds a full-grid
+    one.  Each node's value does not depend on the range it comes in.
+    """
+    omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)[rows]
     ks = [2.0 * np.pi * np.fft.fftfreq(n, s) for n, s in zip(g.ns, g.ds)]
     ks[-1] = ks[-1][: g.ns[-1] // 2 + 1]
     mesh = np.meshgrid(*ks, indexing="ij")
@@ -179,6 +199,26 @@ def _node_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
     dens = st_spectral_density(m.params, k_mag[None, ...], omega.reshape((-1,) + (1,) * g.dim))
     cell = 1.0 / (g.n_total * g.dt * float(np.prod(g.ds)))
     return np.asarray(dens, dtype=float) * cell
+
+
+def _time_blocks(g: GridSpec):
+    """Consecutive ranges of time slices, each about ``1/_BLOCK_SHARE`` of
+    the time axis but at least ``_BLOCK_BYTES`` of draws."""
+    slice_bytes = 8 * math.prod(g.ns)
+    size = max(-(-g.nt // _BLOCK_SHARE), -(-_BLOCK_BYTES // slice_bytes))
+    return [slice(t, min(t + size, g.nt)) for t in range(0, g.nt, size)]
+
+
+def _fold_ranges(nt: int, rows: slice):
+    """Split ``rows`` where the fold changes: slices 0 and ``nt/2`` pair with
+    themselves, a slice below ``nt/2`` reaches its rows before its partner
+    does, and one above reaches them after."""
+    cuts = (0, 1, (nt + 1) // 2, nt // 2 + 1, nt)
+    for a, b in zip(cuts, cuts[1:]):
+        a, b = max(a, rows.start), min(b, rows.stop)
+        if a < b:
+            kind = "self" if a in (0, nt - a) else ("first" if 2 * a < nt else "second")
+            yield a, b, kind
 
 
 def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
@@ -189,7 +229,10 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
     FieldRealization
         Values of shape ``(nt, *ns)`` (C-order, time axis first) plus
         provenance: model, grid, seed, generator identity and the discrete
-        spectral mass as a fraction of the closed-form variance.
+        spectral mass as a fraction of the closed-form variance.  The values
+        are a view of the half spectrum's buffer, which holds
+        ``2 * (n // 2 + 1) / n`` of their bytes for ``n = ns[-1]``
+        (``(n + 2) / n`` for even ``n``).
 
     Warns
     -----
@@ -205,7 +248,12 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         raise DomainError(
             f"model is {m.dim}-dimensional but the grid has {g.dim} spatial axes"
         )
-    var = _node_variances(m, g)
+    half = g.shape[:-1] + (g.shape[-1] // 2 + 1,)
+    spec = np.empty(half, dtype=complex)  # allocated first: it becomes the field
+    blocks = _time_blocks(g)
+    var = np.empty(half)
+    for rows in blocks:
+        var[rows] = _node_variances(m, g, rows)
     # last-axis bins between 0 and the Nyquist also stand for their -k partners
     partners = var[..., 1 : (g.shape[-1] + 1) // 2].sum()
     mass_fraction = float(var.sum() + partners) / m.variance()
@@ -217,32 +265,60 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         )
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    spec = np.empty(var.shape, dtype=complex)
-    # on every axis bin 0 pairs with itself and bins 1.. with the reversed
-    # remainder, so each corner of the half spectrum folds from two views
+    # on every spatial axis bin 0 pairs with itself and bins 1.. with the
+    # reversed remainder, so each corner of a half-spectrum slice folds from
+    # two views; along time, slice t pairs with slice (nt - t) % nt
     pieces = [((slice(0, 1),) * 2, (slice(1, h), slice(n - 1, n - h, -1)))
-              for h, n in zip(var.shape, g.shape)]
-    corners = [tuple(zip(*corner)) for corner in itertools.product(*pieces)]
-    draw = np.empty(g.shape)  # the real amplitudes, then the imaginary ones
-    for fold, part in ((np.add, "real"), (np.subtract, "imag")):
-        rng.standard_normal(out=draw)
-        for index, mirror in corners:
-            fold(draw[index], draw[mirror], out=getattr(spec, part)[index])
-    del draw
+              for h, n in zip(half[1:], g.ns)]
+    corners = [((slice(None),) + index, (slice(None),) + mirror)
+               for index, mirror in (zip(*c) for c in itertools.product(*pieces))]
+    keep = (Ellipsis, slice(0, half[-1]))  # a slice's own half-spectrum bins
+    draw = np.empty((blocks[0].stop,) + g.ns)  # one block of amplitudes
+    # slice t is the first operand of spec[t] and the mirrored second one of
+    # spec[(nt - t) % nt]; whichever reaches a row first is stored (negated
+    # as the imaginary part's second operand), the other is added, so every
+    # bin gets the bits of first + second (first - second for the imaginary)
+    for fold, store, part in ((np.add, np.positive, "real"), (np.subtract, np.negative, "imag")):
+        out = getattr(spec, part)
+        for rows in blocks:
+            d = draw[: rows.stop - rows.start]
+            rng.standard_normal(out=d)
+            for a, b, kind in _fold_ranges(g.nt, rows):
+                src = d[a - rows.start : b - rows.start]
+                own = out[a:b]
+                if kind == "self":
+                    for index, mirror in corners:
+                        fold(src[index], src[mirror], out=own[index])
+                    continue
+                mate = out[g.nt - a : g.nt - b : -1]  # rows nt - t of the slices t
+                if kind == "first":
+                    np.copyto(own, src[keep])
+                    for index, mirror in corners:
+                        store(src[mirror], out=mate[index])
+                else:
+                    own += src[keep]
+                    for index, mirror in corners:
+                        fold(mate[index], src[mirror], out=mate[index])
     spec *= np.sqrt(var, out=var)
     del var
     # irfftn's own passes, each in place but the last
     for axis in range(g.dim):
         np.fft.ifft(spec, axis=axis, out=spec)
-    z = np.fft.irfft(spec, n=g.shape[-1], axis=-1)
+    # the last pass runs block by block; a block's output lands in the
+    # spectrum's own buffer below the rows not yet transformed, closed up
+    # into a C-order field
+    z = spec.view(float).reshape(-1)[: g.n_total].reshape(g.shape)
+    for rows in blocks:
+        # the 1/2 of H joins the inverse transform's scale
+        np.multiply(np.fft.irfft(spec[rows], n=g.shape[-1], axis=-1), 0.5 * g.n_total, out=z[rows])
     del spec
-    # the 1/2 of H joins the inverse transform's scale
-    z *= 0.5 * g.n_total
     if m.nugget > 0.0:
-        # scaled in place, so the noise is the one field-sized temporary
-        noise = rng.standard_normal(g.shape)
-        noise *= np.sqrt(m.nugget)
-        z += noise
+        # drawn into the amplitudes' block buffer and scaled in place
+        for rows in blocks:
+            noise = draw[: rows.stop - rows.start]
+            rng.standard_normal(out=noise)
+            noise *= np.sqrt(m.nugget)
+            z[rows] += noise
 
     provenance = {
         "model": m.to_dict(),
@@ -389,14 +465,14 @@ def load_field(bin_path: str) -> FieldRealization:
     if layout != ("<f8", "C"):  # the only layout write_field writes
         raise DomainError(f"{sidecar_path}: sidecar layout {layout} is not ('<f8', 'C')")
     raw = np.fromfile(bin_path, dtype="<f8")
-    if raw.size != int(np.prod(shape)):
+    if raw.size != grid.n_total:
         raise DomainError(
-            f"{bin_path}: {raw.size} values on disk but the sidecar says "
-            f"{int(np.prod(shape))}"
+            f"{bin_path}: {raw.size} values on disk but the sidecar says {grid.n_total}"
         )
     if not np.all(np.isfinite(raw)):
         raise DomainError(f"{bin_path}: field values are not all finite")
-    values = raw.reshape(shape)
+    # the grid's counts are ints; the sidecar's may be integral floats
+    values = raw.reshape(grid.shape)
     return FieldRealization(
         values=values, grid=grid, provenance=sidecar.get("provenance", {})
     )

@@ -1,7 +1,9 @@
-"""Shared fixtures: the kernel variant roster and the acceptance report hook."""
+"""Shared fixtures: the kernel variant roster, the acceptance report hook and
+the traced-allocation helper."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, passed, detail in sorted(_ACCEPTANCE_LINES):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number} {status} - {detail}")
+
+
+def peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak of the bytes it allocated, as ``tracemalloc`` saw them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def variant_params(dim: int):

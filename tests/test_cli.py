@@ -357,6 +357,19 @@ def test_variogram_on_a_bad_sidecar_exits_config(tmp_path, sim_dir, edit):
     assert not (tmp_path / "variogram_spatial.json").exists()
 
 
+def test_variogram_reads_a_sidecar_shape_of_integral_floats(tmp_path, sim_dir):
+    (tmp_path / "field.bin").write_bytes((sim_dir / "field.bin").read_bytes())
+    sidecar = json.loads((sim_dir / "field.json").read_text())
+    sidecar["shape"] = [float(n) for n in sidecar["shape"]]
+    (tmp_path / "field.json").write_text(json.dumps(sidecar))
+    res = run_cli(
+        "variogram", "--field", tmp_path / "field.bin", "--kind", "spatial",
+        "--out", tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "variogram_spatial.json").exists()
+
+
 def test_temporal_variogram_refuses_a_tolerance(tmp_path, sim_dir):
     # the tolerance is a spatial half-width the temporal estimator never takes
     res = run_cli(

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import station_arrays
+from conftest import peak_bytes, station_arrays
 from hypothesis import assume, given, settings
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -263,20 +263,14 @@ def test_duplicate_points_need_a_nugget():
 
 
 def test_duplicates_are_found_in_row_order_without_pair_arrays():
-    import tracemalloc
-
     # 2 000 points take 63 blocks of rows; two coincident pairs lie in
     # different blocks, and the first in row-major order is named
     rng = np.random.default_rng(3)
     coords, times = random_arrays(rng, 2000, 2)
     for i, j in ((1900, 1950), (300, 1999)):
         coords[j], times[j] = coords[i], times[i]
-    tracemalloc.start()
-    try:
-        assert gp._find_duplicates(coords, times) == (300, 1999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    found, peak = peak_bytes(gp._find_duplicates, coords, times)
+    assert found == (300, 1999)
     # less than one float per pair (16 MB)
     assert peak < 2000 * 1999 // 2 * 8
     coords[1999] += 1e-6
@@ -318,8 +312,6 @@ def test_a_jitter_retry_factorizes_the_fresh_jittered_gram():
 
 
 def test_the_factor_overwrites_the_gram_matrix():
-    import tracemalloc
-
     # 40 stations x 25 times; a small posterior loads the kernel and LAPACK
     # first, so the trace sees the Gram matrix and what is made beside it
     rng = np.random.default_rng(4)
@@ -329,12 +321,7 @@ def test_the_factor_overwrites_the_gram_matrix():
     Posterior(m, SpaceTimeDataset.from_arrays(sites[site[:50]], 0.4 * step[:50], np.zeros(50)))
     data = SpaceTimeDataset.from_arrays(sites[site], 0.4 * step, rng.normal(size=1000))
     assert data.stations is not None
-    tracemalloc.start()
-    try:
-        post = Posterior(m, data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    post, peak = peak_bytes(Posterior, m, data)
     # one n x n buffer, not K beside a copy of it (2.0)
     assert peak < 1.25 * 1000 * 1000 * 8
     assert post.factor.flags.f_contiguous

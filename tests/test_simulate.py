@@ -4,11 +4,11 @@ import itertools
 import json
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 from oscov import (
     DomainError,
@@ -25,6 +25,7 @@ from oscov import (
     simulate_field,
     write_field,
 )
+from oscov import simulate
 from oscov.spectral import st_spectral_density
 
 # moderate oscillation and short memory keep periodic wraparound far below
@@ -218,30 +219,98 @@ def test_synthesis_allocates_under_three_and_a_half_fields(nugget):
     m = KernelModel(LOOP_PARAMS, nugget=nugget)
     g = GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.25, seed=8)
     simulate_field(m, g)  # first-call set-up stays out of the measurement
-    tracemalloc.start()
-    try:
-        values = simulate_field(m, g).values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * values.nbytes
+    f, peak = peak_bytes(simulate_field, m, g)
+    assert peak <= 3.5 * f.values.nbytes
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.5], ids=["no-nugget", "nugget"])
+def test_synthesis_holds_one_spectrum_and_its_variances(nugget):
+    # the half spectrum (which becomes the field), its variances and one
+    # block of draws: no full grid of draws, noise or transform output
+    m = KernelModel(LOOP_PARAMS, nugget=nugget)
+    g = GridSpec(ns=(128, 128), ds=(0.5, 0.5), nt=128, dt=0.1, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTruncationWarning)
+        simulate_field(m, g)
+        f, peak = peak_bytes(simulate_field, m, g)
+    assert peak <= 1.75 * f.values.nbytes
 
 
 def test_nugget_noise_adds_nothing_to_the_peak():
-    # the noise is scaled in place and added: beside the field it is the one
-    # field-sized temporary, so the synthesis's own peak still bounds it
+    # the noise is drawn a block at a time into the amplitudes' buffer and
+    # scaled in place, so the synthesis's own peak still bounds it
     g = GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.25, seed=8)
     peaks = []
     for nugget in (0.0, 0.5):
         m = KernelModel(LOOP_PARAMS, nugget=nugget)
         simulate_field(m, g)
-        tracemalloc.start()
-        try:
-            simulate_field(m, g)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_bytes(simulate_field, m, g)[1])
     assert peaks[1] <= 1.01 * peaks[0]
+
+
+def _whole_array_synthesis(m: KernelModel, g: GridSpec):
+    """The synthesis without blocks: the full half-spectrum variances, every
+    draw folded at once, one inverse pass on the last axis, one nugget draw.
+    Returns the field and the spectral mass fraction."""
+    omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)
+    ks = [2.0 * np.pi * np.fft.fftfreq(n, s) for n, s in zip(g.ns, g.ds)]
+    ks[-1] = ks[-1][: g.ns[-1] // 2 + 1]
+    k_mag = np.sqrt(sum(k * k for k in np.meshgrid(*ks, indexing="ij")))
+    dens = st_spectral_density(m.params, k_mag[None], omega.reshape((-1,) + (1,) * g.dim))
+    var = np.asarray(dens, dtype=float) * (1.0 / (g.n_total * g.dt * float(np.prod(g.ds))))
+    partners = var[..., 1 : (g.shape[-1] + 1) // 2].sum()
+    mass_fraction = float(var.sum() + partners) / m.variance()
+
+    rng = np.random.Generator(np.random.Philox(g.seed))
+    spec = np.empty(var.shape, dtype=complex)
+    pieces = [((slice(0, 1),) * 2, (slice(1, h), slice(n - 1, n - h, -1)))
+              for h, n in zip(var.shape, g.shape)]
+    corners = [tuple(zip(*corner)) for corner in itertools.product(*pieces)]
+    draw = np.empty(g.shape)
+    for fold, part in ((np.add, "real"), (np.subtract, "imag")):
+        rng.standard_normal(out=draw)
+        for index, mirror in corners:
+            fold(draw[index], draw[mirror], out=getattr(spec, part)[index])
+    spec *= np.sqrt(var)
+    for axis in range(g.dim):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    z = np.fft.irfft(spec, n=g.shape[-1], axis=-1)
+    z *= 0.5 * g.n_total
+    if m.nugget > 0.0:
+        noise = rng.standard_normal(g.shape)
+        noise *= np.sqrt(m.nugget)
+        z += noise
+    return z, mass_fraction
+
+
+_BLOCK_GRIDS = (
+    (2,), (3,), (4,), (5,), (8,), (9,),
+    (2, 9), (9, 2), (3, 8), (8, 3), (4, 5), (5, 4),
+    (2, 3, 4), (9, 8, 5), (5, 2, 9), (4, 9, 3), (3, 4, 8),
+)
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.3], ids=["no-nugget", "nugget"])
+@pytest.mark.parametrize("slices", [1, 3, None], ids=["one-slice", "three-slice", "one-block"])
+def test_blocks_reproduce_the_whole_array_synthesis(monkeypatch, slices, nugget):
+    # a block boundary may fall between any slice and its mirror partner;
+    # every bin, the spectral mass and the noise keep their bits
+    monkeypatch.setattr(simulate, "_BLOCK_SHARE", 64)  # above every nt here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTruncationWarning)
+        for ns, nt in itertools.product(_BLOCK_GRIDS, (2, 3, 4, 7, 8, 11)):
+            block = 8 * math.prod(ns) * (slices or nt)
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", block)
+            params = LdhoParams.from_damped_frequency(
+                1.0, 1.0, 2.0, Regime.UNDERDAMPED, 1.0, 0.3, dim=len(ns)
+            )
+            m = KernelModel(params, nugget=nugget)
+            g = GridSpec(ns=ns, ds=(0.5,) * len(ns), nt=nt, dt=0.25, seed=len(ns) + nt)
+            f = simulate_field(m, g)
+            z, mass_fraction = _whole_array_synthesis(m, g)
+            assert f.values.flags.c_contiguous, (ns, nt)
+            assert f.values.tobytes() == z.tobytes(), (ns, nt)
+            assert f.provenance["spectral_mass_fraction"] == mass_fraction, (ns, nt)
 
 
 def test_provenance_records_the_recipe():
@@ -473,3 +542,15 @@ def test_field_load_errors(tmp_path):
             json.dump(sidecar, fh)
         with pytest.raises(DomainError, match=re.escape(sidecar_path)):
             load_field(bin_path)
+
+    # integral floats are the same counts, in the shape as in the grid
+    sidecar = json.loads(good)
+    sidecar["shape"] = [float(n) for n in sidecar["shape"]]
+    sidecar["grid"]["ns"] = [float(n) for n in sidecar["grid"]["ns"]]
+    with open(sidecar_path, "w") as fh:
+        json.dump(sidecar, fh)
+    loaded = load_field(bin_path)
+    assert loaded.values.shape == g.shape and loaded.grid == g
+    with open(sidecar_path, "w") as fh:
+        fh.write(good)
+    assert np.array_equal(loaded.values, load_field(bin_path).values)
