@@ -1,44 +1,44 @@
 """Spectral (FFT) simulation of Gaussian space-time fields on regular grids.
 
 The synthesis samples the model's spectral density on the discrete
-(k, omega) grid: it draws independent complex Gaussian amplitudes
-``a + i b`` at every node and scales them by the square root of the node
-variance.  The field is the real part of their inverse FFT, which is the
-inverse FFT of their Hermitian part
+(k, omega) grid.  It draws one complex standard normal ``c = a + i b`` per
+bin of the half spectrum (the last axis cut to ``n // 2 + 1`` bins) and
+builds the Hermitian spectrum
 
-    H(k) = sqrt(var(k)) / 2 * [(a(k) + a(-k)) + i (b(k) - b(-k))],
+    H(k) = sqrt(var(k) / 2) * c(k),                    0 < k_last < n/2,
+    H(k) = sqrt(var(k)) / 2 * (c(k) + conj(c(-k))),    k_last in {0, n/2},
 
-with ``-k`` taken modulo each axis length (``var`` is even in k).  Only the
-half spectrum on the last axis is built, variances included.  The per-node
+with ``H(-k) = conj(H(k))`` and ``-k`` taken modulo each axis length
+(``var`` is even in k).  The field is ``N_total * ifftn(H)``, which is real;
+every bin of the full grid gets ``E|H(k)|^2 = var(k)``.  The per-node
 variance is the Riemann cell of the spectral representation,
 
     var(k, omega) = C~(k, omega) * dk^d * dw / (2 pi)^(d+1)
                   = C~(k, omega) / (N_total * dt * prod(ds)),
 
 and its sum over the grid (the discrete spectral mass) is the field's
-variance at every node.  The lattice covariance of the output converges to
-the model kernel as the grid grows and refines.
-Nugget noise is added independently per node.
+variance at every node.  The lattice covariance of the output is
+``N_total * Re ifftn(var)``, which converges to the model kernel as the
+grid grows and refines.  Nugget noise is added independently per node.
 
-The synthesis works through the time axis in blocks of slices.  The half
-spectrum is allocated first and becomes the field's buffer.  The variances
-are filled a block at a time; each block of draws folds into the spectrum
-as it arrives, time slice ``t`` into rows ``t`` and ``(nt - t) % nt``; the
-inverse FFT runs in place on every axis but the last, and the last pass
-runs a block at a time, its output closed up into the rows already read.
-So a synthesis holds the spectrum, its variances and one block of draws,
-never a full grid of draws.
+The half spectrum is allocated first and becomes the field's buffer; the
+draws go straight into it.  The variances are filled a block of time
+slices at a time; the inverse FFT runs in place on every axis but the
+last, and the last pass, whose ``irfft`` keeps only the Hermitian part of
+the 0 and Nyquist planes, runs a block at a time, its output closed up into
+the rows already read.  So a synthesis holds the spectrum and its
+variances, never a full grid of draws.
 
 Realizations are reproducible byte-for-byte: the generator is the
 counter-based Philox engine seeded from the grid spec, and the draw order
-(real amplitudes, imaginary amplitudes, nugget noise, each in C order) is
-fixed.  The blocks only split that stream; every bin sums the same two
-draws, so the field does not depend on the block size.
+(the half spectrum's complex amplitudes, Re and Im interleaved per bin in
+C order, then nugget noise in C order) is fixed and recorded in the
+provenance.  The nugget draws come a block at a time, which only splits
+the stream, so the field does not depend on the block size.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -63,14 +63,17 @@ __all__ = [
 ]
 
 _GENERATOR_NAME = "numpy.random.Philox"
+# the order in which the synthesis reads the generator's stream; a field
+# recorded without it was drawn in another order and does not regenerate
+_DRAW_ORDER = "half-spectrum complex normals (Re, Im interleaved, C order), then nugget noise"
 
 # Relative gap between the discrete spectral mass and the closed-form variance
 # beyond which the grid is flagged as unfit for the model.
 _TRUNCATION_TOL = 0.01
 
 # Block size of the synthesis's time pass (see _time_blocks): small enough to
-# keep one block of draws far below the field, large enough that each block's
-# numpy calls work on about a megabyte.
+# keep one block's temporaries far below the field, large enough that each
+# block's numpy calls work on about a megabyte.
 _BLOCK_SHARE = 16
 _BLOCK_BYTES = 1 << 20
 
@@ -203,22 +206,10 @@ def _node_variances(m: KernelModel, g: GridSpec, rows: slice) -> np.ndarray:
 
 def _time_blocks(g: GridSpec):
     """Consecutive ranges of time slices, each about ``1/_BLOCK_SHARE`` of
-    the time axis but at least ``_BLOCK_BYTES`` of draws."""
+    the time axis but at least ``_BLOCK_BYTES`` of float64 slices."""
     slice_bytes = 8 * math.prod(g.ns)
     size = max(-(-g.nt // _BLOCK_SHARE), -(-_BLOCK_BYTES // slice_bytes))
     return [slice(t, min(t + size, g.nt)) for t in range(0, g.nt, size)]
-
-
-def _fold_ranges(nt: int, rows: slice):
-    """Split ``rows`` where the fold changes: slices 0 and ``nt/2`` pair with
-    themselves, a slice below ``nt/2`` reaches its rows before its partner
-    does, and one above reaches them after."""
-    cuts = (0, 1, (nt + 1) // 2, nt // 2 + 1, nt)
-    for a, b in zip(cuts, cuts[1:]):
-        a, b = max(a, rows.start), min(b, rows.stop)
-        if a < b:
-            kind = "self" if a in (0, nt - a) else ("first" if 2 * a < nt else "second")
-            yield a, b, kind
 
 
 def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
@@ -228,9 +219,11 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
     -------
     FieldRealization
         Values of shape ``(nt, *ns)`` (C-order, time axis first) plus
-        provenance: model, grid, seed, generator identity and the discrete
-        spectral mass as a fraction of the closed-form variance.  The values
-        are a view of the half spectrum's buffer, which holds
+        provenance: model, grid, seed, generator identity, draw order and
+        the discrete spectral mass as a fraction of the closed-form
+        variance.  The field reads one complex normal per half-spectrum
+        bin, then one normal per node when the model has a nugget.  The
+        values are a view of the half spectrum's buffer, which holds
         ``2 * (n // 2 + 1) / n`` of their bytes for ``n = ns[-1]``
         (``(n + 2) / n`` for even ``n``).
 
@@ -265,40 +258,15 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         )
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    # on every spatial axis bin 0 pairs with itself and bins 1.. with the
-    # reversed remainder, so each corner of a half-spectrum slice folds from
-    # two views; along time, slice t pairs with slice (nt - t) % nt
-    pieces = [((slice(0, 1),) * 2, (slice(1, h), slice(n - 1, n - h, -1)))
-              for h, n in zip(half[1:], g.ns)]
-    corners = [((slice(None),) + index, (slice(None),) + mirror)
-               for index, mirror in (zip(*c) for c in itertools.product(*pieces))]
-    keep = (Ellipsis, slice(0, half[-1]))  # a slice's own half-spectrum bins
-    draw = np.empty((blocks[0].stop,) + g.ns)  # one block of amplitudes
-    # slice t is the first operand of spec[t] and the mirrored second one of
-    # spec[(nt - t) % nt]; whichever reaches a row first is stored (negated
-    # as the imaginary part's second operand), the other is added, so every
-    # bin gets the bits of first + second (first - second for the imaginary)
-    for fold, store, part in ((np.add, np.positive, "real"), (np.subtract, np.negative, "imag")):
-        out = getattr(spec, part)
-        for rows in blocks:
-            d = draw[: rows.stop - rows.start]
-            rng.standard_normal(out=d)
-            for a, b, kind in _fold_ranges(g.nt, rows):
-                src = d[a - rows.start : b - rows.start]
-                own = out[a:b]
-                if kind == "self":
-                    for index, mirror in corners:
-                        fold(src[index], src[mirror], out=own[index])
-                    continue
-                mate = out[g.nt - a : g.nt - b : -1]  # rows nt - t of the slices t
-                if kind == "first":
-                    np.copyto(own, src[keep])
-                    for index, mirror in corners:
-                        store(src[mirror], out=mate[index])
-                else:
-                    own += src[keep]
-                    for index, mirror in corners:
-                        fold(mate[index], src[mirror], out=mate[index])
+    rng.standard_normal(out=spec.view(float))  # one complex normal per bin
+    # a bin between 0 and the Nyquist on the last axis also stands for its
+    # conjugate at -k, so it takes sqrt(2 var); the last irfft pass keeps only
+    # the Hermitian part (H(k) + conj H(-k)) / 2 of the last axis's 0 and
+    # Nyquist planes, which halves their draws' variance, so they take 2 sqrt(var)
+    var *= 2.0
+    var[..., 0] *= 2.0
+    if g.shape[-1] % 2 == 0:
+        var[..., -1] *= 2.0
     spec *= np.sqrt(var, out=var)
     del var
     # irfftn's own passes, each in place but the last
@@ -313,7 +281,8 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         np.multiply(np.fft.irfft(spec[rows], n=g.shape[-1], axis=-1), 0.5 * g.n_total, out=z[rows])
     del spec
     if m.nugget > 0.0:
-        # drawn into the amplitudes' block buffer and scaled in place
+        # drawn a block at a time and scaled in place
+        draw = np.empty((blocks[0].stop,) + g.ns)
         for rows in blocks:
             noise = draw[: rows.stop - rows.start]
             rng.standard_normal(out=noise)
@@ -325,6 +294,7 @@ def simulate_field(m: KernelModel, g: GridSpec) -> FieldRealization:
         "grid": g.to_dict(),
         "seed": g.seed,
         "generator": _GENERATOR_NAME,
+        "draws": _DRAW_ORDER,
         "spectral_mass_fraction": mass_fraction,
     }
     return FieldRealization(values=z, grid=g, provenance=provenance)

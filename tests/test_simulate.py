@@ -130,18 +130,18 @@ def test_simulation_is_deterministic():
             0.1,
             GridSpec(ns=(8, 6), ds=(1.0, 1.0), nt=32, dt=0.25, seed=21),
             {
-                (0, 0, 0): -0.7578071150169312,
-                (13, 2, 5): -0.2746226745681485,
-                (31, 7, 2): -0.4584027981531208,
+                (0, 0, 0): -0.44216034726008907,
+                (13, 2, 5): -0.15600647362950593,
+                (31, 7, 2): -0.6546696841163916,
             },
         ),
         (
             0.0,
             GridSpec(ns=(9, 7), ds=(1.0, 1.0), nt=31, dt=0.25, seed=4),
             {
-                (0, 0, 1): 0.09860847980475597,
-                (17, 4, 6): 0.3542299862354496,
-                (30, 8, 3): 0.5348058047183587,
+                (0, 0, 1): 0.2828631812406917,
+                (17, 4, 6): 0.39650710302311476,
+                (30, 8, 3): 0.30643121649617766,
             },
         ),
     ],
@@ -164,6 +164,17 @@ def _full_grid_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
     return dens / (g.n_total * g.dt * math.prod(g.ds))
 
 
+def _half_spectrum_draws(rng, g: GridSpec) -> np.ndarray:
+    # one complex normal per half-spectrum bin, Re and Im interleaved in C order
+    half = g.shape[:-1] + (g.shape[-1] // 2 + 1,)
+    return rng.standard_normal(2 * math.prod(half)).view(complex).reshape(half)
+
+
+def _mirror(a: np.ndarray) -> np.ndarray:
+    # a[-k] on every axis, -k taken modulo the axis length
+    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+
+
 @pytest.mark.parametrize("nugget", [0.0, 0.1], ids=["no-nugget", "nugget"])
 @pytest.mark.parametrize(
     "ns, nt",
@@ -171,9 +182,9 @@ def _full_grid_variances(m: KernelModel, g: GridSpec) -> np.ndarray:
     ids=["1d-even", "1d-odd", "2d-even", "2d-odd", "3d-mixed", "3d-odd"],
 )
 def test_half_spectrum_synthesis_matches_the_complex_transform(ns, nt, nugget):
-    # the field is the real part of the complex inverse FFT of the scaled
-    # amplitudes, drawn in the same order from the same stream; the half
-    # spectrum reproduces it up to roundoff
+    # the field is the complex inverse FFT of the full Hermitian spectrum H,
+    # built from the same draws: each half-spectrum bin, mirrored and
+    # conjugated, with the last axis's 0 and Nyquist planes symmetrised
     params = LdhoParams.from_damped_frequency(
         1.0, 1.0, 2.0, Regime.UNDERDAMPED, 1.0, 0.3, dim=len(ns)
     )
@@ -184,12 +195,75 @@ def test_half_spectrum_synthesis_matches_the_complex_transform(ns, nt, nugget):
         got = simulate_field(m, g).values
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    amp = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    amp *= np.sqrt(_full_grid_variances(m, g))
-    expected = np.fft.ifftn(amp).real * g.n_total
+    c = np.zeros(g.shape, dtype=complex)
+    h = g.shape[-1] // 2 + 1
+    c[..., :h] = _half_spectrum_draws(rng, g)
+    mate = _mirror(c).conj()  # conj(c(-k)) wherever c(-k) was drawn
+    planes = [0, h - 1] if g.shape[-1] % 2 == 0 else [0]
+    c[..., h:] = mate[..., h:]
+    c[..., planes] = 0.5 * (c[..., planes] + mate[..., planes])
+    spec = np.sqrt(_full_grid_variances(m, g) / 2.0) * c
+    spec[..., planes] *= math.sqrt(2.0)
+    assert np.array_equal(spec, _mirror(spec).conj())
+    full = np.fft.ifftn(spec) * g.n_total
+    expected = full.real
     if nugget > 0.0:
         expected += math.sqrt(nugget) * rng.standard_normal(g.shape)
+    assert np.max(np.abs(full.imag)) <= 1e-13 * np.std(expected)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.std(expected)
+
+
+class _UnitDraws:
+    """Stands in for ``np.random.Generator``: the stream reads 1 at draw
+    ``index`` and 0 everywhere else, across all calls; ``read`` counts the
+    draws of the last generator made."""
+
+    index = 0
+    read = 0
+
+    def __init__(self, bit_generator):
+        type(self).read = 0
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        if 0 <= self.index - self.read < out.size:
+            out.flat[self.index - self.read] = 1.0
+        type(self).read += out.size
+        return out
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.3], ids=["no-nugget", "nugget"])
+@pytest.mark.parametrize(
+    "ns, nt",
+    [((2,), 3), ((5,), 4), ((6,), 5), ((3, 2), 4), ((2, 5), 3), ((3, 4), 2),
+     ((2, 3, 2), 3), ((2, 2, 3), 2), ((3, 2, 4), 2)],
+    ids=["1d-two", "1d-odd", "1d-even", "2d-two", "2d-odd", "2d-even",
+         "3d-two", "3d-odd", "3d-even"],
+)
+def test_draws_map_to_the_exact_lattice_covariance(monkeypatch, ns, nt, nugget):
+    # the field is a linear map A of the draws, whatever their layout: so its
+    # covariance is A A^T, which must be the circulant of the lattice
+    # covariance N_total Re ifftn(var) plus the nugget on the diagonal
+    params = LdhoParams.from_damped_frequency(
+        1.0, 1.0, 2.0, Regime.UNDERDAMPED, 1.0, 0.3, dim=len(ns)
+    )
+    m = KernelModel(params, nugget=nugget)
+    g = GridSpec(ns=ns, ds=(0.7,) * len(ns), nt=nt, dt=0.3, seed=1)
+    monkeypatch.setattr(np.random, "Generator", _UnitDraws)
+    columns = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTruncationWarning)
+        _UnitDraws.index = -1
+        simulate_field(m, g)  # counts the draws
+        for index in range(_UnitDraws.read):
+            _UnitDraws.index = index
+            columns.append(simulate_field(m, g).values.reshape(-1).copy())
+    a = np.array(columns).T
+    lattice = np.fft.ifftn(_full_grid_variances(m, g)).real * g.n_total
+    nodes = np.indices(g.shape).reshape(g.dim + 1, -1)
+    lags = tuple((nodes[:, :, None] - nodes[:, None, :]) % np.array(g.shape)[:, None, None])
+    expected = lattice[lags] + nugget * np.eye(g.n_total)
+    assert np.max(np.abs(a @ a.T - expected)) <= 1e-13 * lattice.flat[0]
 
 
 @pytest.mark.parametrize(
@@ -225,8 +299,8 @@ def test_synthesis_allocates_under_three_and_a_half_fields(nugget):
 
 @pytest.mark.parametrize("nugget", [0.0, 0.5], ids=["no-nugget", "nugget"])
 def test_synthesis_holds_one_spectrum_and_its_variances(nugget):
-    # the half spectrum (which becomes the field), its variances and one
-    # block of draws: no full grid of draws, noise or transform output
+    # the half spectrum (which becomes the field and takes the draws) and its
+    # variances: no full grid of draws, noise or transform output
     m = KernelModel(LOOP_PARAMS, nugget=nugget)
     g = GridSpec(ns=(128, 128), ds=(0.5, 0.5), nt=128, dt=0.1, seed=8)
     with warnings.catch_warnings():
@@ -237,7 +311,7 @@ def test_synthesis_holds_one_spectrum_and_its_variances(nugget):
 
 
 def test_nugget_noise_adds_nothing_to_the_peak():
-    # the noise is drawn a block at a time into the amplitudes' buffer and
+    # the noise is drawn a block at a time, once the variances are freed, and
     # scaled in place, so the synthesis's own peak still bounds it
     g = GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.25, seed=8)
     peaks = []
@@ -249,9 +323,9 @@ def test_nugget_noise_adds_nothing_to_the_peak():
 
 
 def _whole_array_synthesis(m: KernelModel, g: GridSpec):
-    """The synthesis without blocks: the full half-spectrum variances, every
-    draw folded at once, one inverse pass on the last axis, one nugget draw.
-    Returns the field and the spectral mass fraction."""
+    """The synthesis without blocks: the full half-spectrum variances, one
+    inverse pass on the last axis, one nugget draw.  Returns the field and
+    the spectral mass fraction."""
     omega = 2.0 * np.pi * np.fft.fftfreq(g.nt, g.dt)
     ks = [2.0 * np.pi * np.fft.fftfreq(n, s) for n, s in zip(g.ns, g.ds)]
     ks[-1] = ks[-1][: g.ns[-1] // 2 + 1]
@@ -262,16 +336,10 @@ def _whole_array_synthesis(m: KernelModel, g: GridSpec):
     mass_fraction = float(var.sum() + partners) / m.variance()
 
     rng = np.random.Generator(np.random.Philox(g.seed))
-    spec = np.empty(var.shape, dtype=complex)
-    pieces = [((slice(0, 1),) * 2, (slice(1, h), slice(n - 1, n - h, -1)))
-              for h, n in zip(var.shape, g.shape)]
-    corners = [tuple(zip(*corner)) for corner in itertools.product(*pieces)]
-    draw = np.empty(g.shape)
-    for fold, part in ((np.add, "real"), (np.subtract, "imag")):
-        rng.standard_normal(out=draw)
-        for index, mirror in corners:
-            fold(draw[index], draw[mirror], out=getattr(spec, part)[index])
-    spec *= np.sqrt(var)
+    spec = _half_spectrum_draws(rng, g)
+    scale = 2.0 * var
+    scale[..., [0, -1] if g.shape[-1] % 2 == 0 else [0]] *= 2.0
+    spec *= np.sqrt(scale)
     for axis in range(g.dim):
         np.fft.ifft(spec, axis=axis, out=spec)
     z = np.fft.irfft(spec, n=g.shape[-1], axis=-1)
@@ -293,8 +361,8 @@ _BLOCK_GRIDS = (
 @pytest.mark.parametrize("nugget", [0.0, 0.3], ids=["no-nugget", "nugget"])
 @pytest.mark.parametrize("slices", [1, 3, None], ids=["one-slice", "three-slice", "one-block"])
 def test_blocks_reproduce_the_whole_array_synthesis(monkeypatch, slices, nugget):
-    # a block boundary may fall between any slice and its mirror partner;
-    # every bin, the spectral mass and the noise keep their bits
+    # a block boundary may fall anywhere in the time axis; every bin, the
+    # spectral mass and the noise keep their bits
     monkeypatch.setattr(simulate, "_BLOCK_SHARE", 64)  # above every nt here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralTruncationWarning)
@@ -318,6 +386,10 @@ def test_provenance_records_the_recipe():
     f = simulate_field(KernelModel(LOOP_PARAMS, nugget=0.1), g)
     assert f.provenance["seed"] == 5
     assert f.provenance["generator"] == "numpy.random.Philox"
+    # a field recorded without this entry read the stream in another order
+    assert f.provenance["draws"] == (
+        "half-spectrum complex normals (Re, Im interleaved, C order), then nugget noise"
+    )
     assert f.provenance["model"] == KernelModel(LOOP_PARAMS, nugget=0.1).to_dict()
     assert f.provenance["spectral_mass_fraction"] >= 0.99
 
