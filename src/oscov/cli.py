@@ -213,9 +213,12 @@ def cmd_eval(args) -> int:
     # one row per lag, temporal lag outermost
     rows = np.column_stack([a.ravel() for a in (r_grid, tau_grid, c, c / c00, cs, ct, q)])
     path = _out_path(args, "kernel_grid.csv")
+    # np.savetxt's text at 17 significant digits, formatted in one pass
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    text = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
     with open(path, "w") as fh:
         fh.write("r,tau,C,C_norm,Cs,Ct,Qint\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        fh.write(text)
     print(f"wrote {path} ({taus.size * rs.size} rows)")
     return _EXIT_OK
 

@@ -269,6 +269,16 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     that no shift moves is summed out first, from the power spectrum and
     from ``z^2``, so the spatial marginal runs 2-D transforms per time slice
     and the temporal marginal 1-D ones per node.
+
+    The spectrum lives in one zeroed, padded half-spectrum buffer: the
+    field's real FFT along the last moved axis fills its data corner, and
+    complex FFTs run in place along the other moved axes, last-but-one
+    first, only over the lines that hold data.  The power replaces it in
+    place.  The inverse runs one axis at a time, first axis first, and keeps
+    only the shifts in reach before the next axis, ending with the real
+    inverse along the last moved axis.  These are ``rfftn``'s and
+    ``irfftn``'s passes, each 1-D line transformed alone, so every kept
+    entry has their bits.
     """
     g = f.grid
     if not np.all(np.isfinite(f.values)):
@@ -281,19 +291,35 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     moved = tuple(axis for axis, r in enumerate(reach) if r > 0)
     still = tuple(axis for axis, r in enumerate(reach) if r == 0)
     if moved:
-        padded = tuple(_fast_len(z.shape[axis] + reach[axis]) for axis in moved)
-        spec = np.fft.rfftn(z, s=padded, axes=moved)
-        spec = _sum_out(spec.real**2 + spec.imag**2, still)
-        cross = np.fft.irfftn(spec, s=padded, axes=moved)
+        last = moved[-1]
+        padded = [_fast_len(n + r) if r > 0 else n for n, r in zip(z.shape, reach)]
+        spec = np.zeros(padded[:last] + [padded[last] // 2 + 1] + padded[last + 1:], complex)
+        lines = [slice(n) for n in z.shape]
+        lines[last] = slice(None)
+        np.fft.rfft(z, n=padded[last], axis=last, out=spec[tuple(lines)])
+        for axis in reversed(moved[:-1]):
+            lines[axis] = slice(None)
+            np.fft.fft(spec[tuple(lines)], axis=axis, out=spec[tuple(lines)])
+        power = spec.real
+        np.square(power, out=power)
+        power += np.square(spec.imag, out=spec.imag)
+        if still:
+            spec = _sum_out(power, still).astype(complex)
+        else:
+            spec.imag[...] = 0.0
+        del power
+        # negative shifts index from the end, where the circular correlation keeps them
+        for axis in moved[:-1]:
+            np.fft.ifft(spec, axis=axis, out=spec)
+            spec = spec.take(shifts[axis], axis=axis)
+        cross = np.fft.irfft(spec, n=padded[last], axis=last).take(shifts[last], axis=last)
         del spec
     else:
         cross = np.zeros((1,) * z.ndim)  # only the origin, which is zeroed below
-    # negative shifts index from the end, where the circular correlation keeps them
-    cross = cross[np.ix_(*shifts)]
 
     # B(h): sums of z^2 over the nodes x whose partner x + h is in the grid;
     # A(h), the sum over the partners, is B(-h)
-    box = _sum_out(z * z, still)
+    box = _sum_out(np.square(z, out=z), still)
     del z
     for axis in moved:
         n, h = g.shape[axis], shifts[axis]
@@ -953,28 +979,27 @@ def _search(branch, dispersion, dim, theta0, fixed, variogram, bounds):
         for name, v in theta0.items()
     }
     box.update(bounds)
+    # per searched name: its logit flag and its box
+    logit = [name == "damping_ratio" for name in names]
+    edges = [box.get(name, (0.0, math.inf)) for name in names]
     bins = _lay_out(*variogram.lags(), variogram.gamma, variogram.counts)
 
     def from_vector(x) -> dict:
-        theta = {}
-        for name, xi in zip(names, np.asarray(x, dtype=float)):
-            if name == "damping_ratio":
-                theta[name] = 1.0 / (1.0 + math.exp(-xi))
-            else:
-                theta[name] = math.exp(xi)
-        return theta
+        return {
+            name: 1.0 / (1.0 + math.exp(-xi)) if lg else math.exp(xi)
+            for name, lg, xi in zip(names, logit, x.tolist())
+        }
 
     def func(x):
         try:
             theta = from_vector(x)
-            for name, value in theta.items():
-                lo, hi = box.get(name, (0.0, float("inf")))
+            for (lo, hi), value in zip(edges, theta.values()):
                 if not (lo <= value <= hi) or not math.isfinite(value):
-                    return float("inf")
+                    return math.inf
             m = _branch_model(branch, dispersion, dim, {**fixed, **theta})
             return float(wls_objective(m, bins))
         except (OscovError, ValueError, OverflowError, FloatingPointError):
-            return float("inf")
+            return math.inf
 
     x0 = []
     start = dict(theta0)

@@ -316,7 +316,11 @@ def damped_frequency(p: LdhoParams) -> float:
     Overdamped: the magnitude of the imaginary frequency, i.e.
     ``sqrt(1/(4 tau_c^2) - omega0^2)``; it controls the slow/fast branch split.
     """
-    regime = classify_regime(p)
+    return _damped_frequency(p, classify_regime(p))
+
+
+def _damped_frequency(p: LdhoParams, regime: Regime) -> float:
+    """:func:`damped_frequency` of ``p`` in its regime ``regime``."""
     if regime is Regime.CRITICAL:
         return 0.0
     half_rate = 0.5 / p.tau_c
@@ -542,8 +546,8 @@ def _ldho(p: LdhoParams, r, ata):
             a = q + p.epsilon
             return q / a - s - (d + 1) * a * q / (a * a + rr)
 
-    u = 2.0 * tau_c * damped_frequency(p)
-    return const * _oscillator(classify_regime(p), u, g, slope)
+    regime = classify_regime(p)
+    return const * _oscillator(regime, 2.0 * tau_c * _damped_frequency(p, regime), g, slope)
 
 
 # ---------------------------------------------------------------------------

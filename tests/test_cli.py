@@ -4,6 +4,7 @@ Each test drives ``python -m oscov.cli`` the way a user would, then checks
 exit codes, written artifacts, and agreement with direct library calls.
 """
 
+import io
 import json
 import math
 import subprocess
@@ -146,6 +147,15 @@ def test_eval_degenerate_grid_is_the_origin(tmp_path):
     assert row[0] == 0.0 and row[1] == 0.0
     assert row[3] == 1.0  # normalized covariance at the origin
     assert row[6] == 1.0  # interaction ratio at the origin
+    assert (tmp_path / "kernel_grid.csv").read_bytes() == _savetxt_bytes(np.array([row]))
+
+
+def _savetxt_bytes(table) -> bytes:
+    """The grid file as ``np.savetxt`` writes its rows under the header."""
+    out = io.BytesIO()
+    out.write(b"r,tau,C,C_norm,Cs,Ct,Qint\n")
+    np.savetxt(out, table, fmt="%.17g", delimiter=",")
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("value", ("inf", "nan", "-1"))
@@ -194,6 +204,7 @@ def test_eval_grid_matches_direct_library_calls(tmp_path, model_file):
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in table
     )
     assert (tmp_path / "kernel_grid.csv").read_text() == expected
+    assert (tmp_path / "kernel_grid.csv").read_bytes() == _savetxt_bytes(table)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import station_arrays
+from conftest import peak_bytes, station_arrays
 from hypothesis import assume, given, settings
 from scipy.spatial.distance import cdist, pdist
 
@@ -51,6 +51,7 @@ from oscov.kernel_core import (
     OuParams,
     Regime,
     damped_frequency,
+    euclidean_length,
 )
 from oscov.simulate import FieldRealization, GridSpec, simulate_field
 
@@ -207,6 +208,87 @@ def test_lag_table_matches_shifted_differences(g):
             assert sums[m, k] == pytest.approx(s, rel=1e-12, abs=0.0)
             steps = np.asarray(h[1:]) * np.asarray(g.ds)
             assert dist[k] == pytest.approx(math.sqrt(float(steps @ steps)), rel=1e-15)
+
+
+def _whole_transform_lag_table(f: FieldRealization, max_step: int, r_max: float):
+    """The lag table as first written: whole-field ``rfftn``, the power
+    summed over the still axes, ``irfftn`` of every point, then the kept
+    shifts."""
+    g = f.grid
+    reach = (max_step,) + tuple(
+        min(n - 1, int(math.floor(r_max / s + 1e-9))) for n, s in zip(g.ns, g.ds)
+    )
+    shifts = [np.arange(-r, r + 1) for r in reach]
+    z = f.values - f.values.mean()
+    moved = tuple(axis for axis, r in enumerate(reach) if r > 0)
+    still = tuple(axis for axis, r in enumerate(reach) if r == 0)
+    if moved:
+        padded = tuple(_fast_len(z.shape[axis] + reach[axis]) for axis in moved)
+        spec = np.fft.rfftn(z, s=padded, axes=moved)
+        spec = estimate._sum_out(spec.real**2 + spec.imag**2, still)
+        cross = np.fft.irfftn(spec, s=padded, axes=moved)
+    else:
+        cross = np.zeros((1,) * z.ndim)
+    cross = cross[np.ix_(*shifts)]
+    box = estimate._sum_out(z * z, still)
+    for axis in moved:
+        n, h = g.shape[axis], shifts[axis]
+        prefix = np.zeros(box.shape[:axis] + (n + 1,) + box.shape[axis + 1:])
+        np.cumsum(box, axis=axis, out=prefix[(slice(None),) * axis + (slice(1, None),)])
+        box = np.take(prefix, n - np.maximum(h, 0), axis=axis) - np.take(
+            prefix, np.maximum(-h, 0), axis=axis
+        )
+    sums = (box + np.flip(box) - 2.0 * cross)[reach[0]:]
+    counts = np.ones((), dtype=np.int64)
+    for n, h in zip(g.shape, shifts):
+        counts = np.multiply.outer(counts, n - np.abs(h))
+    counts = counts[reach[0]:]
+    origin = (0,) + tuple(reach[1:])
+    sums[origin] = 0.0
+    counts[origin] = 0
+    offsets = np.stack(np.meshgrid(*shifts[1:], indexing="ij"), axis=-1)
+    dist = euclidean_length(offsets * np.asarray(g.ds)).ravel()
+    k = dist.size
+    return sums.reshape(-1, k), counts.reshape(-1, k), dist
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(ns=(7,), ds=(0.7,), nt=11, dt=0.3),
+        GridSpec(ns=(11, 6), ds=(1.0, 1.6), nt=8, dt=0.5),
+        GridSpec(ns=(7, 4, 5), ds=(1.0, 0.5, 1.2), nt=13, dt=0.5),
+        GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=48, dt=0.4),
+    ],
+    ids=("1d", "2d", "3d", "16x16x48"),
+)
+@pytest.mark.parametrize(
+    "max_step, r_max",
+    [(0, 2.6), (5, 0.0), (0, 0.0), (3, 2.6), (1, 1.0), (100, 1e6)],
+    ids=("spatial", "temporal", "origin", "joint", "short", "capped"),
+)
+def test_lag_table_matches_the_whole_field_transform_byte_for_byte(g, max_step, r_max):
+    """The one-buffer forward pass and the partial inverse keep every kept
+    entry's bits: 1- to 3-D grids with odd, even and non-5-smooth axis
+    lengths, each reach zero in turn, and reaches capped at ``n - 1``."""
+    f = _random_field(g)
+    max_step = min(max_step, g.nt - 1)
+    got, want = _lag_table(f, max_step, r_max), _whole_transform_lag_table(f, max_step, r_max)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "max_step, r_max, bound", [(24, 6.0, 3.5), (40, 0.0, 3.0)], ids=("joint", "temporal")
+)
+def test_lag_table_allocates_little_beyond_its_spectrum(max_step, r_max, bound):
+    """The padded half spectrum is the one field-sized transform buffer:
+    about 1.6 fields for the joint table's reach and 1.4 for the temporal
+    marginal's, beside the mean-removed copy of the field."""
+    f = _random_field(GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.4))
+    _, peak = peak_bytes(_lag_table, f, max_step, r_max)
+    assert peak <= bound * f.values.nbytes
 
 
 @pytest.mark.parametrize("g", TABLE_GRIDS, ids=("1d", "2d"))
@@ -887,16 +969,25 @@ def test_wls_matches_the_parent_formula_bit_for_bit(tiny_field, variants_2d):
     _assert_parent_bits(bare, v)
 
 
-def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatch):
-    """The benchmark counts ``wls_objective`` and ``KernelModel.covariance``
-    calls from outside: a fit makes one of each per evaluation, and every
-    objective value equals the parent formula's on the searched variogram."""
+def _small_field_fits():
+    """Both fit stages on a seeded 16 x 16 x 48 oscillator field."""
     truth = LdhoParams.from_damped_frequency(
         c0=2.0, tau_c=2.0, omega_d=1.2, regime=Regime.UNDERDAMPED, epsilon=1.0,
         interaction=0.5, dispersion=Dispersion.QUADRATIC, dim=2,
     )
     g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=48, dt=0.4, seed=5)
     f = simulate_field(KernelModel(params=truth, nugget=0.1), g)
+    res_m = fit_marginals(f, r_bins=np.arange(1.0, 6.0), tau_bins=0.4 * np.arange(1, 13))
+    res_f = fit_full(
+        f, theta0=res_m, r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2)
+    )
+    return res_m, res_f
+
+
+def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatch):
+    """The benchmark counts ``wls_objective`` and ``KernelModel.covariance``
+    calls from outside: a fit makes one of each per evaluation, and every
+    objective value equals the parent formula's on the searched variogram."""
     calls = {"covariance": 0}
     records = []
     searched = []
@@ -923,15 +1014,40 @@ def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatc
     monkeypatch.setattr(KernelModel, "covariance", counted_covariance)
     monkeypatch.setattr(estimate, "wls_objective", recorded_objective)
     monkeypatch.setattr(estimate, "_search", recorded_search)
-    res_m = fit_marginals(f, r_bins=np.arange(1.0, 6.0), tau_bins=0.4 * np.arange(1, 13))
-    res_f = fit_full(
-        f, theta0=res_m, r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2)
-    )
+    _, res_f = _small_field_fits()
     assert calls["covariance"] == len(records) > 1000
     assert len(records) <= res_f.n_evaluations
     monkeypatch.undo()
     for m, v, out in records:
         assert out == _parent_wls(m, v)
+
+
+def test_small_field_fits_are_pinned_bit_for_bit():
+    """Both stages' evaluation counts, objectives and parameters, exactly.
+
+    A fit's cost moves with its evaluation count, so a speed-up that claims
+    unchanged output must leave every search step as it was; any change in
+    the variograms' or the objective's last bits moves these pins.
+    """
+    pins = (
+        (1503, "0x1.b3fedb934bcc0p+5", "0x1.cb0cd7b882ed0p-4", {
+            "c0": "0x1.8fc0df1fc87f8p+0", "tau_c": "0x1.64da642fce2afp+0",
+            "omega0": "0x1.7066af1bb50fcp+0", "epsilon": "0x1.cc62166781a07p-1",
+            "b_or_xi": "0x1.f1ab5a03b2ad4p-3",
+        }),
+        (3770, "0x1.331a40789d9b3p+8", "0x1.bf01a3b9f3792p-4", {
+            "c0": "0x1.6444a242f474cp+0", "tau_c": "0x1.0c68dc6d6466ap+1",
+            "omega0": "0x1.2a43a28ad5e88p+0", "epsilon": "0x1.971eba619be57p-1",
+            "b_or_xi": "0x1.127ed7b1c416bp-1",
+        }),
+    )
+    for res, (n_evaluations, objective, nugget, params) in zip(_small_field_fits(), pins):
+        model = res.model.to_dict()
+        assert model["family"] == "ldho"
+        assert res.n_evaluations == n_evaluations
+        assert float(res.objective).hex() == objective
+        assert model["nugget"].hex() == nugget
+        assert {name: v.hex() for name, v in model["params"].items()} == params
 
 
 @pytest.mark.parametrize("dispersion", [Dispersion.QUADRATIC, Dispersion.LINEAR])
