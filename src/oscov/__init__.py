@@ -44,7 +44,6 @@ _EXPORTS = {
             "LdhoParams",
             "OuParams",
             "Regime",
-            "anisotropic_distance",
             "classify_regime",
             "damped_frequency",
             "fast_slow_times",
@@ -82,7 +81,6 @@ _EXPORTS = {
             "gram",
             "load_dataset_csv",
             "predict",
-            "prediction_ratio",
             "write_predictions_csv",
         ),
         "gp",

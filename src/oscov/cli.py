@@ -174,11 +174,12 @@ def _out_path(args, name: str) -> str:
 
 
 def _load_query_csv(path):
-    """Read query points from CSV with header ``s1,...,sd,t`` (a z column is ignored)."""
-    from .gp import SpaceTimePoint, _read_csv_table
+    """The ``(m, d + 1)`` table of a query CSV with header ``s1,...,sd,t``
+    (a z column is dropped)."""
+    from .gp import _read_csv_table
 
     d, table = _read_csv_table(path, [("t",), ("t", "z")], "query points")
-    return [SpaceTimePoint(tuple(row[:d]), row[d]) for row in table]
+    return table[:, : d + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +388,11 @@ def _check_ode_order(m) -> dict:
 def _check_gram_psd(m, seed: int) -> dict:
     import numpy as np
 
-    from .gp import SpaceTimeDataset, gram
+    from .gp import gram
 
     # row i holds point i's coordinates, then its time
     draws = np.random.default_rng(seed).uniform(0.0, 4.0, (60, m.dim + 1))
-    data = SpaceTimeDataset.from_arrays(draws[:, :-1], draws[:, -1], np.zeros(60))
-    k = gram(m, data).matrix
+    k = gram(m, draws).matrix
     eig_min = float(np.linalg.eigvalsh(k).min())
     trace = float(np.trace(k))
     return {"passed": bool(eig_min >= -1e-8 * trace), "min_eigenvalue": eig_min, "trace": trace}

@@ -3,9 +3,9 @@
 The module covers the dense, desk-scale workflow: build the Gram matrix of a
 covariance model over scattered space-time points, factorize it, and compute
 conditional means and variances at query points; :class:`Posterior` keeps one
-factorization for any number of query batches.  A small demonstrator,
-:func:`prediction_ratio`, quantifies how much a non-separable model shifts a
-single-point forecast relative to its separable surrogate.
+factorization for any number of query batches.  A point set is a dataset, an
+``(m, d + 1)`` table whose rows are ``s1, ..., sd, t``, or a sequence of
+:class:`SpaceTimePoint`.
 
 The process mean is a known constant; estimating it is out of scope, as are
 sparse or inducing-point approximations.
@@ -29,7 +29,7 @@ from .errors import (
     NegativeVariance,
     NotPositiveDefinite,
 )
-from .kernel_core import KernelModel, euclidean_length, interaction_ratio
+from .kernel_core import KernelModel, euclidean_length
 
 __all__ = [
     "SpaceTimePoint",
@@ -38,7 +38,6 @@ __all__ = [
     "gram",
     "Posterior",
     "predict",
-    "prediction_ratio",
     "load_dataset_csv",
     "write_predictions_csv",
 ]
@@ -58,20 +57,28 @@ _RCOND_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SpaceTimePoint:
-    """A location ``s`` in R^d paired with a time instant ``t``; non-finite
-    coordinates or times raise :class:`DomainError`."""
+    """A location ``s`` in R^d paired with a time instant ``t``; a location
+    that is not a flat vector of numbers, or a non-numeric or non-finite
+    coordinate or time, raises :class:`DomainError`."""
 
     s: tuple[float, ...]
     t: float
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in np.atleast_1d(np.asarray(self.s, dtype=float)))
-        if len(coords) == 0:
-            raise DomainError("a space-time point needs at least one spatial coordinate")
-        if not np.all(np.isfinite(coords + (float(self.t),))):
+        try:
+            s = np.atleast_1d(np.asarray(self.s, dtype=float))
+            t = float(self.t)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"space-time point ({self.s!r}, {self.t!r}) is not numeric") from exc
+        if s.ndim != 1 or s.size == 0:
+            raise DomainError(
+                f"a space-time point needs a flat vector of spatial coordinates, got {self.s!r}"
+            )
+        coords = tuple(s.tolist())
+        if not np.all(np.isfinite(coords + (t,))):
             raise DomainError(f"space-time point ({coords}, {self.t}) is not finite")
         object.__setattr__(self, "s", coords)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
     @property
     def dim(self) -> int:
@@ -244,9 +251,27 @@ class GramMatrix:
 
 
 def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and times of a dataset or of a sequence of SpaceTimePoint."""
+    """Coordinates and times of a dataset, of a sequence of SpaceTimePoint,
+    or of an ``(m, d + 1)`` table whose rows are ``s1, ..., sd, t``.
+
+    A table's coordinates and times are its views ``[:, :-1]`` and
+    ``[:, -1]``; one that is not 2-D, has no rows or fewer than two columns,
+    is not numeric or holds a non-finite entry raises :class:`DomainError`.
+    """
     if isinstance(points, SpaceTimeDataset):
         return points.coords, points.times
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] < 2:
+            raise DomainError(
+                f"a point table must be (m, d + 1) with m >= 1 and d >= 1, "
+                f"got shape {points.shape}"
+            )
+        if points.dtype.kind not in "iuf":
+            raise DomainError(f"a point table must be numeric, got dtype {points.dtype}")
+        table = points.astype(float, copy=False)
+        if not np.all(np.isfinite(table)):
+            raise DomainError("a point table's entries are not all finite")
+        return table[:, :-1], table[:, -1]
     pts = [p if isinstance(p, SpaceTimePoint) else SpaceTimePoint(*p) for p in points]
     if len(pts) == 0:
         raise DomainError("need at least one point")
@@ -269,10 +294,11 @@ def _check_dim(m: KernelModel, coords: np.ndarray, what: str) -> None:
 def gram(m: KernelModel, points) -> GramMatrix:
     """Covariance (Gram) matrix ``K_ij = C(|s_i - s_j|, t_i - t_j)``.
 
-    ``points`` is a :class:`SpaceTimeDataset` or a sequence of
-    :class:`SpaceTimePoint`.  The kernel runs on the pairs ``i <= j`` in
-    blocks of rows and is mirrored, so the result is exactly symmetric; the
-    diagonal holds ``m.variance()`` plus the nugget.  Station data (see
+    ``points`` is a :class:`SpaceTimeDataset`, an ``(n, d + 1)`` table whose
+    rows are ``s1, ..., sd, t``, or a sequence of :class:`SpaceTimePoint`.
+    The kernel runs on the pairs ``i <= j`` in blocks of rows and is
+    mirrored, so the result is exactly symmetric; the diagonal holds
+    ``m.variance()`` plus the nugget.  Station data (see
     :class:`StationTable`) evaluate the kernel once per site pair and time
     gap instead, and the matrix is gathered from that table, to the same bits.
     """
@@ -427,9 +453,12 @@ class Posterior:
         for a healthy model.  A jitter above zero is also reported as a
         :class:`JitterWarning`.
     rcond : float
-        LAPACK's estimate of the reciprocal 1-norm condition number of the
-        factorized matrix.  Below 1e-12 the predictions lose most of their
-        digits, which is reported as an :class:`IllConditionedWarning`.
+        LAPACK ``dpocon``'s estimate of the reciprocal 1-norm condition
+        number of the factorized matrix.  Below 1e-12 the predictions lose
+        most of their digits, which is reported as an
+        :class:`IllConditionedWarning`.  Its last bits can differ between
+        runs on the same data, even on one BLAS thread, so it is compared
+        only against that floor, never for equality.
     prior : float
         Prior variance of an observation, ``m.variance() + m.nugget``: the
         Gram diagonal.
@@ -444,7 +473,7 @@ class Posterior:
 
     def __init__(self, m: KernelModel, data: SpaceTimeDataset):
         # dtrtrs, not solve_triangular: it reads L's lower triangle and scans
-        # no operand for non-finite entries (query points are checked where made)
+        # no operand for non-finite entries (queries are checked by _arrays)
         from scipy.linalg.lapack import dlange, dpocon, dtrtrs
 
         coords, times = data.coords, data.times
@@ -544,8 +573,8 @@ def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, 
         Covariance model; its nugget acts as observation noise.
     data : SpaceTimeDataset
         Conditioning observations with known constant mean.
-    query : sequence of SpaceTimePoint
-        Points at which to predict.
+    query : array of shape (q, d + 1), or sequence of SpaceTimePoint
+        Points at which to predict; a table's rows are ``s1, ..., sd, t``.
 
     Returns
     -------
@@ -573,23 +602,6 @@ def predict(m: KernelModel, data: SpaceTimeDataset, query) -> tuple[np.ndarray, 
     else:
         post = entry[2]
     return post.predict(query)
-
-
-def prediction_ratio(m: KernelModel, obs: SpaceTimePoint, query: SpaceTimePoint) -> float:
-    """Forecast amplification of the full model over its separable surrogate.
-
-    For a single observation at ``obs`` and a forecast at ``query``, the
-    conditional mean fluctuation under the full model divided by the one
-    under the separable surrogate equals the interaction ratio
-    ``Q_int(r, tau)`` at the separating lag: both predictors share the prior
-    variance and the observed fluctuation, so everything cancels except the
-    covariance-to-marginal ratio.  With more observations the identity is
-    only approximate; this helper implements the exact one-point case.
-    """
-    coords, times = _arrays([obs, query])
-    _check_dim(m, coords, "the")
-    r = float(euclidean_length(coords[1], coords[0]))
-    return float(interaction_ratio(m, r, times[1] - times[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +650,12 @@ def load_dataset_csv(path, mean: float = 0.0) -> SpaceTimeDataset:
 
 
 def write_predictions_csv(path, query, means, variances) -> None:
-    """Write predictions as CSV with header ``s1,...,sd,t,mean,variance``."""
+    """Write predictions as CSV with header ``s1,...,sd,t,mean,variance``.
+
+    ``query`` is an ``(m, d + 1)`` table whose rows are ``s1, ..., sd, t``,
+    or a sequence of :class:`SpaceTimePoint`.  Lines end in CRLF, as
+    :func:`csv.writer` writes them.
+    """
     coords, times = _arrays(query)
     d = coords.shape[1]
     means = np.asarray(means, dtype=float).ravel()

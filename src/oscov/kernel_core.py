@@ -70,7 +70,6 @@ __all__ = [
     "vlrt_kernel",
     "interaction_ratio",
     "separable_surrogate",
-    "anisotropic_distance",
 ]
 
 # Half-width of the band around omega0 * tau_c = 1/2 inside which parameters
@@ -911,34 +910,6 @@ def interaction_ratio(m: KernelModel, r, tau) -> np.ndarray | float:
         q = variance * cov / product
     q = np.where(degenerate, np.nan, q)
     return _ret(q, scalar)
-
-
-def anisotropic_distance(delta_s, length_scales=None) -> np.ndarray | float:
-    """Radial distance of vector spatial lags, with optional per-axis scaling.
-
-    The kernels are radial, so vector lags enter only through a norm.  This
-    helper computes ``||delta_s / length_scales||`` along the last axis,
-    letting each axis carry its own relevance scale; the default is the
-    plain Euclidean norm (all scales 1).
-
-    Parameters
-    ----------
-    delta_s : array_like, shape (..., d)
-        Spatial lag vectors.
-    length_scales : array_like of length d, optional
-        Positive per-axis divisors.
-    """
-    lags = np.asarray(delta_s, dtype=float)
-    scalar = lags.ndim == 1
-    if length_scales is not None:
-        scales = np.asarray(length_scales, dtype=float)
-        if scales.ndim != 1 or scales.shape[0] != lags.shape[-1]:
-            raise DomainError("length_scales must have one entry per spatial axis")
-        if np.any(scales <= 0.0):
-            raise DomainError("length scales must be positive")
-        lags = lags / scales
-    out = euclidean_length(lags)
-    return float(out) if scalar else out
 
 
 def euclidean_length(a, b=None) -> np.ndarray:

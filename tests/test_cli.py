@@ -13,7 +13,16 @@ import sys
 import numpy as np
 import pytest
 
+from oscov.cli import _CHECK_SEED
 from oscov.estimate import EmpiricalVariogram, VariogramKind, fit_full, fit_marginals
+from oscov.gp import (
+    SpaceTimeDataset,
+    SpaceTimePoint,
+    gram,
+    load_dataset_csv,
+    predict,
+    write_predictions_csv,
+)
 from oscov.kernel_core import (
     Dispersion,
     KernelModel,
@@ -557,6 +566,31 @@ def test_predict_rejects_malformed_query_header(tmp_path):
         assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("z_column", (False, True))
+def test_predict_writes_the_bytes_of_the_point_path(tmp_path, z_column):
+    rng = np.random.default_rng(17)
+    obs, queries = rng.uniform(0.0, 5.0, (40, 4)), rng.uniform(0.0, 5.0, (15, 4))
+    data = tmp_path / "obs.csv"
+    data.write_text("s1,s2,t,z\n" + "".join(
+        ",".join(f"{c:.17g}" for c in row) + "\n" for row in obs))
+    query = tmp_path / "query.csv"
+    width = 4 if z_column else 3
+    query.write_text(("s1,s2,t,z\n" if z_column else "s1,s2,t\n") + "".join(
+        ",".join(f"{c:.17g}" for c in row[:width]) + "\n" for row in queries))
+    res = run_cli(
+        "predict", "--figure", "fig1", "--data", data, "--query", query, "--out", tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+
+    points = [SpaceTimePoint(tuple(row[:2]), row[2]) for row in queries]
+    means, variances = predict(preset_model("fig1"), load_dataset_csv(data), points)
+    expected = tmp_path / "expected.csv"
+    write_predictions_csv(expected, points, means, variances)
+    written = (tmp_path / "predictions.csv").read_bytes()
+    assert written == expected.read_bytes()
+    assert written.count(b"\r\n") == 16 and written.count(b"\n") == 16
+
+
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -570,6 +604,18 @@ def test_checks_pass_for_a_named_preset(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert names == {"admissibility", "oracle_agreement", "ode_order", "gram_psd"}
     assert res.stdout.count(" pass") == 4
+
+
+def test_checks_gram_psd_is_the_gram_of_a_zero_valued_dataset(tmp_path):
+    res = run_cli("checks", "--figure", "fig1", "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "checks.json").read_text())
+    m = preset_model("fig1")
+    draws = np.random.default_rng(_CHECK_SEED).uniform(0.0, 4.0, (60, m.dim + 1))
+    k = gram(m, SpaceTimeDataset.from_arrays(draws[:, :-1], draws[:, -1], np.zeros(60))).matrix
+    (psd,) = [c for c in report["checks"] if c["name"] == "gram_psd"]
+    assert psd["min_eigenvalue"] == float(np.linalg.eigvalsh(k).min())
+    assert psd["trace"] == float(np.trace(k))
 
 
 def test_checks_run_every_preset_by_default(tmp_path):

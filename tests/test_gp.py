@@ -1,4 +1,4 @@
-"""Gram construction, GP prediction, and the one-point prediction ratio."""
+"""Gram construction, GP prediction, point sets as tables, and the CSV interfaces."""
 
 import gc
 import math
@@ -27,10 +27,8 @@ from oscov import (
     SpaceTimeDataset,
     SpaceTimePoint,
     gram,
-    interaction_ratio,
     load_dataset_csv,
     predict,
-    prediction_ratio,
     preset_model,
     write_predictions_csv,
 )
@@ -543,59 +541,6 @@ def test_a_dead_old_dataset_keeps_the_newer_posterior(krige_case):
 
 
 # ---------------------------------------------------------------------------
-# prediction ratio
-# ---------------------------------------------------------------------------
-
-
-def test_prediction_ratio_trivial_lags():
-    m = KernelModel(UNDER)
-    obs = SpaceTimePoint((1.0, 1.0), 0.5)
-    assert prediction_ratio(m, obs, SpaceTimePoint((3.0, 1.0), 0.5)) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert prediction_ratio(m, obs, SpaceTimePoint((1.0, 1.0), 0.65)) == pytest.approx(
-        1.0, abs=1e-12
-    )
-
-
-def test_prediction_ratio_is_one_for_separable_model():
-    sep = KernelModel(LdhoParams(2.0, 3.0, 1.5 * math.pi, 1.0, 0.0))
-    obs = SpaceTimePoint((0.0, 0.0), 0.0)
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        q = SpaceTimePoint(tuple(rng.uniform(0, 3, 2)), float(rng.uniform(0, 0.2)))
-        assert prediction_ratio(sep, obs, q) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_prediction_ratio_equals_predictor_ratio():
-    # the conditional-mean fluctuation under the full model over the one
-    # under its separable surrogate, for a single observation
-    models = [
-        KernelModel(UNDER),
-        KernelModel(OuParams(1.0, 0.8, 0.5, 0.4, 8.0)),
-    ]
-    rng = np.random.default_rng(31)
-    obs_value, mean = 1.7, 0.4
-    for m in models:
-        surrogate = KernelModel.surrogate_of(m)
-        for _ in range(5):
-            obs = SpaceTimePoint(tuple(rng.uniform(0, 5, 2)), float(rng.uniform(0, 5)))
-            query = SpaceTimePoint(
-                (obs.s[0] + rng.uniform(0.1, 1.5), obs.s[1] + rng.uniform(0.1, 1.5)),
-                obs.t + rng.uniform(0.02, 0.12),
-            )
-            data = SpaceTimeDataset.from_arrays([obs.s], [obs.t], [obs_value], mean=mean)
-            full_mean, _ = predict(m, data, [query])
-            sur_mean, _ = predict(surrogate, data, [query])
-            direct = (full_mean[0] - mean) / (sur_mean[0] - mean)
-            assert prediction_ratio(m, obs, query) == pytest.approx(direct, abs=1e-10)
-            r = float(np.hypot(query.s[0] - obs.s[0], query.s[1] - obs.s[1]))
-            assert prediction_ratio(m, obs, query) == pytest.approx(
-                float(interaction_ratio(m, r, query.t - obs.t)), abs=1e-12
-            )
-
-
-# ---------------------------------------------------------------------------
 # dataset plumbing
 # ---------------------------------------------------------------------------
 
@@ -691,3 +636,110 @@ def test_predictions_csv_refuses_unequal_columns(tmp_path):
     with pytest.raises(DimensionMismatch, match="3 queries"):
         write_predictions_csv(out, queries, [0.1, 0.2], [0.3])
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# point sets as tables
+# ---------------------------------------------------------------------------
+
+
+def test_a_point_needs_a_flat_numeric_location():
+    for s, t in (([[1.0, 2.0]], 0.0), (("a",), 0.0), ((1.0, 2.0), "noon"), ((), 0.0)):
+        with pytest.raises(DomainError):
+            SpaceTimePoint(s, t)
+
+
+def _krige_shaped(rng):
+    """80 sites of a 32 x 32 lattice (spacing 0.5) observed at 25 times 0.4
+    apart, and 50 queries at 20 held-out sites and 4 forecast times."""
+    nodes = rng.choice(32 * 32, size=100, replace=False)
+    locs = 0.5 * np.stack(np.unravel_index(nodes, (32, 32)), axis=1).astype(float)
+    site, step = np.divmod(np.arange(80 * 25), 25)
+    pool = [(i, k) for i in range(80, 100) for k in range(29)]
+    pool += [(i, k) for i in range(80) for k in range(25, 29)]
+    chosen = rng.choice(len(pool), size=50, replace=False)
+    q_site, q_step = np.array([pool[j] for j in chosen]).T
+    return (locs[site], 0.4 * step), (locs[q_site], 0.4 * q_step)
+
+
+@pytest.mark.parametrize("stations", (True, False))
+def test_a_table_gives_the_bits_of_its_points(stations, tmp_path, monkeypatch):
+    rng = np.random.default_rng(28)
+    if stations:
+        (coords, times), (q_coords, q_times) = _krige_shaped(rng)
+    else:
+        coords, times = random_arrays(rng, 300, 2)
+        q_coords, q_times = random_arrays(rng, 50, 2)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.3, 1.0, times.size), 0.3)
+    assert (data.stations is not None) == stations
+    m = KernelModel(UNDER, nugget=0.05)
+    table, q_table = np.column_stack([coords, times]), np.column_stack([q_coords, q_times])
+    points, q_points = points_of(coords, times), points_of(q_coords, q_times)
+
+    # the table's own columns, not copies
+    got_coords, got_times = gp._arrays(q_table)
+    assert np.shares_memory(got_coords, q_table) and np.shares_memory(got_times, q_table)
+    assert np.array_equal(gram(m, table).matrix, gram(m, points).matrix)
+    post = Posterior(m, data)
+    for got, expected in zip(post.predict(q_table), post.predict(q_points)):
+        assert np.array_equal(got, expected)
+    monkeypatch.setattr(gp, "_cached", None)
+    means, variances = predict(m, data, q_table)
+    expected_means, expected_variances = predict(m, data, q_points)
+    assert np.array_equal(means, expected_means)
+    assert np.array_equal(variances, expected_variances)
+
+    write_predictions_csv(tmp_path / "table.csv", q_table, means, variances)
+    write_predictions_csv(tmp_path / "points.csv", q_points, means, variances)
+    written = (tmp_path / "table.csv").read_bytes()
+    assert written == (tmp_path / "points.csv").read_bytes()
+    assert written.count(b"\r\n") == 51
+
+
+BAD_TABLES = {
+    "nan": np.array([[0.0, 1.0, 0.5], [1.0, np.nan, 0.5]]),
+    "inf": np.array([[0.0, 1.0, np.inf]]),
+    "no rows": np.empty((0, 3)),
+    "one column": np.zeros((4, 1)),
+    "1-D": np.zeros(3),
+    "3-D": np.zeros((2, 4, 3)),
+    "object": np.array([[0.0, 1.0, "a"]], dtype=object),
+    "string": np.array([["0", "1", "0.5"]]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TABLES)
+def test_a_bad_table_is_refused_before_any_kernel(name, tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    coords, times = random_arrays(rng, 10, 2)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.0, 1.0, 10))
+    m = KernelModel(UNDER, nugget=0.1)
+    post = Posterior(m, data)
+    monkeypatch.setattr(gp, "_cached", (m.model_key(), weakref.ref(data), post))
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran on a refused table")
+
+    monkeypatch.setattr(KernelModel, "covariance", no_kernel)
+    bad = BAD_TABLES[name]
+    for call in (
+        lambda: gram(m, bad),
+        lambda: post.predict(bad),
+        lambda: predict(m, data, bad),
+        lambda: write_predictions_csv(tmp_path / "pred.csv", bad, [0.0], [1.0]),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_a_table_of_the_wrong_dimension_is_refused():
+    rng = np.random.default_rng(9)
+    coords, times = random_arrays(rng, 10, 2)
+    data = SpaceTimeDataset.from_arrays(coords, times, rng.normal(0.0, 1.0, 10))
+    m = KernelModel(UNDER, nugget=0.1)
+    table = np.zeros((4, 4))  # three spatial columns for a 2-D model
+    with pytest.raises(DimensionMismatch):
+        gram(m, table)
+    with pytest.raises(DimensionMismatch):
+        Posterior(m, data).predict(table)

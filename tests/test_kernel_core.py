@@ -19,7 +19,6 @@ from oscov import (
     OuParams,
     Regime,
     RegimeError,
-    anisotropic_distance,
     available_presets,
     classify_regime,
     damped_frequency,
@@ -588,21 +587,8 @@ def test_surrogate_model_wrapping():
 
 
 # ---------------------------------------------------------------------------
-# anisotropic pre-transform
+# distances
 # ---------------------------------------------------------------------------
-
-
-def test_anisotropic_distance_identity_default():
-    assert anisotropic_distance([3.0, 4.0]) == pytest.approx(5.0, rel=1e-15)
-    lags = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
-    got = anisotropic_distance(lags)
-    assert np.allclose(got, [1.0, 2.0, 5.0], rtol=1e-15)
-
-
-def test_anisotropic_distance_scales_axes():
-    assert anisotropic_distance([3.0, 4.0], [1.0, 2.0]) == pytest.approx(
-        math.sqrt(9.0 + 4.0), rel=1e-15
-    )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -622,25 +608,6 @@ def test_euclidean_length_has_scipys_bits(dim, scale):
     t = x[:, :1]
     assert np.array_equal(euclidean_length(t[i], t[j]), pdist(t, "cityblock"))
     assert np.array_equal(np.abs(t[i, 0] - t[j, 0]), pdist(t, "cityblock"))
-    # anisotropic_distance is the same length of the lag vectors
-    lags = y[:, None] - x[None]
-    assert np.array_equal(anisotropic_distance(lags), cdist(y, x))
-    assert anisotropic_distance(lags[0, 0]) == cdist(y[:1], x[:1])[0, 0]
-
-
-def test_anisotropic_distance_keeps_its_result_types():
-    assert type(anisotropic_distance([3.0, 4.0])) is float
-    assert type(anisotropic_distance([3.0, 4.0], [1.0, 2.0])) is float
-    got = anisotropic_distance(np.ones((4, 3, 2)), [1.0, 2.0])
-    assert isinstance(got, np.ndarray) and got.shape == (4, 3)
-    assert np.all(got == math.sqrt(1.25))
-
-
-def test_anisotropic_distance_validation():
-    with pytest.raises(DomainError):
-        anisotropic_distance([1.0, 2.0], [1.0, -1.0])
-    with pytest.raises(DomainError):
-        anisotropic_distance([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

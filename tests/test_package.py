@@ -17,13 +17,13 @@ EXPORTED = {
     "NegativeVariance", "NotPositiveDefinite", "OptimizerStalled", "OscovError",
     "OuParams", "Posterior", "QuadratureFailure", "Regime", "RegimeError",
     "SpaceTimeDataset", "SpaceTimePoint", "SpectralTruncationWarning", "VariogramKind",
-    "WlsObjective", "admissibility_scan", "anisotropic_distance", "available_presets",
+    "WlsObjective", "admissibility_scan", "available_presets",
     "bessel_j", "classify_regime", "damped_frequency", "empirical_covariance", "errors",
     "estimate", "fast_slow_times", "fit_full", "fit_marginals", "gp", "gram",
     "hankel_ift_oracle", "interaction_functions_quadratic", "interaction_ratio",
     "kernel_core", "ldho_kernel", "load_dataset_csv", "load_field", "marginal_spatial",
     "marginal_temporal", "model_variogram", "ode_residual", "ou_kernel", "predict",
-    "prediction_ratio", "preset_model", "presets", "separable_surrogate", "simulate",
+    "preset_model", "presets", "separable_surrogate", "simulate",
     "simulate_field", "space_time_variogram", "spatial_marginal_variogram", "spectral",
     "st_spectral_density", "temporal_fourier_mode", "temporal_kernel",
     "temporal_marginal_variogram", "temporal_spectral_density", "vlrt_kernel",
