@@ -131,6 +131,15 @@ def _check_dim(dim) -> int:
     return int(dim)
 
 
+def _trusted(cls, fields: dict, **more):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` and
+    ``more`` as given, without ``__post_init__``: for callers that have made
+    its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, **more)
+    return obj
+
+
 @dataclass(frozen=True)
 class LdhoParams:
     """Hyperparameters of the damped-oscillator space-time kernel.
@@ -209,32 +218,36 @@ class LdhoParams:
         """
         regime = Regime(regime) if not isinstance(regime, Regime) else regime
         tau_c = _check_positive("tau_c", tau_c)
-        omega_d = float(omega_d)
-        half_rate = 0.5 / tau_c
-        if regime is Regime.UNDERDAMPED:
-            if omega_d <= 0.0:
-                raise DomainError("underdamped regime needs omega_d > 0")
-            omega0 = math.hypot(omega_d, half_rate)
-        elif regime is Regime.CRITICAL:
-            if omega_d != 0.0:
-                raise DomainError("critical regime has omega_d = 0 exactly")
-            omega0 = half_rate
-        else:
-            if not 0.0 < omega_d < half_rate:
-                raise DomainError(
-                    "overdamped regime needs 0 < omega_d < 1/(2 tau_c), "
-                    f"got omega_d={omega_d!r} with 1/(2 tau_c)={half_rate!r}"
-                )
-            omega0 = math.sqrt((half_rate - omega_d) * (half_rate + omega_d))
         return cls(
             c0=c0,
             tau_c=tau_c,
-            omega0=omega0,
+            omega0=_undamped_frequency(tau_c, float(omega_d), regime),
             epsilon=epsilon,
             interaction=interaction,
             dispersion=dispersion,
             dim=dim,
         )
+
+
+def _undamped_frequency(tau_c: float, omega_d: float, regime: Regime) -> float:
+    """``omega0`` from a positive ``tau_c`` and the damped frequency ``omega_d``
+    of ``regime`` (see :meth:`LdhoParams.from_damped_frequency`); an
+    ``omega_d`` outside the regime's range raises :class:`DomainError`."""
+    half_rate = 0.5 / tau_c
+    if regime is Regime.UNDERDAMPED:
+        if omega_d <= 0.0:
+            raise DomainError("underdamped regime needs omega_d > 0")
+        return math.hypot(omega_d, half_rate)
+    if regime is Regime.CRITICAL:
+        if omega_d != 0.0:
+            raise DomainError("critical regime has omega_d = 0 exactly")
+        return half_rate
+    if not 0.0 < omega_d < half_rate:
+        raise DomainError(
+            "overdamped regime needs 0 < omega_d < 1/(2 tau_c), "
+            f"got omega_d={omega_d!r} with 1/(2 tau_c)={half_rate!r}"
+        )
+    return math.sqrt((half_rate - omega_d) * (half_rate + omega_d))
 
 
 @dataclass(frozen=True)
@@ -573,7 +586,13 @@ def _ou(p: OuParams, r, ata):
 
 def _kernel(p: LdhoParams | OuParams, r, tau) -> np.ndarray | float:
     r_b, ata, scalar = _prepare_lags(r, tau)
-    return _ret((_ldho if isinstance(p, LdhoParams) else _ou)(p, r_b, ata), scalar)
+    return _ret(_evaluate(p, r_b, ata), scalar)
+
+
+def _evaluate(p: LdhoParams | OuParams, r: np.ndarray, ata: np.ndarray) -> np.ndarray:
+    """The kernel of ``p`` on lags that :func:`_prepare_lags` has checked:
+    ``r`` and ``|tau|`` as arrays of one shape."""
+    return (_ldho if isinstance(p, LdhoParams) else _ou)(p, r, ata)
 
 
 def ldho_kernel(p: LdhoParams, r, tau) -> np.ndarray | float:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from conftest import peak_bytes, station_arrays
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 import oscov.estimate as estimate
@@ -985,41 +986,217 @@ def _small_field_fits():
 
 
 def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatch):
-    """The benchmark counts ``wls_objective`` and ``KernelModel.covariance``
-    calls from outside: a fit makes one of each per evaluation, and every
-    objective value equals the parent formula's on the searched variogram."""
-    calls = {"covariance": 0}
-    records = []
-    searched = []
-    covariance, objective = KernelModel.covariance, estimate.wls_objective
-    search = estimate._search
+    """The benchmark counts ``wls_objective`` calls from outside: a fit makes
+    one per evaluation that its box admits, and each runs the kernel once, on
+    the criterion's checked lags.  Every kernel value equals
+    ``KernelModel.covariance`` on the variogram's lags, and every objective
+    the parent formula's, bit for bit."""
+    kernels, records, searched = [], [], []
+    evaluate, objective = estimate._evaluate, estimate.wls_objective
+    search, criterion = estimate._search, estimate._Wls
 
-    def counted_covariance(self, r, tau):
-        calls["covariance"] += 1
-        return covariance(self, r, tau)
+    class RecordedWls(criterion):
+        def __init__(self, v):
+            super().__init__(v)
+            self.variogram = v
+
+    def counted_evaluate(p, r, ata):
+        out = evaluate(p, r, ata)
+        kernels.append((p, out))
+        return out
 
     def recorded_objective(m, v):
         try:
             out = objective(m, v)
         except AllBinsSkipped:
-            records.append((m, searched[-1], None))
+            records.append((m, searched[-1].variogram, None))
             raise
-        records.append((m, searched[-1], _bits(out)))
+        records.append((m, searched[-1].variogram, _bits(out)))
         return out
 
     def recorded_search(*args):
         searched.append(args[5])
         return search(*args)
 
-    monkeypatch.setattr(KernelModel, "covariance", counted_covariance)
+    monkeypatch.setattr(estimate, "_evaluate", counted_evaluate)
     monkeypatch.setattr(estimate, "wls_objective", recorded_objective)
     monkeypatch.setattr(estimate, "_search", recorded_search)
+    monkeypatch.setattr(estimate, "_Wls", RecordedWls)
     _, res_f = _small_field_fits()
-    assert calls["covariance"] == len(records) > 1000
+    assert len(kernels) == len(records) > 1000
     assert len(records) <= res_f.n_evaluations
     monkeypatch.undo()
-    for m, v, out in records:
+    for (params, cov), (m, v, out) in zip(kernels, records):
+        assert params is m.params
+        r, tau = v.lags()
+        assert cov.tobytes() == m.covariance(np.append(r, 0.0), np.append(tau, 0.0)).tobytes()
         assert out == _parent_wls(m, v)
+
+
+# A start per branch, in the joint stage's names and search order.
+_STARTS = {
+    "underdamped": {"c0": 2.0, "epsilon": 1.0, "omega_d": 1.2, "tau_c": 2.0,
+                    "interaction": 0.5, "nugget": 0.1},
+    "critical": {"c0": 2.0, "epsilon": 1.0, "tau_c": 2.0, "interaction": 0.5, "nugget": 0.1},
+    "overdamped": {"c0": 2.0, "epsilon": 1.0, "damping_ratio": 0.5, "tau_c": 2.0,
+                   "interaction": 0.5, "nugget": 0.1},
+    "ou": {"sigma0_sq": 4.0, "beta": 1.0, "tau_c": 1.5, "scale": 0.6, "nugget": 0.1},
+}
+
+
+def _parent_model(branch, dispersion, dim, theta):
+    """A branch's model through the public constructors, as fits built it
+    before their searches skipped the checks."""
+    if branch == "ou":
+        params = OuParams(
+            sigma0_sq=theta["sigma0_sq"], tau_c=theta["tau_c"], a=1.0, scale=theta["scale"],
+            beta=theta["beta"], dispersion=dispersion, dim=dim,
+        )
+    else:
+        if branch == "underdamped":
+            omega_d = theta["omega_d"]
+        elif branch == "critical":
+            omega_d = 0.0
+        else:
+            omega_d = theta["damping_ratio"] / (2.0 * theta["tau_c"])
+        params = LdhoParams.from_damped_frequency(
+            c0=theta["c0"], tau_c=theta["tau_c"], omega_d=omega_d, regime=branch,
+            epsilon=theta["epsilon"], interaction=theta["interaction"],
+            dispersion=dispersion, dim=dim,
+        )
+    return KernelModel(params=params, nugget=theta["nugget"])
+
+
+def _parent_evaluation(branch, dispersion, dim, box, v, x):
+    """A search's objective at the transformed point ``x`` as it was computed
+    before the criterion: the box, the checked model, then the WLS formula
+    through ``KernelModel.covariance``; ``inf`` wherever one refuses."""
+    try:
+        theta = {
+            name: 1.0 / (1.0 + math.exp(-xi)) if name == "damping_ratio" else math.exp(xi)
+            for name, xi in zip(_STARTS[branch], x)
+        }
+    except OverflowError:
+        return math.inf
+    for name, value in theta.items():
+        lo, hi = box[name]
+        if not (lo <= value <= hi) or not math.isfinite(value):
+            return math.inf
+    try:
+        m = _parent_model(branch, dispersion, dim, theta)
+    except (DomainError, ZeroDivisionError):
+        # an overdamped tau_c of 0.0 divided by zero, which the search now refuses
+        return math.inf
+    out = _parent_wls(m, v)
+    return math.inf if out is None else float.fromhex(out[0])
+
+
+def _search_function(branch, dispersion, dim, bounds, v):
+    """The function of the transformed point that ``_search`` hands to
+    Nelder-Mead for a joint-stage search of ``branch`` on ``v``."""
+    captured = []
+
+    def capture(func, sim, *args):
+        captured.append(func)
+        return sim[0], func(sim[0]), 0, True
+
+    real = estimate._nelder_mead
+    estimate._nelder_mead = capture
+    try:
+        estimate._search(
+            branch, dispersion, dim, dict(_STARTS[branch]), {}, estimate._Wls(v), bounds
+        )
+    finally:
+        estimate._nelder_mead = real
+    return captured[0]
+
+
+# Parameter values at the edges of the builders' checks.
+_EDGES = (0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.0, 1.0 - 2.0**-53, math.inf, -math.inf, math.nan)
+
+
+def _assert_builders_agree(branch, dispersion, dim, theta):
+    """The search's unchecked builder and the checked one raise DomainError
+    where the public constructors refuse, and otherwise build their model."""
+    try:
+        want = _parent_model(branch, dispersion, dim, theta)
+    except (DomainError, ZeroDivisionError):
+        for builder in (estimate._search_model, estimate._branch_model):
+            with pytest.raises(DomainError):
+                builder(branch, dispersion, dim, theta)
+        return
+    for got in (estimate._search_model(branch, dispersion, dim, theta),
+                estimate._branch_model(branch, dispersion, dim, theta)):
+        assert type(got.params) is type(want.params)
+        assert got.model_key() == want.model_key()
+
+
+@pytest.mark.parametrize("branch", tuple(_STARTS))
+def test_search_model_refuses_each_edge_the_checked_model_refuses(branch):
+    for dispersion in Dispersion:
+        for dim in (1, 2, 3):
+            for name in _STARTS[branch]:
+                for edge in _EDGES:
+                    _assert_builders_agree(
+                        branch, dispersion, dim, dict(_STARTS[branch], **{name: edge})
+                    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from(tuple(_STARTS)),
+    dispersion=st.sampled_from(Dispersion),
+    dim=st.integers(1, 3),
+    data=st.data(),
+)
+def test_search_model_refuses_what_the_checked_model_refuses(branch, dispersion, dim, data):
+    values = st.one_of(st.floats(1e-3, 1e3), st.floats(allow_nan=True, allow_infinity=True))
+    theta = {name: data.draw(values, label=name) for name in _STARTS[branch]}
+    _assert_builders_agree(branch, dispersion, dim, theta)
+
+
+# Offsets from the start in transformed coordinates: inside the default box
+# (|offset| < log 1e3 = 6.9) and outside it, plus the edges: exp underflow to
+# 0.0 (reached only under a bound with lo <= 0), overflow, a damping ratio of
+# exactly 1 (omega_d = 1/(2 tau_c)), and +-inf.
+_OFFSETS = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.sampled_from([-800.0, 800.0, 40.0, -40.0, math.inf, -math.inf]),
+)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("dispersion", (Dispersion.QUADRATIC, Dispersion.LINEAR))
+@pytest.mark.parametrize("branch", tuple(_STARTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_search_criterion_equals_the_checked_model_and_parent_formula(branch, dispersion, dim, data):
+    """Each evaluation of a search, on the criterion built once, equals the
+    parent's: the box check, the checked model and the WLS formula through
+    ``KernelModel.covariance``, bit for bit, or both are ``inf``."""
+    start = _STARTS[branch]
+    assert tuple(start) == estimate._BRANCH_PARAMS[branch]
+    r, tau = np.meshgrid([0.0, 0.5, 1.0, 2.0, 3.5], [0.0, 0.4, 1.2, 2.4], indexing="ij")
+    r, tau = r.ravel()[1:], tau.ravel()[1:]
+    truth = _parent_model(branch, dispersion, dim, start)
+    v = EmpiricalVariogram(
+        kind=VariogramKind.SPACE_TIME, gamma=1.1 * model_variogram(truth, r, tau) + 0.01,
+        counts=np.arange(1, r.size + 1), r=r, tau=tau,
+    )
+    box = {
+        name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (s / 1e3, s * 1e3)
+        for name, s in start.items()
+    }
+    bounds = {}
+    if data.draw(st.booleans(), label="bounds with lo <= 0"):
+        lo = data.draw(st.sampled_from([0.0, -1.0]), label="lo")
+        bounds = {name: (lo, 2.0 if name == "damping_ratio" else 1e6) for name in start}
+        box.update(bounds)
+    func = _search_function(branch, dispersion, dim, bounds, v)
+    x0 = [0.0 if name == "damping_ratio" else math.log(s) for name, s in start.items()]
+    x = np.array([xi + data.draw(_OFFSETS, label=name) for name, xi in zip(start, x0)])
+    got, want = func(x), _parent_evaluation(branch, dispersion, dim, box, v, x.tolist())
+    assert got.hex() == want.hex()
 
 
 def test_small_field_fits_are_pinned_bit_for_bit():
@@ -1048,6 +1225,111 @@ def test_small_field_fits_are_pinned_bit_for_bit():
         assert float(res.objective).hex() == objective
         assert model["nugget"].hex() == nugget
         assert {name: v.hex() for name, v in model["params"].items()} == params
+
+
+def _pins(res):
+    """A fit's family, evaluation count, objective, nugget and parameters, in hex."""
+    model = res.model.to_dict()
+    return (
+        model["family"], res.n_evaluations, float(res.objective).hex(), model["nugget"].hex(),
+        {name: v.hex() for name, v in model["params"].items()},
+    )
+
+
+def _relaxation_fits():
+    """Both O-U fit stages on a seeded 16 x 16 x 48 field."""
+    truth = OuParams(sigma0_sq=4.0, tau_c=1.5, a=1.0, scale=0.6, beta=1.0, dim=2)
+    g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=48, dt=0.4, seed=7)
+    f = simulate_field(KernelModel(params=truth, nugget=0.1), g)
+    res_m = fit_marginals(
+        f, family="ou", r_bins=np.arange(1.0, 6.0), tau_bins=0.4 * np.arange(1, 13)
+    )
+    res_f = fit_full(
+        f, theta0=res_m, r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2)
+    )
+    return res_m, res_f
+
+
+def _linear_fits():
+    """Both linear-dispersion oscillator fit stages on a seeded 16 x 16 x 48 field."""
+    truth = LdhoParams.from_damped_frequency(
+        c0=10.0, tau_c=2.0, omega_d=1.2, regime=Regime.UNDERDAMPED, epsilon=1.5,
+        interaction=0.5, dispersion=Dispersion.LINEAR, dim=2,
+    )
+    g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=48, dt=0.4, seed=11)
+    f = simulate_field(KernelModel(params=truth, nugget=0.1), g)
+    res_m = fit_marginals(
+        f, dispersion=Dispersion.LINEAR, r_bins=np.arange(1.0, 6.0),
+        tau_bins=0.4 * np.arange(1, 13),
+    )
+    res_f = fit_full(
+        f, theta0=res_m, r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2)
+    )
+    return res_m, res_f
+
+
+def _station_fit():
+    """``fit_marginals`` with default bins on 20 sites x 12 times (90 % of the
+    cells kept) sampled from a seeded 16 x 16 x 16 oscillator field."""
+    truth = LdhoParams.from_damped_frequency(
+        c0=2.0, tau_c=2.0, omega_d=1.2, regime=Regime.UNDERDAMPED, epsilon=1.0,
+        interaction=0.5, dispersion=Dispersion.QUADRATIC, dim=2,
+    )
+    g = GridSpec(ns=(16, 16), ds=(0.5, 0.5), nt=16, dt=0.4, seed=13)
+    field = simulate_field(KernelModel(params=truth, nugget=0.05), g).values
+    rng = np.random.default_rng(13)
+    ix, iy = np.unravel_index(rng.choice(16 * 16, size=20, replace=False), (16, 16))
+    site, step = np.divmod(np.arange(20 * 12), 12)
+    keep = rng.random(site.size) < 0.9
+    site, step = site[keep], step[keep]
+    coords = 0.5 * np.stack([ix[site], iy[site]], axis=1).astype(float)
+    data = SpaceTimeDataset.from_arrays(coords, 0.4 * step, field[step, ix[site], iy[site]])
+    assert data.stations is not None
+    return (fit_marginals(data),)
+
+
+@pytest.mark.parametrize(
+    "fits, pins",
+    (
+        (_relaxation_fits, (
+            ("ou", 383, "0x1.1af6140cec2f5p+8", "0x1.09ac3f18d3417p-3", {
+                "sigma0_sq": "0x1.b96ff9b629015p+1", "tau_c": "0x1.43aa28dc81a70p+0",
+                "a": "0x1.0000000000000p+0", "scale": "0x1.16d0800be10c2p-10",
+                "beta": "0x1.10462b240265fp+0",
+            }),
+            ("ou", 1174, "0x1.0b2e2cebe36cdp+8", "0x1.10786fc49f1b0p-3", {
+                "sigma0_sq": "0x1.ded2a85441bf3p+1", "tau_c": "0x1.9919404ebf623p+0",
+                "a": "0x1.0000000000000p+0", "scale": "0x1.1cd3b36633b94p-1",
+                "beta": "0x1.25b02e2169095p+0",
+            }),
+        )),
+        (_linear_fits, (
+            ("ldho", 2195, "0x1.c78d07f3e018fp+2", "0x1.82cb50814c6f3p-4", {
+                "c0": "0x1.a8ab1d8a8e88ap+2", "tau_c": "0x1.318fc6082ab23p+1",
+                "omega0": "0x1.3873dba8e47e8p+0", "epsilon": "0x1.46894003b0ec2p+0",
+                "b_or_xi": "0x1.a8ab5f2bdd1b3p-2",
+            }),
+            ("ldho", 4877, "0x1.a2731c36c8d68p+8", "0x1.915b4bbf9c4bbp-5", {
+                "c0": "0x1.80453934129fbp+2", "tau_c": "0x1.d2c7badc4e1a9p+0",
+                "omega0": "0x1.55bd2fe2c501dp+0", "epsilon": "0x1.2da0ea047b8c0p+0",
+                "b_or_xi": "0x1.4d05bcc456e6fp-2",
+            }),
+        )),
+        (_station_fit, (
+            ("ldho", 2988, "0x1.1d7c4ebb5b2e6p+4", "0x1.710b02c76a328p-5", {
+                "c0": "0x1.0673200bac94dp-1", "tau_c": "0x1.05b1b092f00e8p-1",
+                "omega0": "0x1.fd6fa5d6419a9p+0", "epsilon": "0x1.8efaa214b6f86p-2",
+                "b_or_xi": "0x1.915415cff14d4p-13",
+            }),
+        )),
+    ),
+    ids=("relaxation", "linear", "station"),
+)
+@pytest.mark.filterwarnings("ignore::oscov.errors.SpectralTruncationWarning")
+def test_other_fits_are_pinned_bit_for_bit(fits, pins):
+    """Fits the small-field pins do not reach, pinned the same way: an O-U
+    fit, a linear-dispersion fit, and the marginal fit of station data."""
+    assert tuple(_pins(res) for res in fits()) == pins
 
 
 @pytest.mark.parametrize("dispersion", [Dispersion.QUADRATIC, Dispersion.LINEAR])
@@ -1368,6 +1650,13 @@ def test_bounds_excluding_the_start_move_it_inside(tiny_field):
         ("ldho", {"c0": (5.0, 1.0)}, "'c0'.*empty"),
         ("ldho", {"epsilon": (2.0, 2.0)}, "'epsilon'.*empty"),
         ("ldho", {"nugget": 0.5}, "'nugget'.*pair"),
+        # every searched value is positive, and a damping ratio in (0, 1)
+        ("ldho", {"tau_c": (-2.0, -1.0)}, "'tau_c'.*misses the range"),
+        ("ldho", {"interaction": (-1.0, 0.0)}, "'interaction'.*misses the range"),
+        ("ou", {"scale": (-1.0, 0.0)}, "'scale'.*misses the range"),
+        ("ldho", {"damping_ratio": (1.5, 2.0)}, "'damping_ratio'.*misses the range"),
+        ("ldho", {"damping_ratio": (1.0, 2.0)}, "'damping_ratio'.*misses the range"),
+        ("ldho", {"damping_ratio": (-1.0, 0.0)}, "'damping_ratio'.*misses the range"),
     ),
 )
 def test_bad_bounds_raise_before_any_search(tiny_field, monkeypatch, family, bounds, match):
