@@ -334,6 +334,7 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
             prefix, np.maximum(-h, 0), axis=axis
         )
     sums = (box + np.flip(box) - 2.0 * cross)[reach[0]:]
+    np.maximum(sums, 0.0, out=sums)  # rounding may leave a zero sum just below 0
     counts = np.ones((), dtype=np.int64)
     for n, h in zip(g.shape, shifts):
         counts = np.multiply.outer(counts, n - np.abs(h))
@@ -582,57 +583,57 @@ def _group_average(sums, counts):
     return mean * np.maximum(total, 1), total
 
 
-# Elements of one site x site x time-pair block of differences (8 MB).
-_STATION_BLOCK = 1 << 20
-
-
-def _cell_pair_sums(z, seen, p, q, windows, n_windows):
-    """Per window ``k``, the sums over its time pairs ``(p, q)`` of the squared
-    increments ``(z[a, p] - z[b, q])^2`` between present cells, and their
-    counts, for every ordered site pair: two arrays of shape ``(n_windows, S, S)``.
+def _site_window_sums(data, bins, tolerance: float):
+    """Squared-increment sums and pair counts of station data within each
+    site, shape ``(sites, windows)``: the time pairs ``p < q`` (ascending
+    times, so positive gaps) at every site, from the dataset's S x T table.
     """
-    n_sites = z.shape[0]
-    sums = np.zeros((n_windows, n_sites, n_sites))
-    counts = np.zeros((n_windows, n_sites, n_sites), dtype=np.int64)
-    step = max(1, _STATION_BLOCK // (n_sites * n_sites))
-    for k in range(n_windows):
-        mine = np.flatnonzero(windows == k)
-        for lo in range(0, mine.size, step):
-            pp, qq = p[mine[lo:lo + step]], q[mine[lo:lo + step]]
-            both = seen[:, None, pp] & seen[None, :, qq]
-            diff = np.where(both, z[:, None, pp] - z[None, :, qq], 0.0)
-            sums[k] += np.einsum("abc,abc->ab", diff, diff)
-            counts[k] += both.sum(axis=2)
-    return sums, counts
+    times, (z, seen) = data.stations.times, data.station_values
+    p, q = np.triu_indices(times.size, 1)
+    z, seen = z.T, seen.T
+    both = seen[p] & seen[q]
+    sq, gaps = np.where(both, z[p] - z[q], 0.0) ** 2, times[q] - times[p]
+    return _window_sums(gaps, sq, bins, tolerance, both)
 
 
 def _station_window_sums(data, tau_bins, t_tol: float):
     """Squared-increment sums of station data per (site pair, temporal window).
 
-    Site pairs ``a <= b`` (``a == b`` pairs a site's times with each other)
-    take their point pairs from the dataset's S x T table of the values: for
-    ``a < b`` every time pair ``(p, q)`` in a window, for ``a == b`` only
-    ``p < q``.  Returns each site pair's distance and the site pair x window
+    Site pairs ``a <= b`` take their point pairs from the dataset's S x T
+    table of the values.  A site's own row (``a == b``, distance 0) pairs its
+    times ``p < q`` (:func:`_site_window_sums`).  A row ``a < b`` pairs every
+    time pair ``(p, q)`` whose gap lies in the window, ``p == q`` included,
+    and sums ``(z[a, p] - z[b, q])^2`` with the grids' identity ``A + B - 2X``
+    (Marcotte 1996): with ``M`` the mask of observed cells, ``Z`` the values
+    less their mean (zero where unobserved), ``Q = Z^2`` and ``W`` the
+    window's T x T indicator of the gaps ``|t_p - t_q|``, the sums are
+    ``Q W M' + M W Q' - 2 Z W Z'`` and the counts ``M W M'``.  A window costs
+    O(S T^2 + S^2 T) flops and holds only S x S temporaries.  As on grids,
+    the mean removal and a clamp of the sums at zero bound their rounding
+    error.  Returns each site pair's distance and the site pair x window
     tables of the sums and the pair counts.
     """
     table = data.stations
     z, seen = data.station_values
-    n_sites, n_times = z.shape
-    n_windows = tau_bins.size
-    # time pairs p < q pair every ordered site pair; p == q only a < b
-    p, q = np.triu_indices(n_times, 1)
-    pair, k = _windows(table.lags[table.lag_of[p, q]], tau_bins, t_tol)
-    sums, counts = _cell_pair_sums(z, seen, p[pair], q[pair], k, n_windows)
-    same, k = _windows(np.zeros(n_times), tau_bins, t_tol)
-    sums0, counts0 = _cell_pair_sums(z, seen, same, same, k, n_windows)
-    # site pairs: a == a first (distance 0), then a < b in condensed order
+    n_sites = z.shape[0]
     a, b = np.triu_indices(n_sites, 1)
-    sq, n_pairs = (
-        np.hstack([np.diagonal(x, axis1=1, axis2=2), x[:, a, b] + x[:, b, a] + x0[:, a, b]])
-        for x, x0 in ((sums, sums0), (counts, counts0))
-    )
+    sq = np.empty((n_sites + a.size, tau_bins.size))
+    n = np.empty(sq.shape, dtype=np.int64)
+    sq[:n_sites], n[:n_sites] = _site_window_sums(data, tau_bins, t_tol)
+    mask = seen.astype(float)
+    z = np.where(seen, z - data.values.mean(), 0.0)
+    q = z * z
+    gaps = np.abs(table.times[:, None] - table.times[None, :])
+    for k, (lo, hi) in enumerate(zip(tau_bins - t_tol, tau_bins + t_tol)):
+        w = ((lo <= gaps) & (gaps <= hi)).astype(float)
+        sums = q @ (w @ mask.T)
+        sums += sums.T
+        sums -= 2.0 * (z @ (w @ z.T))
+        np.maximum(sums, 0.0, out=sums)
+        sq[n_sites:, k] = sums[a, b]
+        n[n_sites:, k] = np.rint(mask @ (w @ mask.T))[a, b]
     dist = np.concatenate([np.zeros(n_sites), euclidean_length(table.sites[a], table.sites[b])])
-    return dist, sq.T, n_pairs.T
+    return dist, sq, n
 
 
 def spatial_marginal_variogram(data, bins=None, tolerance=None) -> EmpiricalVariogram:
@@ -695,14 +696,8 @@ def temporal_marginal_variogram(data, bins=None) -> EmpiricalVariogram:
             data.coords, data.values, lambda i, j: np.abs(times[i] - times[j]), bins, tolerance
         ))
     else:
-        # time pairs p < q (ascending times, so positive gaps), paired at every site
-        times, (z, seen) = data.stations.times, data.station_values
-        tolerance = _half_median_gap(times)
-        p, q = np.triu_indices(times.size, 1)
-        z, seen = z.T, seen.T
-        both = seen[p] & seen[q]
-        sq, gaps = np.where(both, z[p] - z[q], 0.0) ** 2, times[q] - times[p]
-        sums, counts = _group_average(*_window_sums(gaps, sq, bins, tolerance, both))
+        tolerance = _half_median_gap(data.stations.times)
+        sums, counts = _group_average(*_site_window_sums(data, bins, tolerance))
     return _drop_empty(VariogramKind.TEMPORAL_MARGINAL, None, bins, sums, counts, tolerance)
 
 
@@ -719,8 +714,10 @@ def space_time_variogram(data, r_bins=None, tau_bins=None, tolerance=None) -> Em
     Every input becomes spatial lags binned per temporal window.  A grid
     bins its lag-sum table's time steps into the windows, so a window past
     the time axis holds no step, and then the shift x window table on
-    distance; station data bin their site pair x window table on distance;
-    other scattered data bin each pair in the windows that hold its gap.
+    distance; station data bin their site pair x window table, summed by
+    matrix products with the grids' identity, on distance (as on grids, the
+    mean removal and a clamp at zero bound its rounding error); other
+    scattered data bin each pair in the windows that hold its gap.
     """
     if r_bins is None:
         r_bins = np.concatenate([[0.0], default_spatial_bins(data, n_bins=6)])
@@ -791,8 +788,11 @@ class _Bins(NamedTuple):
 
 def _lay_out(r, tau, gamma=None, counts=None) -> _Bins:
     """Bins at the lags ``r``, ``tau`` (raveled), with the zero lag appended
-    for the sill; the lags are checked here, once, as the kernels check them."""
+    for the sill; the lags are checked here, once, as the kernels check them,
+    and the pair counts are stored as floats (integers below 2^53, so exact)
+    for the objective's products."""
     r, tau, _ = _prepare_lags(np.append(r, 0.0), np.append(tau, 0.0))
+    counts = None if counts is None else np.asarray(counts, dtype=float)
     return _Bins(r, tau, (r[:-1] != 0.0) | (tau[:-1] != 0.0), gamma, counts)
 
 
@@ -895,18 +895,13 @@ def _branch_fields(branch: str, theta: dict):
     }
 
 
-def _branch_model(branch: str, dispersion, dim: int, theta: dict) -> KernelModel:
-    """The model of one fit branch (see :func:`_branch_fields`), checked by
-    its classes: the model a fit returns."""
-    cls, fields = _branch_fields(branch, theta)
-    return KernelModel(params=cls(**fields, dispersion=dispersion, dim=dim), nugget=theta["nugget"])
-
-
 def _search_model(branch: str, dispersion: Dispersion, dim: int, theta: dict) -> KernelModel:
-    """:func:`_branch_model` for a search's evaluations: it refuses the same
-    parameters, with :class:`DomainError`, but checks each value once, here,
-    and skips the classes' checks and conversions, which the search's float
-    values, ``dispersion`` and ``dim`` do not need.
+    """The model of one fit branch (see :func:`_branch_fields`): the model a
+    search evaluates and a fit returns.  It refuses, with
+    :class:`DomainError`, the parameters the public constructors refuse, but
+    checks each value once, here, and skips the classes' checks and
+    conversions, which a fit's float values, ``dispersion`` and ``dim`` do
+    not need.
     """
     cls, fields = _branch_fields(branch, theta)
     nugget = theta["nugget"]
@@ -1299,7 +1294,7 @@ def fit_marginals(
         _temporal_starts(family, v_t, spatial), dispersion, dim, spatial, _Wls(v_t), bounds
     )
     nugget = min(nugget_s, t_theta["nugget"])
-    model = _branch_model(branch, dispersion, dim, {**spatial, **t_theta, "nugget": nugget})
+    model = _search_model(branch, dispersion, dim, {**spatial, **t_theta, "nugget": nugget})
     return FitResult(
         model=model,
         objective=float(sp_obj + t_obj),
@@ -1370,7 +1365,7 @@ def fit_full(
         starts, p.dispersion, p.dim, {}, _Wls(v_st), bounds
     )
     return FitResult(
-        model=_branch_model(branch, p.dispersion, p.dim, theta),
+        model=_search_model(branch, p.dispersion, p.dim, theta),
         objective=float(obj),
         n_evaluations=evals0 + evals,
         converged=bool(conv),

@@ -292,6 +292,54 @@ def test_lag_table_allocates_little_beyond_its_spectrum(max_step, r_max, bound):
     assert peak <= bound * f.values.nbytes
 
 
+def test_station_joint_variogram_allocates_no_site_by_site_table_per_window():
+    """Many sites and few times: beside the site pair x window tables of the
+    sums and counts, and the spatial binning over them, each window holds
+    only S x S temporaries, so no (windows, S, S) array is built."""
+    data = _station_sample(np.random.default_rng(5), 600, 6, keep=0.9)
+    tau_bins = [0.0, 0.3, 0.6, 0.9]
+    data.station_values  # built once per dataset, outside the trace
+    _, peak = peak_bytes(
+        space_time_variogram, data, [0.0, 0.5, 1.0, 2.0], tau_bins, 0.25
+    )
+    n_pairs = 600 * 599 // 2
+    assert peak <= 6 * n_pairs * len(tau_bins) * 8
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-3.0, 3.5, 0.5))
+def test_field_constant_in_time_has_zero_temporal_semivariance(scale):
+    """Sums of squared increments that are zero come out of the identity as
+    rounding noise on either side of 0; the clamp keeps every estimate >= 0,
+    and the zero-distance ones stay at the rounding level."""
+    g = GridSpec(ns=(8, 8), ds=(1.0, 1.0), nt=16, dt=0.5)
+    pattern = 3.0 + np.random.default_rng(7).standard_normal(g.shape[1:])
+    f = FieldRealization(values=np.broadcast_to(scale * pattern, g.shape), grid=g, provenance={})
+    limit = 1e-12 * f.values.var()
+    v_t = temporal_marginal_variogram(f)
+    assert np.all(v_t.tau > 0.0) and np.all(v_t.gamma <= limit)
+    assert np.all(spatial_marginal_variogram(f).gamma > limit)
+    v_st = space_time_variogram(f)
+    at_origin = (v_st.r == 0.0) & (v_st.tau > 0.0)
+    assert at_origin.any() and np.all(v_st.gamma[at_origin] <= limit)
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-3.0, 3.5, 0.5))
+def test_station_field_constant_in_space_has_zero_spatial_semivariance(scale):
+    """The station identity clamps as the grid's does: sites that agree at
+    every time give equal-time estimates >= 0 at the rounding level."""
+    rng = np.random.default_rng(11)
+    n_sites, n_times = 10, 12
+    site, step = np.divmod(np.arange(n_sites * n_times), n_times)
+    series = scale * (3.0 + rng.standard_normal(n_times))
+    data = SpaceTimeDataset.from_arrays(
+        rng.uniform(0.0, 5.0, (n_sites, 2))[site], 0.3 * step, series[step]
+    )
+    assert data.stations is not None
+    v = space_time_variogram(data, r_bins=[0.0, 1.0, 2.0, 3.0], tau_bins=[0.0, 0.3, 0.6])
+    same_time = v.tau == 0.0
+    assert same_time.any() and np.all(v.gamma[same_time] <= 1e-12 * data.values.var())
+
+
 @pytest.mark.parametrize("g", TABLE_GRIDS, ids=("1d", "2d"))
 def test_gridded_estimators_match_brute_force_bins(g):
     f = _random_field(g)
@@ -535,6 +583,28 @@ def test_station_joint_variogram_matches_pair_mask(arrays):
 def test_station_joint_variogram_of_one_site_series(arrays):
     assume(SpaceTimeDataset.from_arrays(*arrays).stations is not None)
     _check_joint_on_arrays(*arrays)
+
+
+@pytest.mark.parametrize("n_sites, keep", ((12, 0.8), (6, 0.7), (4, 0.7)))
+@pytest.mark.parametrize("regular", (True, False), ids=("regular", "gappy"))
+def test_station_joint_variogram_with_missing_cells_at_the_zero_gap(n_sites, keep, regular):
+    """A window that holds the zero gap pairs the sites' equal times through
+    the identity, p == q included, over a table with missing cells.  The
+    times are steps of 0.3, whose gaps differ in the last bit, or a sorted
+    subset of steps of 0.25, whose gaps are exact and so few."""
+    rng = np.random.default_rng(n_sites)
+    n_times = 12
+    if regular:
+        stamps = 0.3 * np.arange(n_times)
+    else:
+        stamps = 0.25 * np.sort(rng.choice(20, n_times, replace=False))
+    seen = rng.random((n_sites, n_times)) < keep
+    assert not seen.all()
+    site, step = np.nonzero(seen)
+    coords, t = rng.uniform(0.0, 5.0, (n_sites, 2))[site], stamps[step]
+    assert (seen.sum(axis=0) >= 2).any()  # two sites share a time
+    data = _check_joint_on_arrays(coords, t, 1e3 + rng.standard_normal(site.size))
+    assert data.stations is not None
 
 
 @pytest.mark.parametrize("n", (2, 40))
@@ -1116,19 +1186,17 @@ _EDGES = (0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.0, 1.0 - 2.0**-53, math.inf,
 
 
 def _assert_builders_agree(branch, dispersion, dim, theta):
-    """The search's unchecked builder and the checked one raise DomainError
-    where the public constructors refuse, and otherwise build their model."""
+    """The fits' one model builder raises DomainError where the public
+    constructors refuse, and otherwise builds their model."""
     try:
         want = _parent_model(branch, dispersion, dim, theta)
     except (DomainError, ZeroDivisionError):
-        for builder in (estimate._search_model, estimate._branch_model):
-            with pytest.raises(DomainError):
-                builder(branch, dispersion, dim, theta)
+        with pytest.raises(DomainError):
+            estimate._search_model(branch, dispersion, dim, theta)
         return
-    for got in (estimate._search_model(branch, dispersion, dim, theta),
-                estimate._branch_model(branch, dispersion, dim, theta)):
-        assert type(got.params) is type(want.params)
-        assert got.model_key() == want.model_key()
+    got = estimate._search_model(branch, dispersion, dim, theta)
+    assert type(got.params) is type(want.params)
+    assert got.model_key() == want.model_key()
 
 
 @pytest.mark.parametrize("branch", tuple(_STARTS))
