@@ -17,6 +17,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "AllBinsSkipped",
+            "BoundaryWarning",
             "DegenerateMarginal",
             "DimensionMismatch",
             "DomainError",

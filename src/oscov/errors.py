@@ -2,8 +2,9 @@
 
 Numerical failures raise exceptions; recoverable data-quality events
 (dropped variogram bins, divergent interaction ratios, spectral mass
-truncation, Cholesky jitter, ill-conditioned Gram matrices) are warnings so
-that vectorized/batch workflows keep going.
+truncation, Cholesky jitter, ill-conditioned Gram matrices, fits ending on
+a search-box edge) are warnings so that vectorized/batch workflows keep
+going.
 """
 
 
@@ -73,3 +74,7 @@ class JitterWarning(UserWarning):
 
 class IllConditionedWarning(UserWarning):
     """A Gram matrix factorized, but its reciprocal condition number is below the floor."""
+
+
+class BoundaryWarning(UserWarning):
+    """A fit's search ended on the edge of its box, with the objective falling outward."""

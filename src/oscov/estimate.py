@@ -8,12 +8,15 @@ in two stages: the marginal variograms pin down the spatial and temporal
 hyperparameters separately, and the joint variogram refines the full vector
 starting from the marginal estimates.
 
-All hyperparameters are positive, so each start runs one Nelder-Mead
-search in log coordinates; the overdamped branch parametrizes the damping
-ratio through a logistic map so the regime constraint never binds.  The
-search is SciPy's Nelder-Mead reproduced step for step, so fits load no SciPy
-optimizer.  Because the damping regime of real data is unknown a priori, the
-fitting entry points try all three regimes and keep the lowest objective.
+All hyperparameters are positive, so each start runs one search in log
+coordinates; the overdamped branch parametrizes the damping ratio through a
+logistic map so the regime constraint never binds.  Cressie's criterion is a
+sum of squared residuals ``sqrt(N) (gamma_hat / gamma_model - 1)``, so the
+search is a bounded Levenberg-Marquardt (Marquardt 1963) on those residuals,
+written in numpy: fits load no SciPy optimizer.  Because the damping regime
+of real data is unknown a priori, the fitting entry points race every
+regime's start for a few iterations, finish the starts within a factor 2 of
+the best, and keep the lowest objective.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 
 from .errors import (
     AllBinsSkipped,
+    BoundaryWarning,
     DomainError,
     EmptyBin,
     EmptyBinError,
@@ -69,10 +73,27 @@ __all__ = [
 # information for the relative-error weights and are skipped.
 _WLS_FLOOR = 1e-12
 
-# Objective calls allowed per start, and the search's stopping tolerance on
-# the objective, relative to the start's value (or to 1, if that is smaller).
+# Residual calls allowed per start.
 _MAX_EVALS = 10_000
-_REL_TOL = 1e-4
+
+# Levenberg-Marquardt: the Jacobian's forward-difference step, relative to
+# max(1, |x|); the starting damping and its factor per trial point (up when
+# rejected, down when accepted); the damping past which a search stops, no
+# step in reach lowering the objective; the relative decrease below which an
+# accepted step ends it; and the longest step on any search axis (a longer
+# first step can leave the start's basin: linear-dispersion fits then end
+# 4-14 times higher).
+_FD_STEP = 1e-7
+_DAMPING = 1e-3
+_DAMPING_FACTOR = 10.0
+_MAX_DAMPING = 1e12
+_REL_DECREASE = 1e-8
+_MAX_STEP = 2.0
+
+# The race of a stage's starts: each runs this many calls per searched
+# parameter plus one, then the starts within this factor of the best finish.
+_RACE_CALLS = 6
+_RACE_FACTOR = 2.0
 
 # Default search box: a factor this large either side of each start value.
 _BOUND_SPAN = 1e3
@@ -206,9 +227,20 @@ class FitResult:
     """Outcome of a variogram fit.
 
     ``objective`` is the WLS value at ``model``; it never exceeds the value
-    at the initial guess because failed searches fall back to the guess.
-    ``n_evaluations`` counts every objective call of every start searched;
-    ``converged`` is False when a winning search ran out of evaluations.
+    at the initial guess because a search only accepts steps that lower it.
+    ``n_evaluations`` counts every residual call of every start searched.
+    ``converged`` is True when every winning search stopped on its own
+    tests (a step that lowers the objective by less than 1e-8 relative, or
+    no step in reach that lowers it), and False when one used up its
+    ``_MAX_EVALS`` calls.
+
+    ``branches`` has one entry per start of the stage that races the regime
+    branches (the temporal stage of :func:`fit_marginals`, the joint stage
+    of :func:`fit_full`): its ``regime``, ``objective`` (None when the start
+    itself is refused), ``evaluations``, ``converged``, and ``dropped``,
+    True when the race stopped it for lying beyond twice the best start.
+    ``at_edge`` maps each stage to the searched names its winning search
+    left on a box edge, with the objective falling outward.
     """
 
     model: KernelModel
@@ -217,6 +249,8 @@ class FitResult:
     converged: bool
     theta0: dict
     theta_star: dict
+    branches: list
+    at_edge: dict
 
     def to_dict(self) -> dict:
         return {
@@ -226,6 +260,8 @@ class FitResult:
             "converged": self.converged,
             "theta0": self.theta0,
             "theta_star": self.theta_star,
+            "branches": self.branches,
+            "at_edge": self.at_edge,
         }
 
     def to_json(self) -> str:
@@ -808,25 +844,33 @@ def _semivariance(m: KernelModel, bins: _Bins):
     return (sill - cov[:-1] + m.nugget) * bins.off_origin, sill
 
 
-def wls_objective(m: KernelModel, v: EmpiricalVariogram | _Bins) -> WlsObjective:
-    """Cressie's approximate weighted least squares criterion.
-
-    ``sum_bins N (gamma_hat / gamma_model - 1)^2``; bins whose model value is
-    below 1e-12 of the sill are skipped (their relative error is meaningless)
-    and reported through the result's ``n_skipped``.  A search passes its
-    variogram laid out once, lags checked, so each call costs the kernel on
-    those lags and one sum: about 24 µs at the 90 bins of the acceptance-7
-    joint variogram, of which the kernel is 15 µs.
-    """
-    bins = _lay_out(*v.lags(), v.gamma, v.counts) if isinstance(v, EmpiricalVariogram) else v
+def _usable(m: KernelModel, bins: _Bins):
+    """The model semivariance at the bins, the mask of bins above the floor
+    and their number; :class:`AllBinsSkipped` when no bin is."""
     gam_model, sill = _semivariance(m, bins)
-    gamma, counts = bins.gamma, bins.counts
     usable = gam_model > _WLS_FLOOR * (sill + m.nugget)
     n_used = int(np.count_nonzero(usable))
     if n_used == 0:
         raise AllBinsSkipped(
             "model variogram vanishes on every bin; nothing to fit against"
         )
+    return gam_model, usable, n_used
+
+
+def wls_objective(m: KernelModel, v: EmpiricalVariogram | _Bins) -> WlsObjective:
+    """Cressie's approximate weighted least squares criterion.
+
+    ``sum_bins N (gamma_hat / gamma_model - 1)^2``; bins whose model value is
+    below 1e-12 of the sill are skipped (their relative error is meaningless)
+    and reported through the result's ``n_skipped``.  Given the bins laid
+    out once, lags checked, a call costs the kernel on those lags and one
+    sum: about 23 µs at the 90 bins of the acceptance-7 joint variogram, of
+    which the kernel is 15 µs.  Fits search on the same terms, as residuals
+    (see :class:`_Wls`), and make no call of this function.
+    """
+    bins = _lay_out(*v.lags(), v.gamma, v.counts) if isinstance(v, EmpiricalVariogram) else v
+    gam_model, usable, n_used = _usable(m, bins)
+    gamma, counts = bins.gamma, bins.counts
     if n_used < usable.size:
         gamma, counts, gam_model = gamma[usable], counts[usable], gam_model[usable]
     value = float((counts * (gamma / gam_model - 1.0) ** 2).sum())
@@ -834,7 +878,7 @@ def wls_objective(m: KernelModel, v: EmpiricalVariogram | _Bins) -> WlsObjective
 
 
 # ---------------------------------------------------------------------------
-# simplex search in transformed coordinates
+# least-squares search in transformed coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -916,15 +960,24 @@ def _search_model(branch: str, dispersion: Dispersion, dim: int, theta: dict) ->
 
 class _Wls:
     """Cressie's criterion on one variogram, built once per fit stage: the
-    bins are laid out and their lags checked here, and each call returns one
-    model's ``float(wls_objective(m, bins))``."""
+    bins are laid out and their lags checked here, and each call of
+    :meth:`residuals` runs one model's kernel on them."""
 
     def __init__(self, v: EmpiricalVariogram):
         self.kind = v.kind
         self.bins = _lay_out(*v.lags(), v.gamma, v.counts)
+        self.root_counts = np.sqrt(self.bins.counts)
 
-    def __call__(self, m: KernelModel) -> float:
-        return float(wls_objective(m, self.bins))
+    def residuals(self, m: KernelModel) -> np.ndarray:
+        """``sqrt(N) (gamma_hat / gamma_model - 1)`` per bin, whose squares
+        sum to :func:`wls_objective`; a bin it skips has residual 0."""
+        gam_model, usable, n_used = _usable(m, self.bins)
+        gamma, root_counts = self.bins.gamma, self.root_counts
+        if n_used == usable.size:
+            return root_counts * (gamma / gam_model - 1.0)
+        r = np.zeros(usable.size)
+        r[usable] = root_counts[usable] * (gamma[usable] / gam_model[usable] - 1.0)
+        return r
 
 
 def _checked_bounds(bounds, family: str) -> dict:
@@ -959,161 +1012,259 @@ class _BudgetSpent(Exception):
     """The search's call budget ran out in the middle of an iteration."""
 
 
-def _nelder_mead(func, sim, maxfev: int, fatol: float, xatol: float):
-    """Nelder & Mead (1965) from the simplex ``sim`` (N+1 rows of N), step
-    for step as SciPy 1.17's ``minimize(method="Nelder-Mead")`` runs without
-    bounds or adaptive coefficients, so its iterates match SciPy's bit for
-    bit.  A call beyond ``maxfev`` ends its iteration.  Returns the best
-    vertex, its value, the call count and whether the tolerances held.
-    """
-    sim = np.array(sim, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    calls = 0
+class _Step(NamedTuple):
+    """A search's state after an iteration: the point on the search axes,
+    its objective, the calls made, the active set (see
+    :func:`_levenberg_marquardt`), whether the search has stopped, and
+    whether it stopped on its own tests rather than on the call budget."""
 
-    def f(x):
+    x: np.ndarray
+    f: float
+    calls: int
+    active: np.ndarray
+    done: bool
+    converged: bool
+
+
+def _levenberg_marquardt(residuals, x, r, lo, hi, calls):
+    """Levenberg-Marquardt (Marquardt 1963) on ``f = r @ r`` in the box
+    ``[lo, hi]``, from the point ``x`` in it, where ``r = residuals(x)`` and
+    ``calls`` calls are already spent; ``residuals`` returns None where it
+    refuses a point.
+
+    Each iteration takes the Jacobian by forward differences, one call per
+    coordinate (the step is ``_FD_STEP max(1, |x_i|)``, backward where the
+    forward step would leave the box), and freezes the active set: the
+    coordinates on a box edge where ``f`` falls outward, by the sign of the
+    gradient ``J'r``.  Over the free coordinates it solves ``(J'J + lambda
+    diag(J'J)) d = -J'r`` (see :func:`_damped_step`) and clips ``x + d`` to
+    the box; a trial point that lowers ``f`` is accepted and divides lambda
+    by 10, one that does not multiplies it by 10 for the next trial.  The
+    search converges on an accepted step that lowers ``f`` by less than
+    ``_REL_DECREASE`` relative, once lambda passes ``_MAX_DAMPING``, or
+    when every coordinate is frozen, and stops unconverged at
+    ``_MAX_EVALS`` calls.  A generator: it yields a :class:`_Step` after
+    each iteration, the last one ``done``.
+    """
+
+    def call(point):
         nonlocal calls
-        if calls >= maxfev:
+        if calls >= _MAX_EVALS:
             raise _BudgetSpent
         calls += 1
-        return func(x)
+        return residuals(point)
 
+    def active():
+        return ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
+
+    f, lam, grad, converged = float(r @ r), _DAMPING, np.zeros(x.size), False
     with contextlib.suppress(_BudgetSpent):
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    ind = fsim.argsort()
-    sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    while calls < maxfev:
-        with contextlib.suppress(_BudgetSpent):
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+        while True:
+            jac = np.empty((r.size, x.size))
+            for i, xi in enumerate(x.tolist()):
+                h = _FD_STEP * max(1.0, abs(xi))
+                if xi + h > hi[i]:
+                    h = -h
+                probe = x.copy()
+                probe[i] += h
+                rp = call(probe)
+                jac[:, i] = 0.0 if rp is None else (rp - r) / h
+            jac[:, ~np.isfinite(jac).all(axis=0)] = 0.0
+            grad, jtj = jac.T @ r, jac.T @ jac
+            free = ~active() & (jtj.diagonal() > 0.0)
+            converged = not free.any()
+            while not converged:
+                step = _damped_step(jtj, grad, lam, free, x, lo, hi)
+                if step is not None:
+                    trial = np.clip(x + step, lo, hi)
+                    rt = call(trial)
+                    ft = math.inf if rt is None else float(rt @ rt)
+                    if ft < f:
+                        converged = f - ft < _REL_DECREASE * f
+                        x, r, f, lam = trial, rt, ft, lam / _DAMPING_FACTOR
+                        break
+                lam *= _DAMPING_FACTOR
+                converged = lam > _MAX_DAMPING
+            if converged:
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                # contract outside the simplex or inside it; failing that, shrink
-                outside = fxr < fsim[-1]
-                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    return sim[0], np.min(fsim), calls, calls < maxfev
+            yield _Step(x, f, calls, active(), False, False)
+    yield _Step(x, f, calls, active(), True, converged)
 
 
-def _search(branch, dispersion, dim, theta0, fixed, criterion, bounds):
-    """One Nelder-Mead search over the branch's parameters not in ``fixed``.
+def _damped_step(jtj, grad, lam, free, x, lo, hi):
+    """The damped Gauss-Newton step over the ``free`` coordinates, no
+    longer than ``_MAX_STEP`` on any axis; a free coordinate on a box edge
+    whose step would leave the box is frozen in turn and the step solved
+    again.  None where no finite step remains."""
+    step = np.zeros(x.size)
+    while free.any():
+        a = jtj[np.ix_(free, free)]
+        try:
+            step[free] = np.linalg.solve(a + lam * np.diag(a.diagonal()), -grad[free])
+        except np.linalg.LinAlgError:
+            return None
+        leaving = ((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))
+        if not leaving.any():
+            big = np.abs(step).max()
+            if not math.isfinite(big):
+                return None
+            return step * (_MAX_STEP / big) if big > _MAX_STEP else step
+        free = free & ~leaving
+        step[:] = 0.0
+    return None
 
-    ``criterion`` maps a model to its objective (a :class:`_Wls`, built once
-    per fit stage).  Each evaluation checks the point against the box, builds
-    its model with :func:`_search_model` and calls the criterion once; a
-    point outside the box or refused, or an objective that raises, counts as
-    ``inf``.  At the acceptance-7 joint variogram an evaluation costs about
-    30 µs, nearly all of it the kernel and the sum.
+
+def _axis(value: float, logit: bool) -> float:
+    """A parameter value on its search axis, ``log`` or, for a ratio,
+    ``log(u/(1-u))``; values past the axis' range map to -inf or inf."""
+    if not value > 0.0:
+        return -math.inf
+    if logit:
+        return math.log(value / (1.0 - value)) if value < 1.0 else math.inf
+    return math.log(value)
+
+
+class _Search:
+    """One start's search over the branch's parameters not in ``fixed``.
+
+    ``criterion`` is the stage's :class:`_Wls`.  A point's residuals check
+    it against the box, build its model with :func:`_search_model` and call
+    ``criterion.residuals`` once; a point outside the box or refused, or
+    residuals that raise, are refused.  At the acceptance-7 joint variogram
+    a call costs about 26 µs, of which the residuals take 21 µs and the
+    kernel 15 µs; the search's own linear algebra brings it to about 54 µs.
 
     Plain parameters travel through ``log``; ``damping_ratio`` is a ratio in
     (0, 1) and travels through ``log(u/(1-u))``.  ``bounds`` overrides the
-    default bounds (a factor 1e3 either side of the start) and applies to the
-    searched parameters only; a start value outside its bound in ``bounds``
-    moves to the nearer edge.  The initial simplex steps 0.25 from the start
-    along each transformed axis.  Returns the searched parameters at the best
-    point (the start when the search fails to improve on it), the objective,
-    the number of objective calls, and whether the search met its
-    tolerances within ``_MAX_EVALS`` calls.
+    default bounds (a factor 1e3 either side of the start) and applies to
+    the searched parameters only; a start value outside its bound in
+    ``bounds`` moves to the nearer edge.  On the search axes the box's edges
+    sit 1e-12 (relative) inside it, so that every point of the box maps
+    back into it.  A start whose residuals are refused raises
+    :class:`OptimizerStalled`.  :meth:`run` advances the search
+    (:func:`_levenberg_marquardt`); ``step`` holds its state, and a search
+    that cannot improve on its start stays there.
     """
-    names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
-    box = {
-        name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (v / _BOUND_SPAN, v * _BOUND_SPAN)
-        for name, v in theta0.items()
-    }
-    box.update(bounds)
-    # per searched name: its logit flag and its box
-    logit = [name == "damping_ratio" for name in names]
-    edges = [box.get(name, (0.0, math.inf)) for name in names]
 
-    def from_vector(x) -> dict:
-        return {
-            name: 1.0 / (1.0 + math.exp(-xi)) if lg else math.exp(xi)
-            for name, lg, xi in zip(names, logit, x.tolist())
+    def __init__(self, branch, dispersion, dim, theta0, fixed, criterion, bounds):
+        names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
+        box = {
+            name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (v / _BOUND_SPAN, v * _BOUND_SPAN)
+            for name, v in theta0.items()
         }
+        box.update(bounds)
+        # per searched name: its logit flag and its box
+        logit = [name == "damping_ratio" for name in names]
+        edges = [box.get(name, (0.0, math.inf)) for name in names]
 
-    def func(x):
-        try:
-            theta = from_vector(x)
-            for (lo, hi), value in zip(edges, theta.values()):
-                if not (lo <= value <= hi) or not math.isfinite(value):
-                    return math.inf
-            return criterion(_search_model(branch, dispersion, dim, {**fixed, **theta}))
-        except (OscovError, ValueError, ArithmeticError):
-            return math.inf
+        def from_vector(x) -> dict:
+            return {
+                name: 1.0 / (1.0 + math.exp(-xi)) if lg else math.exp(xi)
+                for name, lg, xi in zip(names, logit, x.tolist())
+            }
 
-    x0 = []
-    start = dict(theta0)
-    for name in names:
-        v = float(theta0[name])
-        lo, hi = bounds.get(name, (v, v))
-        if not lo <= v <= hi:
-            # to the nearer edge, 1e-12 inside it: the log/logit round trip
-            # of the edge itself may land just outside
-            v = start[name] = min(max(v, lo * (1.0 + 1e-12)), hi * (1.0 - 1e-12))
-        if name == "damping_ratio":
-            v = min(max(v, 1e-12), 1.0 - 1e-12)
-            x0.append(math.log(v / (1.0 - v)))
-        else:
-            x0.append(math.log(max(v, 1e-300)))
-    x0 = np.array(x0)
-    f0 = func(x0)
-    if not math.isfinite(f0):
-        raise OptimizerStalled(
-            f"objective is not finite at the initial guess {start}"
-        )
-    sim, fatol = np.vstack([x0, x0 + 0.25 * np.eye(x0.size)]), _REL_TOL * max(1.0, abs(f0))
-    x, fun, nfev, success = _nelder_mead(func, sim, _MAX_EVALS - 1, fatol, 1e-4)
-    x, f = (x, float(fun)) if fun < f0 else (x0, f0)
-    return from_vector(x), f, 1 + nfev, success
+        def residuals(x):
+            try:
+                theta = from_vector(x)
+                for (lo, hi), value in zip(edges, theta.values()):
+                    if not (lo <= value <= hi) or not math.isfinite(value):
+                        return None
+                return criterion.residuals(
+                    _search_model(branch, dispersion, dim, {**fixed, **theta})
+                )
+            except (OscovError, ValueError, ArithmeticError):
+                return None
+
+        start = dict(theta0)
+        for name in names:
+            v = float(theta0[name])
+            lo, hi = bounds.get(name, (v, v))
+            if not lo <= v <= hi:
+                # to the nearer edge, 1e-12 inside it: the log/logit round trip
+                # of the edge itself may land just outside
+                start[name] = min(max(v, lo * (1.0 + 1e-12)), hi * (1.0 - 1e-12))
+        lo = np.array([_axis(lo * (1.0 + 1e-12), lg) for (lo, _), lg in zip(edges, logit)])
+        hi = np.array([_axis(hi * (1.0 - 1e-12), lg) for (_, hi), lg in zip(edges, logit)])
+        x0 = np.clip([_axis(float(start[name]), lg) for name, lg in zip(names, logit)], lo, hi)
+        r0 = residuals(x0)
+        if r0 is None:
+            raise OptimizerStalled(
+                f"objective is not finite at the initial guess {start}"
+            )
+        self.branch, self.names, self._from_vector = branch, names, from_vector
+        self.step = _Step(x0, float(r0 @ r0), 1, np.zeros(x0.size, bool), False, False)
+        self._steps = _levenberg_marquardt(residuals, x0, r0, lo, hi, 1)
+
+    def run(self, calls: int) -> "_Search":
+        """Iterates until the search stops or has made ``calls`` calls."""
+        while not self.step.done and self.step.calls < calls:
+            self.step = next(self._steps)
+        return self
+
+    def theta(self) -> dict:
+        """The searched parameters at the search's point."""
+        return self._from_vector(self.step.x)
+
+    def at_edge(self) -> list:
+        """The searched names in the active set: on a box edge, with the
+        objective's slope pointing out of the box."""
+        return [name for name, edge in zip(self.names, self.step.active.tolist()) if edge]
 
 
 def _best_branch(starts, dispersion, dim, fixed, criterion, bounds):
-    """Search every ``(branch, theta0)`` start on the stage's one ``criterion``
-    and keep the lowest objective.
+    """Race every ``(branch, theta0)`` start on the stage's one
+    ``criterion`` and keep the lowest objective.
 
-    Each start is recorded under its branch name before it is searched, so a
-    later start of a branch replaces an earlier one in the record, and a
-    start whose objective is not finite is listed but skipped.  Returns the
-    winning ``(branch, theta, objective, converged)``, the evaluation count
-    of all searched starts, and the record of starts.
+    Each start first runs ``_RACE_CALLS`` calls per searched parameter plus
+    one; the starts then within ``_RACE_FACTOR`` of the best objective run
+    to their end, and the others are dropped.  Each start is recorded under
+    its branch name before it is searched, so a later start of a branch
+    replaces an earlier one in the record, and a start whose residuals are
+    refused is listed but not searched.  Returns the winning
+    :class:`_Search`, the evaluation count of all starts, the record of
+    starts and one outcome per start (see ``FitResult.branches``).
     """
-    best = None
-    evals = 0
-    record = {}
+    record, searches = {}, []
     for branch, theta0 in starts:
         record[branch] = theta0
         try:
-            theta, obj, n_ev, conv = _search(
-                branch, dispersion, dim, theta0, fixed, criterion, bounds
-            )
+            search = _Search(branch, dispersion, dim, theta0, fixed, criterion, bounds)
         except OptimizerStalled:
-            continue
-        evals += n_ev
-        if best is None or obj < best[2]:
-            best = (branch, theta, obj, conv)
-    if best is None:
+            search = None
+        else:
+            search.run(_RACE_CALLS * (len(search.names) + 1))
+        searches.append((branch, search))
+    raced = [search for _, search in searches if search is not None]
+    if not raced:
         raise OptimizerStalled(
             f"no start produced a finite objective on the {criterion.kind.value} variogram"
         )
-    return best, evals, record
+    cut = _RACE_FACTOR * min(search.step.f for search in raced)
+    for search in raced:
+        if search.step.f <= cut:
+            search.run(_MAX_EVALS)
+    branches = [
+        {"regime": branch, "objective": None, "evaluations": 1, "converged": False,
+         "dropped": False}
+        if search is None else
+        {"regime": branch, "objective": search.step.f, "evaluations": search.step.calls,
+         "converged": search.step.converged, "dropped": not search.step.done}
+        for branch, search in searches
+    ]
+    best = min(raced, key=lambda search: search.step.f)
+    return best, sum(b["evaluations"] for b in branches), record, branches
+
+
+def _warn_at_edge(at_edge: dict) -> None:
+    """One :class:`BoundaryWarning` naming every stage's names on a box edge."""
+    ended = "; ".join(f"{stage}: {', '.join(names)}" for stage, names in at_edge.items() if names)
+    if ended:
+        warnings.warn(
+            f"the fit ended on the edge of its search box ({ended}); "
+            "the optimum may lie beyond it",
+            BoundaryWarning,
+            stacklevel=3,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1283,25 +1434,31 @@ def fit_marginals(
     # stage A: spatial marginal
     sp_branch, placeholders = _SPATIAL_STAGE[family]
     sp_theta0 = _spatial_theta0(v_s, family, dispersion, dim)
-    sp_theta, sp_obj, sp_evals, sp_conv = _search(
+    sp = _Search(
         sp_branch, dispersion, dim, sp_theta0, placeholders, _Wls(v_s), bounds
-    )
+    ).run(_MAX_EVALS)
+    sp_theta = sp.theta()
     nugget_s = sp_theta["nugget"]
     spatial = {k: v for k, v in sp_theta.items() if k != "nugget"}
 
     # stage B: temporal marginal, every branch of the family
-    (branch, t_theta, t_obj, t_conv), t_evals, t_starts = _best_branch(
+    t, t_evals, t_starts, branches = _best_branch(
         _temporal_starts(family, v_t, spatial), dispersion, dim, spatial, _Wls(v_t), bounds
     )
+    t_theta = t.theta()
+    at_edge = {"spatial": sp.at_edge(), "temporal": t.at_edge()}
+    _warn_at_edge(at_edge)
     nugget = min(nugget_s, t_theta["nugget"])
-    model = _search_model(branch, dispersion, dim, {**spatial, **t_theta, "nugget": nugget})
+    model = _search_model(t.branch, dispersion, dim, {**spatial, **t_theta, "nugget": nugget})
     return FitResult(
         model=model,
-        objective=float(sp_obj + t_obj),
-        n_evaluations=sp_evals + t_evals,
-        converged=bool(sp_conv and t_conv),
+        objective=float(sp.step.f + t.step.f),
+        n_evaluations=sp.step.calls + t_evals,
+        converged=bool(sp.step.converged and t.step.converged),
         theta0={"spatial": sp_theta0, "temporal": t_starts},
         theta_star={"spatial": spatial, "temporal": t_theta, "nugget": nugget},
+        branches=branches,
+        at_edge=at_edge,
     )
 
 
@@ -1359,16 +1516,20 @@ def fit_full(
 
     v_st = space_time_variogram(data, r_bins=r_bins, tau_bins=tau_bins)
 
-    branches = _FAMILY_BRANCHES[start_model.family]
-    starts = [(b, _full_theta_from_model(start_model, b)) for b in branches]
-    (branch, theta, obj, conv), evals, record = _best_branch(
+    starts = [(b, _full_theta_from_model(start_model, b)) for b in _FAMILY_BRANCHES[start_model.family]]
+    best, evals, record, branches = _best_branch(
         starts, p.dispersion, p.dim, {}, _Wls(v_st), bounds
     )
+    theta = best.theta()
+    at_edge = {"joint": best.at_edge()}
+    _warn_at_edge(at_edge)
     return FitResult(
-        model=_search_model(branch, p.dispersion, p.dim, theta),
-        objective=float(obj),
+        model=_search_model(best.branch, p.dispersion, p.dim, theta),
+        objective=float(best.step.f),
         n_evaluations=evals0 + evals,
-        converged=bool(conv),
+        converged=bool(best.step.converged),
         theta0=record,
         theta_star=theta,
+        branches=branches,
+        at_edge=at_edge,
     )

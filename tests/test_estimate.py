@@ -21,6 +21,7 @@ from scipy.spatial.distance import cdist, pdist
 import oscov.estimate as estimate
 from oscov.errors import (
     AllBinsSkipped,
+    BoundaryWarning,
     DomainError,
     EmptyBin,
     EmptyBinError,
@@ -994,6 +995,21 @@ def _parent_wls(m, v):
     return value.hex(), usable.size - n_used, n_used
 
 
+def _parent_residuals(m, v):
+    """Cressie's residuals ``sqrt(N) (gamma_hat / gamma - 1)`` on the terms of
+    ``_parent_wls``, 0 on each bin it skips, or None where it skips them all."""
+    r, tau = v.lags()
+    cov = np.asarray(m.covariance(np.append(r, 0.0), np.append(tau, 0.0)), dtype=float)
+    sill = cov[-1]
+    gam = (sill - cov[:-1].reshape(r.shape) + m.nugget) * ((r != 0.0) | (tau != 0.0))
+    usable = gam > 1e-12 * (sill + m.nugget)
+    if not usable.any():
+        return None
+    out = np.zeros(r.size)
+    out[usable] = np.sqrt(v.counts[usable].astype(float)) * (v.gamma[usable] / gam[usable] - 1.0)
+    return out
+
+
 def _bits(w):
     return None if w is None else (float(w).hex(), w.n_skipped, w.n_used)
 
@@ -1040,35 +1056,49 @@ def test_wls_matches_the_parent_formula_bit_for_bit(tiny_field, variants_2d):
     _assert_parent_bits(bare, v)
 
 
-def _small_field_fits():
-    """Both fit stages on a seeded 16 x 16 x 48 oscillator field."""
+_SMALL_JOINT_BINS = dict(r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2))
+
+
+def _small_field():
+    """A seeded 16 x 16 x 48 oscillator field."""
     truth = LdhoParams.from_damped_frequency(
         c0=2.0, tau_c=2.0, omega_d=1.2, regime=Regime.UNDERDAMPED, epsilon=1.0,
         interaction=0.5, dispersion=Dispersion.QUADRATIC, dim=2,
     )
     g = GridSpec(ns=(16, 16), ds=(1.0, 1.0), nt=48, dt=0.4, seed=5)
-    f = simulate_field(KernelModel(params=truth, nugget=0.1), g)
+    return simulate_field(KernelModel(params=truth, nugget=0.1), g)
+
+
+def _small_field_fits():
+    """Both fit stages on the small field."""
+    f = _small_field()
     res_m = fit_marginals(f, r_bins=np.arange(1.0, 6.0), tau_bins=0.4 * np.arange(1, 13))
-    res_f = fit_full(
-        f, theta0=res_m, r_bins=np.arange(0.0, 5.0), tau_bins=0.4 * np.arange(0, 12, 2)
-    )
-    return res_m, res_f
+    return res_m, fit_full(f, theta0=res_m, **_SMALL_JOINT_BINS)
 
 
-def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatch):
-    """The benchmark counts ``wls_objective`` calls from outside: a fit makes
-    one per evaluation that its box admits, and each runs the kernel once, on
+def test_each_residual_call_is_one_kernel_call_with_the_parent_value(monkeypatch):
+    """A fit's search calls the stage criterion's residuals once per
+    evaluation that its box admits, and each call runs the kernel once, on
     the criterion's checked lags.  Every kernel value equals
-    ``KernelModel.covariance`` on the variogram's lags, and every objective
-    the parent formula's, bit for bit."""
-    kernels, records, searched = [], [], []
-    evaluate, objective = estimate._evaluate, estimate.wls_objective
-    search, criterion = estimate._search, estimate._Wls
+    ``KernelModel.covariance`` on the variogram's lags, and every residual
+    vector the parent formula's, bit for bit.  The search makes no public
+    ``wls_objective`` call, which the benchmark counts from outside."""
+    kernels, records, public = [], [], []
+    evaluate, objective, criterion = estimate._evaluate, estimate.wls_objective, estimate._Wls
 
     class RecordedWls(criterion):
         def __init__(self, v):
             super().__init__(v)
             self.variogram = v
+
+        def residuals(self, m):
+            try:
+                out = super().residuals(m)
+            except AllBinsSkipped:
+                records.append((m, self.variogram, None))
+                raise
+            records.append((m, self.variogram, out))
+            return out
 
     def counted_evaluate(p, r, ata):
         out = evaluate(p, r, ata)
@@ -1076,31 +1106,23 @@ def test_each_objective_call_is_one_kernel_call_with_the_parent_value(monkeypatc
         return out
 
     def recorded_objective(m, v):
-        try:
-            out = objective(m, v)
-        except AllBinsSkipped:
-            records.append((m, searched[-1].variogram, None))
-            raise
-        records.append((m, searched[-1].variogram, _bits(out)))
-        return out
-
-    def recorded_search(*args):
-        searched.append(args[5])
-        return search(*args)
+        public.append(m)
+        return objective(m, v)
 
     monkeypatch.setattr(estimate, "_evaluate", counted_evaluate)
     monkeypatch.setattr(estimate, "wls_objective", recorded_objective)
-    monkeypatch.setattr(estimate, "_search", recorded_search)
     monkeypatch.setattr(estimate, "_Wls", RecordedWls)
     _, res_f = _small_field_fits()
-    assert len(kernels) == len(records) > 1000
+    assert len(kernels) == len(records) > 200
     assert len(records) <= res_f.n_evaluations
+    assert public == []
     monkeypatch.undo()
     for (params, cov), (m, v, out) in zip(kernels, records):
         assert params is m.params
         r, tau = v.lags()
         assert cov.tobytes() == m.covariance(np.append(r, 0.0), np.append(tau, 0.0)).tobytes()
-        assert out == _parent_wls(m, v)
+        want = _parent_residuals(m, v)
+        assert (out is None and want is None) or out.tobytes() == want.tobytes()
 
 
 # A start per branch, in the joint stage's names and search order.
@@ -1138,46 +1160,48 @@ def _parent_model(branch, dispersion, dim, theta):
 
 
 def _parent_evaluation(branch, dispersion, dim, box, v, x):
-    """A search's objective at the transformed point ``x`` as it was computed
-    before the criterion: the box, the checked model, then the WLS formula
-    through ``KernelModel.covariance``; ``inf`` wherever one refuses."""
+    """A search's residuals at the transformed point ``x`` on the parent's
+    terms: the box, the checked model, then Cressie's residuals through
+    ``KernelModel.covariance``, with the parent WLS value beside them; None
+    wherever one refuses."""
     try:
         theta = {
             name: 1.0 / (1.0 + math.exp(-xi)) if name == "damping_ratio" else math.exp(xi)
             for name, xi in zip(_STARTS[branch], x)
         }
     except OverflowError:
-        return math.inf
+        return None
     for name, value in theta.items():
         lo, hi = box[name]
         if not (lo <= value <= hi) or not math.isfinite(value):
-            return math.inf
+            return None
     try:
         m = _parent_model(branch, dispersion, dim, theta)
     except (DomainError, ZeroDivisionError):
-        # an overdamped tau_c of 0.0 divided by zero, which the search now refuses
-        return math.inf
+        # an overdamped tau_c of 0.0 divided by zero, which the search refuses
+        return None
     out = _parent_wls(m, v)
-    return math.inf if out is None else float.fromhex(out[0])
+    return None if out is None else (_parent_residuals(m, v), float.fromhex(out[0]))
 
 
 def _search_function(branch, dispersion, dim, bounds, v):
-    """The function of the transformed point that ``_search`` hands to
-    Nelder-Mead for a joint-stage search of ``branch`` on ``v``."""
+    """The residual function of the transformed point that ``_Search`` hands
+    to the Levenberg-Marquardt routine for a joint-stage search of
+    ``branch`` on ``v``."""
     captured = []
 
-    def capture(func, sim, *args):
-        captured.append(func)
-        return sim[0], func(sim[0]), 0, True
+    def capture(residuals, *args):
+        captured.append(residuals)
+        return iter(())
 
-    real = estimate._nelder_mead
-    estimate._nelder_mead = capture
+    real = estimate._levenberg_marquardt
+    estimate._levenberg_marquardt = capture
     try:
-        estimate._search(
+        estimate._Search(
             branch, dispersion, dim, dict(_STARTS[branch]), {}, estimate._Wls(v), bounds
         )
     finally:
-        estimate._nelder_mead = real
+        estimate._levenberg_marquardt = real
     return captured[0]
 
 
@@ -1240,8 +1264,9 @@ _OFFSETS = st.one_of(
 @given(data=st.data())
 def test_search_criterion_equals_the_checked_model_and_parent_formula(branch, dispersion, dim, data):
     """Each evaluation of a search, on the criterion built once, equals the
-    parent's: the box check, the checked model and the WLS formula through
-    ``KernelModel.covariance``, bit for bit, or both are ``inf``."""
+    parent's: the box check, the checked model and Cressie's residuals
+    through ``KernelModel.covariance``, bit for bit, or both refuse.  The
+    squares sum to the parent WLS value, in another order, so to 1e-13."""
     start = _STARTS[branch]
     assert tuple(start) == estimate._BRANCH_PARAMS[branch]
     r, tau = np.meshgrid([0.0, 0.5, 1.0, 2.0, 3.5], [0.0, 0.4, 1.2, 2.4], indexing="ij")
@@ -1264,7 +1289,11 @@ def test_search_criterion_equals_the_checked_model_and_parent_formula(branch, di
     x0 = [0.0 if name == "damping_ratio" else math.log(s) for name, s in start.items()]
     x = np.array([xi + data.draw(_OFFSETS, label=name) for name, xi in zip(start, x0)])
     got, want = func(x), _parent_evaluation(branch, dispersion, dim, box, v, x.tolist())
-    assert got.hex() == want.hex()
+    if want is None:
+        assert got is None
+    else:
+        assert got.tobytes() == want[0].tobytes()
+        assert math.isclose(float(got @ got), want[1], rel_tol=1e-13)
 
 
 def test_small_field_fits_are_pinned_bit_for_bit():
@@ -1272,18 +1301,18 @@ def test_small_field_fits_are_pinned_bit_for_bit():
 
     A fit's cost moves with its evaluation count, so a speed-up that claims
     unchanged output must leave every search step as it was; any change in
-    the variograms' or the objective's last bits moves these pins.
+    the variograms' or the residuals' last bits moves these pins.
     """
     pins = (
-        (1503, "0x1.b3fedb934bcc0p+5", "0x1.cb0cd7b882ed0p-4", {
-            "c0": "0x1.8fc0df1fc87f8p+0", "tau_c": "0x1.64da642fce2afp+0",
-            "omega0": "0x1.7066af1bb50fcp+0", "epsilon": "0x1.cc62166781a07p-1",
-            "b_or_xi": "0x1.f1ab5a03b2ad4p-3",
+        (215, "0x1.b407836079369p+5", "0x1.cb0d9f0a1bc25p-4", {
+            "c0": "0x1.8fbea74148d73p+0", "tau_c": "0x1.64d9f1acbc74bp+0",
+            "omega0": "0x1.7066bc4149d3cp+0", "epsilon": "0x1.cc602346f110ap-1",
+            "b_or_xi": "0x1.f1a7658a7b7adp-3",
         }),
-        (3770, "0x1.331a40789d9b3p+8", "0x1.bf01a3b9f3792p-4", {
-            "c0": "0x1.6444a242f474cp+0", "tau_c": "0x1.0c68dc6d6466ap+1",
-            "omega0": "0x1.2a43a28ad5e88p+0", "epsilon": "0x1.971eba619be57p-1",
-            "b_or_xi": "0x1.127ed7b1c416bp-1",
+        (348, "0x1.331a3f2fdb069p+8", "0x1.bf02bac88a152p-4", {
+            "c0": "0x1.64461698b707dp+0", "tau_c": "0x1.0c6855cddcaa1p+1",
+            "omega0": "0x1.2a44ed277724ep+0", "epsilon": "0x1.9721174add0d8p-1",
+            "b_or_xi": "0x1.127d949eecfdfp-1",
         }),
     )
     for res, (n_evaluations, objective, nugget, params) in zip(_small_field_fits(), pins):
@@ -1360,34 +1389,34 @@ def _station_fit():
     "fits, pins",
     (
         (_relaxation_fits, (
-            ("ou", 383, "0x1.1af6140cec2f5p+8", "0x1.09ac3f18d3417p-3", {
-                "sigma0_sq": "0x1.b96ff9b629015p+1", "tau_c": "0x1.43aa28dc81a70p+0",
-                "a": "0x1.0000000000000p+0", "scale": "0x1.16d0800be10c2p-10",
-                "beta": "0x1.10462b240265fp+0",
+            ("ou", 180, "0x1.1af16869f32f6p+8", "0x1.09abc176dd5e4p-3", {
+                "sigma0_sq": "0x1.b9700bfa5e8f5p+1", "tau_c": "0x1.43b1d392074bbp+0",
+                "a": "0x1.0000000000000p+0", "scale": "0x1.16ce6e9ee75eap-10",
+                "beta": "0x1.104598072cc71p+0",
             }),
-            ("ou", 1174, "0x1.0b2e2cebe36cdp+8", "0x1.10786fc49f1b0p-3", {
-                "sigma0_sq": "0x1.ded2a85441bf3p+1", "tau_c": "0x1.9919404ebf623p+0",
-                "a": "0x1.0000000000000p+0", "scale": "0x1.1cd3b36633b94p-1",
-                "beta": "0x1.25b02e2169095p+0",
+            ("ou", 241, "0x1.0b2e2cdf19872p+8", "0x1.107859eac3a7cp-3", {
+                "sigma0_sq": "0x1.ded2954c608ebp+1", "tau_c": "0x1.991a18fd6b5a3p+0",
+                "a": "0x1.0000000000000p+0", "scale": "0x1.1cd4e9dd52025p-1",
+                "beta": "0x1.25b0047b172f8p+0",
             }),
         )),
         (_linear_fits, (
-            ("ldho", 2195, "0x1.c78d07f3e018fp+2", "0x1.82cb50814c6f3p-4", {
-                "c0": "0x1.a8ab1d8a8e88ap+2", "tau_c": "0x1.318fc6082ab23p+1",
-                "omega0": "0x1.3873dba8e47e8p+0", "epsilon": "0x1.46894003b0ec2p+0",
-                "b_or_xi": "0x1.a8ab5f2bdd1b3p-2",
+            ("ldho", 236, "0x1.c7933f6f60175p+2", "0x1.82cfaf5289d49p-4", {
+                "c0": "0x1.a8ab90f52996fp+2", "tau_c": "0x1.318e82b8181aep+1",
+                "omega0": "0x1.3874a259cc401p+0", "epsilon": "0x1.468997feea47ap+0",
+                "b_or_xi": "0x1.a8a8ac1e57eefp-2",
             }),
-            ("ldho", 4877, "0x1.a2731c36c8d68p+8", "0x1.915b4bbf9c4bbp-5", {
-                "c0": "0x1.80453934129fbp+2", "tau_c": "0x1.d2c7badc4e1a9p+0",
-                "omega0": "0x1.55bd2fe2c501dp+0", "epsilon": "0x1.2da0ea047b8c0p+0",
-                "b_or_xi": "0x1.4d05bcc456e6fp-2",
+            ("ldho", 411, "0x1.a27285a11358ap+8", "0x1.8d3769df1dce4p-5", {
+                "c0": "0x1.8030a7eb28ef2p+2", "tau_c": "0x1.d2920f1eddddfp+0",
+                "omega0": "0x1.55c56d31b0f38p+0", "epsilon": "0x1.2d7c6c1162ad7p+0",
+                "b_or_xi": "0x1.4cf3f0c691037p-2",
             }),
         )),
         (_station_fit, (
-            ("ldho", 2988, "0x1.1d7c4ebb5b2e6p+4", "0x1.710b02c76a328p-5", {
-                "c0": "0x1.0673200bac94dp-1", "tau_c": "0x1.05b1b092f00e8p-1",
-                "omega0": "0x1.fd6fa5d6419a9p+0", "epsilon": "0x1.8efaa214b6f86p-2",
-                "b_or_xi": "0x1.915415cff14d4p-13",
+            ("ldho", 552, "0x1.1d7c766843e57p+4", "0x1.710af075551bbp-5", {
+                "c0": "0x1.06726b99586bfp-1", "tau_c": "0x1.05b1a2fa2ff3bp-1",
+                "omega0": "0x1.fd6af72946909p+0", "epsilon": "0x1.8ef80bf91030cp-2",
+                "b_or_xi": "0x1.adcff010703c6p-13",
             }),
         )),
     ),
@@ -1444,57 +1473,159 @@ def test_true_parameters_beat_random_probes(dispersion):
 
 
 # ---------------------------------------------------------------------------
-# the simplex search against SciPy's
+# the Levenberg-Marquardt search and the race
 # ---------------------------------------------------------------------------
 
 
-def _weighted_quadratic(x):
-    return float(np.sum(np.arange(1, x.size + 1) * (x - 0.3) ** 2))
-
-
-def _walled_quadratic(x):
-    # the minimum lies beyond a wall at 0.2, as beyond an edge of a search box
-    return math.inf if np.any(x > 0.2) else _weighted_quadratic(x)
+def _weighted_linear(x):
+    return np.sqrt(np.arange(1, x.size + 1)) * (x - 0.3)
 
 
 def _rosenbrock(x):
     y = np.append(x, 1.0)
-    return float(np.sum(100.0 * (y[1:] - y[:-1] ** 2) ** 2 + (1.0 - y[:-1]) ** 2))
+    return np.concatenate([10.0 * (y[1:] - y[:-1] ** 2), 1.0 - y[:-1]])
 
 
-def _abs_sum(x):
-    return float(np.sum(np.abs(x - np.linspace(-1.0, 1.0, x.size))))
+def _overdetermined_linear(x):
+    rng = np.random.default_rng(x.size)
+    a, b = rng.standard_normal((2 * x.size + 3, x.size)), rng.standard_normal(2 * x.size + 3)
+    return a @ x - b
 
 
-@pytest.mark.parametrize("case", ["fit-like", "tight", "capped"])
+_DECAY_T = np.linspace(0.0, 3.0, 25)
+
+
+def _decay_fit(x):
+    # relative residuals of a sum of decays, as in Cressie's criterion
+    basis = np.exp(-np.outer(_DECAY_T, np.arange(1.0, x.size + 1)))
+    data = basis @ np.linspace(1.0, 2.0, x.size) * (1.0 + 0.05 * np.sin(7.0 * _DECAY_T))
+    return data / (basis @ np.exp(x) + 0.1) - 1.0
+
+
+@pytest.mark.parametrize("case", ["open", "boxed", "walled", "capped"])
 @pytest.mark.parametrize("dim", range(1, 7))
 @pytest.mark.parametrize(
-    "objective", [_weighted_quadratic, _walled_quadratic, _rosenbrock, _abs_sum]
+    "residuals", [_weighted_linear, _rosenbrock, _overdetermined_linear, _decay_fit]
 )
-def test_nelder_mead_matches_scipy_bit_for_bit(objective, dim, case):
-    """The search takes SciPy's steps: the same best vertex and value to the
-    last bit, the same call count and the same verdict, also when the call
-    budget cuts an iteration short."""
-    from scipy.optimize import minimize
+def test_levenberg_marquardt_matches_scipy_least_squares(residuals, dim, case):
+    """The search reaches SciPy's bounded least-squares minimum and its box
+    edges; it never ends above its start, reports the residuals of the point
+    it ends at, counts every call, stays below a wall of refused points, and
+    stops unconverged where the call budget runs out."""
+    from scipy.optimize import least_squares
 
-    rng = np.random.default_rng(dim)
-    x0 = rng.uniform(-1.5, -0.1, dim)
-    if case == "fit-like":
-        # the simplex and tolerances of a fit's search
-        sim = np.vstack([x0, x0 + 0.25 * np.eye(dim)])
-        maxfev, fatol, xatol = 10_000, 1e-4 * max(1.0, objective(x0)), 1e-4
-    else:
-        sim = np.vstack([x0, x0 + rng.uniform(0.05, 0.25, (dim, dim)) * np.eye(dim)])
-        maxfev, fatol, xatol = (37 if case == "capped" else 10_000), 1e-12, 1e-12
-    ref = minimize(
-        objective, x0, method="Nelder-Mead",
-        options={"initial_simplex": sim, "maxfev": maxfev, "fatol": fatol, "xatol": xatol},
+    x0 = np.random.default_rng(dim).uniform(-1.5, -0.1, dim)
+    lo, hi = (np.full(dim, -2.0), np.full(dim, 0.2)) if case == "boxed" else (
+        np.full(dim, -8.0), np.full(dim, 8.0)
     )
-    x, fun, nfev, success = estimate._nelder_mead(objective, sim, maxfev, fatol, xatol)
-    assert x.tobytes() == ref.x.tobytes()
-    assert float(fun).hex() == float(ref.fun).hex()
-    assert (nfev, success) == (ref.nfev, ref.success)
-    assert success is (case != "capped")
+    # a wall at -0.05: points beyond it are refused, as a fit refuses a model
+    fn = (lambda x: None if np.any(x > -0.05) else residuals(x)) if case == "walled" else residuals
+    calls0 = estimate._MAX_EVALS - (dim + 2) if case == "capped" else 1
+    made = []
+
+    def counted(x):
+        made.append(x.copy())
+        return fn(x)
+
+    r0 = residuals(x0)
+    steps = list(estimate._levenberg_marquardt(counted, x0.copy(), r0, lo, hi, calls0))
+    last = steps[-1]
+    assert last.done and not any(s.done for s in steps[:-1])
+    assert last.calls == calls0 + len(made) <= estimate._MAX_EVALS
+    assert np.all((lo <= last.x) & (last.x <= hi))
+    r = fn(last.x)
+    assert r is not None and float(r @ r) == last.f
+    fs = [float(r0 @ r0)] + [s.f for s in steps]
+    assert all(b <= a for a, b in zip(fs, fs[1:]))
+    if case == "capped":
+        assert last.calls == estimate._MAX_EVALS and not last.converged
+        return
+    assert last.converged
+    if case == "walled":
+        return
+    ref = least_squares(
+        residuals, x0, bounds=(lo, hi), method="trf",
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=10_000,
+    )
+    assert last.f == pytest.approx(2.0 * ref.cost, rel=1e-5, abs=1e-12)
+    assert last.x == pytest.approx(ref.x, abs=1e-3)
+    # where SciPy's minimum lies on an edge, the search ends on it, frozen
+    for edge in (lo, hi):
+        on = np.abs(ref.x - edge) < 1e-9
+        assert np.all(last.x[on] == edge[on]) and np.all(last.active[on])
+
+
+@pytest.mark.parametrize("dispersion", (Dispersion.QUADRATIC, Dispersion.LINEAR))
+@pytest.mark.parametrize("branch", tuple(_STARTS))
+def test_search_recovers_a_model_from_its_own_variogram(branch, dispersion):
+    """On a variogram equal to a model's, a search that starts every axis
+    30 % off recovers the model to 1e-6 and drives the objective to 0."""
+    r, tau = np.meshgrid([0.0, 0.5, 1.0, 2.0, 3.5], [0.0, 0.4, 1.2, 2.4, 3.6], indexing="ij")
+    r, tau = r.ravel()[1:], tau.ravel()[1:]
+    truth = _STARTS[branch]
+    v = EmpiricalVariogram(
+        kind=VariogramKind.SPACE_TIME,
+        gamma=model_variogram(_parent_model(branch, dispersion, 2, truth), r, tau),
+        counts=np.full(r.size, 10), r=r, tau=tau,
+    )
+    for mult in (1.3, 0.7):
+        start = {name: mult * value for name, value in truth.items()}
+        search = estimate._Search(
+            branch, dispersion, 2, start, {}, estimate._Wls(v), {}
+        ).run(estimate._MAX_EVALS)
+        assert search.step.done and search.step.converged
+        assert search.step.f < 1e-10
+        theta = search.theta()
+        for name, value in truth.items():
+            assert theta[name] == pytest.approx(value, rel=1e-6), name
+
+
+def test_small_field_fits_stay_under_their_evaluation_ceiling():
+    """Both stages of the small-field fits together, every start counted."""
+    _, res_f = _small_field_fits()
+    assert res_f.n_evaluations <= 600
+
+
+def test_branch_record_lists_every_start_and_the_winner_is_lowest():
+    res_m, res_f = _small_field_fits()
+    # the temporal stage: three underdamped starts around the overshoot's
+    # frequency, then one critical and one overdamped start
+    regimes = [b["regime"] for b in res_m.branches]
+    assert regimes == ["underdamped"] * 3 + ["critical", "overdamped"]
+    assert regimes[-3:] == list(res_m.theta0["temporal"])
+    assert [b["regime"] for b in res_f.branches] == list(res_f.theta0)
+    assert res_f.n_evaluations == res_m.n_evaluations + sum(
+        b["evaluations"] for b in res_f.branches
+    )
+    for res in (res_m, res_f):
+        best = min(b["objective"] for b in res.branches)
+        for b in res.branches:
+            # a start is dropped only when it lies beyond twice the best;
+            # the others ran to their end
+            assert b["converged"] is not b["dropped"]
+            assert b["objective"] > 2.0 * best if b["dropped"] else b["objective"] >= best
+    # the joint winner is the lowest start
+    assert res_f.objective == min(b["objective"] for b in res_f.branches)
+    assert json.loads(res_f.to_json())["branches"] == res_f.branches
+
+
+def test_a_bound_that_excludes_the_optimum_ends_on_its_edge_and_warns():
+    """The joint optimum's nugget is near 0.11; a box from 0.15 up holds the
+    search on its lower edge, which the fit reports and warns about once."""
+    f = _small_field()
+    res_m, res_f = _small_field_fits()
+    assert res_f.at_edge == {"joint": []} and res_f.model.nugget < 0.15
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fit_full(f, theta0=res_m, bounds={"nugget": (0.15, 1.0)}, **_SMALL_JOINT_BINS)
+    edge = [w for w in caught if issubclass(w.category, BoundaryWarning)]
+    assert len(edge) == 1 and "joint: nugget" in str(edge[0].message)
+    assert res.at_edge == {"joint": ["nugget"]}
+    assert res.model.nugget == pytest.approx(0.15, rel=1e-11)
+    # no worse than the start, moved onto the bound's edge
+    start = KernelModel(params=res_m.model.params, nugget=0.15 * (1.0 + 1e-12))
+    v = space_time_variogram(f, **_SMALL_JOINT_BINS)
+    assert res.objective <= float(wls_objective(start, v))
 
 
 # ---------------------------------------------------------------------------
@@ -1558,8 +1689,8 @@ def test_fit_result_records_the_search(oscillator_fit):
 
 
 def test_joint_fit_from_its_own_optimum_finds_no_lower_objective(oscillator_fit):
-    # each start runs one simplex search; a second search from the joint
-    # optimum, on the same bins, must not find a markedly lower objective
+    # a second search from the joint optimum, on the same bins, must not
+    # find a markedly lower objective
     model_true, res_m, res_f, v_joint, f = oscillator_fit
     again = fit_full(f, theta0=res_f.model, **_OSCILLATOR_JOINT_BINS)
     assert again.objective >= res_f.objective * (1.0 - 1e-5)
@@ -1575,6 +1706,8 @@ def test_fit_result_json_round_trip(oscillator_fit):
         "converged",
         "theta0",
         "theta_star",
+        "branches",
+        "at_edge",
     }
     rebuilt = KernelModel.from_dict(d["model"])
     assert rebuilt.to_dict() == res_f.model.to_dict()
@@ -1729,9 +1862,9 @@ def test_bounds_excluding_the_start_move_it_inside(tiny_field):
 )
 def test_bad_bounds_raise_before_any_search(tiny_field, monkeypatch, family, bounds, match):
     def no_search(*args, **kwargs):
-        raise AssertionError("the objective ran before the bounds were checked")
+        raise AssertionError("the criterion ran before the bounds were checked")
 
-    monkeypatch.setattr(estimate, "wls_objective", no_search)
+    monkeypatch.setattr(estimate, "_semivariance", no_search)
     f, coords, flat = tiny_field
     if family == "ldho":
         params = LdhoParams.from_damped_frequency(

@@ -10,7 +10,7 @@ import oscov
 # the names ``from oscov import *`` bound when every submodule was loaded
 # eagerly by ``oscov/__init__``
 EXPORTED = {
-    "AdmissibilityReport", "AllBinsSkipped", "DELTA_CRIT", "DegenerateMarginal",
+    "AdmissibilityReport", "AllBinsSkipped", "BoundaryWarning", "DELTA_CRIT", "DegenerateMarginal",
     "DimensionMismatch", "Dispersion", "DomainError", "EmpiricalVariogram", "EmptyBin",
     "EmptyBinError", "FieldRealization", "FitResult", "GramMatrix", "GridSpec",
     "IllConditionedWarning", "InteractionFunctions", "JitterWarning", "KernelModel", "LagOutOfRange", "LdhoParams",
