@@ -8,15 +8,15 @@ in two stages: the marginal variograms pin down the spatial and temporal
 hyperparameters separately, and the joint variogram refines the full vector
 starting from the marginal estimates.
 
-All hyperparameters are positive, so each start runs one search in log
-coordinates; the overdamped branch parametrizes the damping ratio through a
-logistic map so the regime constraint never binds.  Cressie's criterion is a
-sum of squared residuals ``sqrt(N) (gamma_hat / gamma_model - 1)``, so the
-search is a bounded Levenberg-Marquardt (Marquardt 1963) on those residuals,
-written in numpy: fits load no SciPy optimizer.  Because the damping regime
-of real data is unknown a priori, the fitting entry points race every
-regime's start for a few iterations, finish the starts within a factor 2 of
-the best, and keep the lowest objective.
+All hyperparameters are positive, so each stage runs one search in log
+coordinates.  The oscillator is searched on the fields its parameter class
+stores, the undamped frequency ``omega0`` among them: the kernel is smooth
+in ``omega0`` across the critical point ``omega0 tau_c = 1/2``, so one
+search spans the three damping regimes and ends in whichever holds its
+optimum.  Cressie's criterion is a sum of squared residuals
+``sqrt(N) (gamma_hat / gamma_model - 1)``, so the search is a bounded
+Levenberg-Marquardt (Marquardt 1963) on those residuals, written in numpy:
+fits load no SciPy optimizer.
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ from .kernel_core import (
     KernelModel,
     LdhoParams,
     OuParams,
-    Regime,
     _evaluate,
     _prepare_lags,
     _trusted,
-    _undamped_frequency,
-    damped_frequency,
     euclidean_length,
 )
 from .simulate import FieldRealization, _grid_steps
@@ -73,7 +70,7 @@ __all__ = [
 # information for the relative-error weights and are skipped.
 _WLS_FLOOR = 1e-12
 
-# Residual calls allowed per start.
+# Residual calls allowed per search.
 _MAX_EVALS = 10_000
 
 # Levenberg-Marquardt: the Jacobian's forward-difference step, relative to
@@ -89,11 +86,6 @@ _DAMPING_FACTOR = 10.0
 _MAX_DAMPING = 1e12
 _REL_DECREASE = 1e-8
 _MAX_STEP = 2.0
-
-# The race of a stage's starts: each runs this many calls per searched
-# parameter plus one, then the starts within this factor of the best finish.
-_RACE_CALLS = 6
-_RACE_FACTOR = 2.0
 
 # Default search box: a factor this large either side of each start value.
 _BOUND_SPAN = 1e3
@@ -228,19 +220,14 @@ class FitResult:
 
     ``objective`` is the WLS value at ``model``; it never exceeds the value
     at the initial guess because a search only accepts steps that lower it.
-    ``n_evaluations`` counts every residual call of every start searched.
-    ``converged`` is True when every winning search stopped on its own
-    tests (a step that lowers the objective by less than 1e-8 relative, or
-    no step in reach that lowers it), and False when one used up its
-    ``_MAX_EVALS`` calls.
-
-    ``branches`` has one entry per start of the stage that races the regime
-    branches (the temporal stage of :func:`fit_marginals`, the joint stage
-    of :func:`fit_full`): its ``regime``, ``objective`` (None when the start
-    itself is refused), ``evaluations``, ``converged``, and ``dropped``,
-    True when the race stopped it for lying beyond twice the best start.
-    ``at_edge`` maps each stage to the searched names its winning search
-    left on a box edge, with the objective falling outward.
+    ``n_evaluations`` counts every residual call of every stage's search.
+    ``converged`` is True when every search stopped on its own tests (a
+    step that lowers the objective by less than 1e-8 relative, or no step
+    in reach that lowers it), and False when one used up its ``_MAX_EVALS``
+    calls.  ``theta0`` and ``theta_star`` hold each stage's start and end
+    point by parameter name (an oscillator's ``omega0`` among them); a
+    stage has one start.  ``at_edge`` maps each stage to the searched names
+    its search left on a box edge, with the objective falling outward.
     """
 
     model: KernelModel
@@ -249,7 +236,6 @@ class FitResult:
     converged: bool
     theta0: dict
     theta_star: dict
-    branches: list
     at_edge: dict
 
     def to_dict(self) -> dict:
@@ -260,7 +246,6 @@ class FitResult:
             "converged": self.converged,
             "theta0": self.theta0,
             "theta_star": self.theta_star,
-            "branches": self.branches,
             "at_edge": self.at_edge,
         }
 
@@ -878,26 +863,23 @@ def wls_objective(m: KernelModel, v: EmpiricalVariogram | _Bins) -> WlsObjective
 
 
 # ---------------------------------------------------------------------------
-# least-squares search in transformed coordinates
+# least-squares search in log coordinates
 # ---------------------------------------------------------------------------
 
 
-# Search-vector order of each fit branch: a stage searches the names it does
-# not fix, in this order.
-_BRANCH_PARAMS = {
-    "underdamped": ("c0", "epsilon", "omega_d", "tau_c", "interaction", "nugget"),
-    "critical": ("c0", "epsilon", "tau_c", "interaction", "nugget"),
-    "overdamped": ("c0", "epsilon", "damping_ratio", "tau_c", "interaction", "nugget"),
+# Search-vector order of each family's parameters, the fields its parameter
+# class stores (O-U models pin a = 1): a stage searches the names it does not
+# fix, in this order.
+_FAMILY_PARAMS = {
+    "ldho": ("c0", "epsilon", "omega0", "tau_c", "interaction", "nugget"),
     "ou": ("sigma0_sq", "beta", "tau_c", "scale", "nugget"),
 }
-_FAMILY_BRANCHES = {"ldho": ("underdamped", "critical", "overdamped"), "ou": ("ou",)}
 
-# The spatial stage fits one branch per family with its temporal constants
-# fixed at placeholders: the spatial marginal is independent of them in
-# every regime.
-_SPATIAL_STAGE = {
-    "ldho": ("underdamped", {"omega_d": 1.0, "tau_c": 1.0, "interaction": 1.0}),
-    "ou": ("ou", {"tau_c": 1.0, "scale": 1.0}),
+# The spatial stage fixes each family's temporal constants at placeholders:
+# the spatial marginal is independent of them.
+_SPATIAL_PLACEHOLDERS = {
+    "ldho": {"omega0": 1.0, "tau_c": 1.0, "interaction": 1.0},
+    "ou": {"tau_c": 1.0, "scale": 1.0},
 }
 
 
@@ -905,49 +887,24 @@ _SPATIAL_STAGE = {
 # scale) and the nugget must be >= 0.  All must be finite.
 _POSITIVE = frozenset({"c0", "tau_c", "omega0", "epsilon", "sigma0_sq", "a", "beta"})
 
-# Each oscillator branch's regime, by the branch's name.
-_REGIMES = {regime.value: regime for regime in Regime}
 
-
-def _branch_fields(branch: str, theta: dict):
-    """The parameter class of one fit branch and its fields, from the full
-    set of the branch's named parameters.
-
-    O-U models pin ``a = 1``; the overdamped branch carries its damped
-    frequency as ``damping_ratio = 2 tau_c omega_d`` in (0, 1).  A ``tau_c``
-    that is not positive and finite, or a damped frequency outside its
-    regime's range, raises :class:`DomainError`; the fields are not checked.
+def _search_model(family: str, dispersion: Dispersion, dim: int, theta: dict) -> KernelModel:
+    """The model of ``family`` with the named parameters ``theta`` (see
+    ``_FAMILY_PARAMS``): the model a search evaluates and a fit returns.  It
+    refuses, with :class:`DomainError`, the parameters the public
+    constructors refuse, but checks each value once, here, and skips the
+    classes' checks and conversions, which a fit's float values,
+    ``dispersion`` and ``dim`` do not need.
     """
-    tau_c = theta["tau_c"]
-    if not 0.0 < tau_c < math.inf:
-        raise DomainError(f"tau_c must be a positive finite number, got {tau_c!r}")
-    if branch == "ou":
-        return OuParams, {
-            "sigma0_sq": theta["sigma0_sq"], "tau_c": tau_c, "a": 1.0,
+    if family == "ou":
+        cls, fields = OuParams, {
+            "sigma0_sq": theta["sigma0_sq"], "tau_c": theta["tau_c"], "a": 1.0,
             "scale": theta["scale"], "beta": theta["beta"],
         }
-    if branch == "underdamped":
-        omega_d = theta["omega_d"]
-    elif branch == "critical":
-        omega_d = 0.0
     else:
-        omega_d = theta["damping_ratio"] / (2.0 * tau_c)
-    return LdhoParams, {
-        "c0": theta["c0"], "tau_c": tau_c,
-        "omega0": _undamped_frequency(tau_c, omega_d, _REGIMES[branch]),
-        "epsilon": theta["epsilon"], "interaction": theta["interaction"],
-    }
-
-
-def _search_model(branch: str, dispersion: Dispersion, dim: int, theta: dict) -> KernelModel:
-    """The model of one fit branch (see :func:`_branch_fields`): the model a
-    search evaluates and a fit returns.  It refuses, with
-    :class:`DomainError`, the parameters the public constructors refuse, but
-    checks each value once, here, and skips the classes' checks and
-    conversions, which a fit's float values, ``dispersion`` and ``dim`` do
-    not need.
-    """
-    cls, fields = _branch_fields(branch, theta)
+        cls, fields = LdhoParams, {
+            name: theta[name] for name in ("c0", "tau_c", "omega0", "epsilon", "interaction")
+        }
     nugget = theta["nugget"]
     for name, value in fields.items():
         if not (0.0 < value < math.inf if name in _POSITIVE else 0.0 <= value < math.inf):
@@ -964,7 +921,6 @@ class _Wls:
     :meth:`residuals` runs one model's kernel on them."""
 
     def __init__(self, v: EmpiricalVariogram):
-        self.kind = v.kind
         self.bins = _lay_out(*v.lags(), v.gamma, v.counts)
         self.root_counts = np.sqrt(self.bins.counts)
 
@@ -981,16 +937,14 @@ class _Wls:
 
 
 def _checked_bounds(bounds, family: str) -> dict:
-    """``bounds`` as float ``(lo, hi)`` pairs, each on a parameter that some
-    branch of ``family`` searches, with no NaN edge, ``lo < hi``, and values
-    the search can reach: it keeps every parameter positive, and
-    ``damping_ratio`` in (0, 1).
+    """``bounds`` as float ``(lo, hi)`` pairs, each on a parameter that
+    ``family``'s fits search, with no NaN edge, ``lo < hi``, and values the
+    search can reach: it keeps every parameter positive.
     """
-    searched = {name for b in _FAMILY_BRANCHES[family] for name in _BRANCH_PARAMS[b]}
     checked = {}
     for name, edges in (bounds or {}).items():
-        if name not in searched:
-            raise DomainError(f"bound on {name!r}: no {family} branch searches it")
+        if name not in _FAMILY_PARAMS[family]:
+            raise DomainError(f"bound on {name!r}: {family} fits search no such parameter")
         try:
             lo, hi = (float(e) for e in edges)
         except (TypeError, ValueError) as exc:
@@ -999,11 +953,8 @@ def _checked_bounds(bounds, family: str) -> dict:
             raise DomainError(f"bound on {name!r} has a NaN edge")
         if not lo < hi:
             raise DomainError(f"bound on {name!r} is empty: lo {lo:g} >= hi {hi:g}")
-        top = 1.0 if name == "damping_ratio" else math.inf
-        if not (hi > 0.0 and lo < top):
-            raise DomainError(
-                f"bound on {name!r} misses the range (0, {top:g}) the search keeps it in"
-            )
+        if not hi > 0.0:
+            raise DomainError(f"bound on {name!r} misses the range (0, inf) the search keeps it in")
         checked[name] = (lo, hi)
     return checked
 
@@ -1012,21 +963,19 @@ class _BudgetSpent(Exception):
     """The search's call budget ran out in the middle of an iteration."""
 
 
-class _Step(NamedTuple):
-    """A search's state after an iteration: the point on the search axes,
-    its objective, the calls made, the active set (see
-    :func:`_levenberg_marquardt`), whether the search has stopped, and
+class _End(NamedTuple):
+    """A search's end state: the point on the search axes, its objective,
+    the calls made, the active set (see :func:`_levenberg_marquardt`), and
     whether it stopped on its own tests rather than on the call budget."""
 
     x: np.ndarray
     f: float
     calls: int
     active: np.ndarray
-    done: bool
     converged: bool
 
 
-def _levenberg_marquardt(residuals, x, r, lo, hi, calls):
+def _levenberg_marquardt(residuals, x, r, lo, hi, calls) -> _End:
     """Levenberg-Marquardt (Marquardt 1963) on ``f = r @ r`` in the box
     ``[lo, hi]``, from the point ``x`` in it, where ``r = residuals(x)`` and
     ``calls`` calls are already spent; ``residuals`` returns None where it
@@ -1043,8 +992,7 @@ def _levenberg_marquardt(residuals, x, r, lo, hi, calls):
     search converges on an accepted step that lowers ``f`` by less than
     ``_REL_DECREASE`` relative, once lambda passes ``_MAX_DAMPING``, or
     when every coordinate is frozen, and stops unconverged at
-    ``_MAX_EVALS`` calls.  A generator: it yields a :class:`_Step` after
-    each iteration, the last one ``done``.
+    ``_MAX_EVALS`` calls.
     """
 
     def call(point):
@@ -1059,7 +1007,7 @@ def _levenberg_marquardt(residuals, x, r, lo, hi, calls):
 
     f, lam, grad, converged = float(r @ r), _DAMPING, np.zeros(x.size), False
     with contextlib.suppress(_BudgetSpent):
-        while True:
+        while not converged:
             jac = np.empty((r.size, x.size))
             for i, xi in enumerate(x.tolist()):
                 h = _FD_STEP * max(1.0, abs(xi))
@@ -1085,10 +1033,7 @@ def _levenberg_marquardt(residuals, x, r, lo, hi, calls):
                         break
                 lam *= _DAMPING_FACTOR
                 converged = lam > _MAX_DAMPING
-            if converged:
-                break
-            yield _Step(x, f, calls, active(), False, False)
-    yield _Step(x, f, calls, active(), True, converged)
+    return _End(x, f, calls, active(), converged)
 
 
 def _damped_step(jtj, grad, lam, free, x, lo, hi):
@@ -1114,145 +1059,82 @@ def _damped_step(jtj, grad, lam, free, x, lo, hi):
     return None
 
 
-def _axis(value: float, logit: bool) -> float:
-    """A parameter value on its search axis, ``log`` or, for a ratio,
-    ``log(u/(1-u))``; values past the axis' range map to -inf or inf."""
-    if not value > 0.0:
-        return -math.inf
-    if logit:
-        return math.log(value / (1.0 - value)) if value < 1.0 else math.inf
-    return math.log(value)
+def _axis(value: float) -> float:
+    """A parameter value on its search axis, ``log``; values not above 0
+    map to -inf."""
+    return math.log(value) if value > 0.0 else -math.inf
 
 
-class _Search:
-    """One start's search over the branch's parameters not in ``fixed``.
+class _Search(NamedTuple):
+    """A finished search: the searched parameters at its end point, the
+    objective there, the calls made, whether it converged (see
+    :func:`_levenberg_marquardt`), and the searched names in its active set:
+    on a box edge, with the objective's slope pointing out of the box."""
 
-    ``criterion`` is the stage's :class:`_Wls`.  A point's residuals check
-    it against the box, build its model with :func:`_search_model` and call
-    ``criterion.residuals`` once; a point outside the box or refused, or
-    residuals that raise, are refused.  At the acceptance-7 joint variogram
-    a call costs about 26 µs, of which the residuals take 21 µs and the
-    kernel 15 µs; the search's own linear algebra brings it to about 54 µs.
+    theta: dict
+    f: float
+    calls: int
+    converged: bool
+    at_edge: list
 
-    Plain parameters travel through ``log``; ``damping_ratio`` is a ratio in
-    (0, 1) and travels through ``log(u/(1-u))``.  ``bounds`` overrides the
-    default bounds (a factor 1e3 either side of the start) and applies to
-    the searched parameters only; a start value outside its bound in
-    ``bounds`` moves to the nearer edge.  On the search axes the box's edges
-    sit 1e-12 (relative) inside it, so that every point of the box maps
-    back into it.  A start whose residuals are refused raises
-    :class:`OptimizerStalled`.  :meth:`run` advances the search
-    (:func:`_levenberg_marquardt`); ``step`` holds its state, and a search
-    that cannot improve on its start stays there.
+
+def _search(family, dispersion, dim, theta0, fixed, criterion, bounds) -> _Search:
+    """One search of ``family``'s parameters not in ``fixed``, from
+    ``theta0``, on the stage's ``criterion`` (its :class:`_Wls`).
+
+    A point's residuals check it against the box, build its model with
+    :func:`_search_model` and call ``criterion.residuals`` once; a point
+    outside the box or refused, or residuals that raise, are refused.  At
+    the acceptance-7 joint variogram a call costs about 26 µs, of which the
+    residuals take 21 µs and the kernel 15 µs; the search's own linear
+    algebra brings it to about 54 µs.
+
+    Every parameter travels through ``log``, the oscillator's ``omega0``
+    too: the kernel is smooth in it across the critical point ``omega0
+    tau_c = 1/2``, so one search spans the three damping regimes.
+    ``bounds`` overrides the default bounds (a factor 1e3 either side of the
+    start) and applies to the searched parameters only; a start value
+    outside its bound in ``bounds`` moves to the nearer edge.  On the search
+    axes the box's edges sit 1e-12 (relative) inside it, so that every point
+    of the box maps back into it.  A start whose residuals are refused
+    raises :class:`OptimizerStalled`; a search that cannot improve on its
+    start stays there.
     """
+    names = [name for name in _FAMILY_PARAMS[family] if name not in fixed]
+    box = {name: (v / _BOUND_SPAN, v * _BOUND_SPAN) for name, v in theta0.items()}
+    box.update(bounds)
+    edges = [box.get(name, (0.0, math.inf)) for name in names]
 
-    def __init__(self, branch, dispersion, dim, theta0, fixed, criterion, bounds):
-        names = [name for name in _BRANCH_PARAMS[branch] if name not in fixed]
-        box = {
-            name: (1e-6, 1.0 - 1e-6) if name == "damping_ratio" else (v / _BOUND_SPAN, v * _BOUND_SPAN)
-            for name, v in theta0.items()
-        }
-        box.update(bounds)
-        # per searched name: its logit flag and its box
-        logit = [name == "damping_ratio" for name in names]
-        edges = [box.get(name, (0.0, math.inf)) for name in names]
+    def from_vector(x) -> dict:
+        return {name: math.exp(xi) for name, xi in zip(names, x.tolist())}
 
-        def from_vector(x) -> dict:
-            return {
-                name: 1.0 / (1.0 + math.exp(-xi)) if lg else math.exp(xi)
-                for name, lg, xi in zip(names, logit, x.tolist())
-            }
-
-        def residuals(x):
-            try:
-                theta = from_vector(x)
-                for (lo, hi), value in zip(edges, theta.values()):
-                    if not (lo <= value <= hi) or not math.isfinite(value):
-                        return None
-                return criterion.residuals(
-                    _search_model(branch, dispersion, dim, {**fixed, **theta})
-                )
-            except (OscovError, ValueError, ArithmeticError):
-                return None
-
-        start = dict(theta0)
-        for name in names:
-            v = float(theta0[name])
-            lo, hi = bounds.get(name, (v, v))
-            if not lo <= v <= hi:
-                # to the nearer edge, 1e-12 inside it: the log/logit round trip
-                # of the edge itself may land just outside
-                start[name] = min(max(v, lo * (1.0 + 1e-12)), hi * (1.0 - 1e-12))
-        lo = np.array([_axis(lo * (1.0 + 1e-12), lg) for (lo, _), lg in zip(edges, logit)])
-        hi = np.array([_axis(hi * (1.0 - 1e-12), lg) for (_, hi), lg in zip(edges, logit)])
-        x0 = np.clip([_axis(float(start[name]), lg) for name, lg in zip(names, logit)], lo, hi)
-        r0 = residuals(x0)
-        if r0 is None:
-            raise OptimizerStalled(
-                f"objective is not finite at the initial guess {start}"
-            )
-        self.branch, self.names, self._from_vector = branch, names, from_vector
-        self.step = _Step(x0, float(r0 @ r0), 1, np.zeros(x0.size, bool), False, False)
-        self._steps = _levenberg_marquardt(residuals, x0, r0, lo, hi, 1)
-
-    def run(self, calls: int) -> "_Search":
-        """Iterates until the search stops or has made ``calls`` calls."""
-        while not self.step.done and self.step.calls < calls:
-            self.step = next(self._steps)
-        return self
-
-    def theta(self) -> dict:
-        """The searched parameters at the search's point."""
-        return self._from_vector(self.step.x)
-
-    def at_edge(self) -> list:
-        """The searched names in the active set: on a box edge, with the
-        objective's slope pointing out of the box."""
-        return [name for name, edge in zip(self.names, self.step.active.tolist()) if edge]
-
-
-def _best_branch(starts, dispersion, dim, fixed, criterion, bounds):
-    """Race every ``(branch, theta0)`` start on the stage's one
-    ``criterion`` and keep the lowest objective.
-
-    Each start first runs ``_RACE_CALLS`` calls per searched parameter plus
-    one; the starts then within ``_RACE_FACTOR`` of the best objective run
-    to their end, and the others are dropped.  Each start is recorded under
-    its branch name before it is searched, so a later start of a branch
-    replaces an earlier one in the record, and a start whose residuals are
-    refused is listed but not searched.  Returns the winning
-    :class:`_Search`, the evaluation count of all starts, the record of
-    starts and one outcome per start (see ``FitResult.branches``).
-    """
-    record, searches = {}, []
-    for branch, theta0 in starts:
-        record[branch] = theta0
+    def residuals(x):
         try:
-            search = _Search(branch, dispersion, dim, theta0, fixed, criterion, bounds)
-        except OptimizerStalled:
-            search = None
-        else:
-            search.run(_RACE_CALLS * (len(search.names) + 1))
-        searches.append((branch, search))
-    raced = [search for _, search in searches if search is not None]
-    if not raced:
-        raise OptimizerStalled(
-            f"no start produced a finite objective on the {criterion.kind.value} variogram"
-        )
-    cut = _RACE_FACTOR * min(search.step.f for search in raced)
-    for search in raced:
-        if search.step.f <= cut:
-            search.run(_MAX_EVALS)
-    branches = [
-        {"regime": branch, "objective": None, "evaluations": 1, "converged": False,
-         "dropped": False}
-        if search is None else
-        {"regime": branch, "objective": search.step.f, "evaluations": search.step.calls,
-         "converged": search.step.converged, "dropped": not search.step.done}
-        for branch, search in searches
-    ]
-    best = min(raced, key=lambda search: search.step.f)
-    return best, sum(b["evaluations"] for b in branches), record, branches
+            theta = from_vector(x)
+            for (lo, hi), value in zip(edges, theta.values()):
+                if not (lo <= value <= hi) or not math.isfinite(value):
+                    return None
+            return criterion.residuals(_search_model(family, dispersion, dim, {**fixed, **theta}))
+        except (OscovError, ValueError, ArithmeticError):
+            return None
+
+    start = dict(theta0)
+    for name in names:
+        v = float(theta0[name])
+        lo, hi = bounds.get(name, (v, v))
+        if not lo <= v <= hi:
+            # to the nearer edge, 1e-12 inside it: the log round trip of the
+            # edge itself may land just outside
+            start[name] = min(max(v, lo * (1.0 + 1e-12)), hi * (1.0 - 1e-12))
+    lo = np.array([_axis(lo * (1.0 + 1e-12)) for lo, _ in edges])
+    hi = np.array([_axis(hi * (1.0 - 1e-12)) for _, hi in edges])
+    x0 = np.clip([_axis(float(start[name])) for name in names], lo, hi)
+    r0 = residuals(x0)
+    if r0 is None:
+        raise OptimizerStalled(f"objective is not finite at the initial guess {start}")
+    end = _levenberg_marquardt(residuals, x0, r0, lo, hi, 1)
+    at_edge = [name for name, edge in zip(names, end.active.tolist()) if edge]
+    return _Search(from_vector(end.x), end.f, end.calls, end.converged, at_edge)
 
 
 def _warn_at_edge(at_edge: dict) -> None:
@@ -1310,94 +1192,44 @@ def _spatial_theta0(v, family, dispersion, dim) -> dict:
     return {"sigma0_sq": a0, "beta": eps0, "nugget": nugget0}
 
 
-def _temporal_frequency_guess(v: EmpiricalVariogram, sill: float) -> float | None:
-    """Damped-oscillation frequency from the first overshoot of the sill.
-
-    The variogram of an oscillatory kernel overshoots its plateau near the
-    kernel's first hole; the overshoot peak sits close to half a period.
-    Returns None when no overshoot is visible (monotone decay regimes).
-    """
-    tau = v.tau
-    gam = v.gamma
-    above = gam > 1.02 * sill
-    if not np.any(above):
-        return None
-    start = np.argmax(above)
-    # first local maximum at or after the crossing
-    k = start
-    while k + 1 < gam.size and gam[k + 1] >= gam[k]:
-        k += 1
-    t_peak = float(tau[k])
-    if t_peak <= 0.0:
-        return None
-    return math.pi / t_peak
-
-
-def _temporal_corr_time_guess(v: EmpiricalVariogram, sill: float, nugget0: float) -> float:
+def _temporal_theta0(family: str, v: EmpiricalVariogram, spatial: dict) -> dict:
+    """The temporal stage's start: ``tau_c`` half the lag where the
+    variogram first reaches ``1 - 1/e`` of its rise (at least the first
+    lag), the spatial scale as the interaction, and, for the oscillator,
+    critical damping, ``omega0 = 1 / (2 tau_c)``."""
+    sill, nugget0 = _sill_and_nugget_guess(v)
     target = nugget0 + (1.0 - math.exp(-1.0)) * (sill - nugget0)
     above = np.nonzero(v.gamma >= target)[0]
     t_corr = float(v.tau[above[0]]) if above.size else float(v.tau[-1])
-    return max(0.5 * t_corr, float(v.tau[0]))
+    t_corr = max(0.5 * t_corr, float(v.tau[0]))
+    if family == "ou":
+        return {"tau_c": t_corr, "scale": spatial["beta"], "nugget": nugget0}
+    return {
+        "omega0": 0.5 / t_corr, "tau_c": t_corr, "interaction": spatial["epsilon"],
+        "nugget": nugget0,
+    }
+
+
+def _joint_theta0(m: KernelModel) -> dict:
+    """The joint stage's start: the parameters of the model ``m``."""
+    p = m.params
+    nugget = max(m.nugget, 1e-12)
+    if isinstance(p, OuParams):
+        # the kernel depends on a only through a/tau_c and scale/tau_c, so a
+        # is pinned to 1 and the two ratios are preserved
+        return {
+            "sigma0_sq": p.sigma0_sq, "beta": p.beta, "tau_c": p.tau_c / p.a,
+            "scale": p.scale / p.a if p.scale > 0 else 1e-6, "nugget": nugget,
+        }
+    return {
+        "c0": p.c0, "epsilon": p.epsilon, "omega0": p.omega0, "tau_c": p.tau_c,
+        "interaction": p.interaction, "nugget": nugget,
+    }
 
 
 # ---------------------------------------------------------------------------
 # fitting pipelines
 # ---------------------------------------------------------------------------
-
-
-def _temporal_starts(family, v_t, spatial):
-    """Branch-tagged initial guesses for the temporal-stage search."""
-    sill, nugget0 = _sill_and_nugget_guess(v_t)
-    t_corr = _temporal_corr_time_guess(v_t, sill, nugget0)
-    omega0 = _temporal_frequency_guess(v_t, sill)
-    eps_like = spatial.get("epsilon", spatial.get("beta", 1.0))
-
-    if family == "ou":
-        theta = {"tau_c": t_corr, "scale": eps_like, "nugget": nugget0}
-        return [("ou", theta)]
-
-    starts = []
-    if omega0 is not None:
-        b0 = eps_like / (1.0 + omega0 * t_corr)
-        for mult in (0.5, 1.0, 2.0):
-            starts.append(
-                (
-                    "underdamped",
-                    {
-                        "omega_d": mult * omega0,
-                        "tau_c": t_corr,
-                        "interaction": b0,
-                        "nugget": nugget0,
-                    },
-                )
-            )
-    else:
-        starts.append(
-            (
-                "underdamped",
-                {
-                    "omega_d": 1.0 / max(t_corr, 1e-12),
-                    "tau_c": t_corr,
-                    "interaction": eps_like,
-                    "nugget": nugget0,
-                },
-            )
-        )
-    starts.append(
-        ("critical", {"tau_c": t_corr, "interaction": eps_like, "nugget": nugget0})
-    )
-    starts.append(
-        (
-            "overdamped",
-            {
-                "damping_ratio": 0.5,
-                "tau_c": t_corr,
-                "interaction": eps_like,
-                "nugget": nugget0,
-            },
-        )
-    )
-    return starts
 
 
 def fit_marginals(
@@ -1413,16 +1245,17 @@ def fit_marginals(
     The spatial marginal determines the amplitude, the spatial range, and a
     spatial nugget; the temporal marginal determines the oscillator (or
     relaxation) constants, the interaction strength, and a temporal nugget.
-    The combined model takes the smaller of the two nuggets.  For oscillator
-    models every damping regime is tried and the best temporal objective
-    wins.  The reported objective is the sum of the two stage optima.
+    The combined model takes the smaller of the two nuggets.  Each stage is
+    one search; the oscillator's starts at critical damping, and its
+    ``omega0`` moves freely across the damping regimes.  The reported
+    objective is the sum of the two stage optima.
 
     ``bounds`` maps parameter names to ``(lo, hi)`` boxes that replace the
-    default factor of 1e3 either side of each start; a name that no branch
-    of the family searches, a NaN edge or ``lo >= hi`` raises
+    default factor of 1e3 either side of each start; a name the family's
+    fits do not search, a NaN edge or ``lo >= hi`` raises
     :class:`DomainError` before any search.
     """
-    if family not in _SPATIAL_STAGE:
+    if family not in _FAMILY_PARAMS:
         raise DomainError(f"unknown kernel family {family!r}")
     dispersion = Dispersion(dispersion)
     bounds = _checked_bounds(bounds, family)
@@ -1432,63 +1265,27 @@ def fit_marginals(
     v_t = temporal_marginal_variogram(data, bins=tau_bins)
 
     # stage A: spatial marginal
-    sp_branch, placeholders = _SPATIAL_STAGE[family]
     sp_theta0 = _spatial_theta0(v_s, family, dispersion, dim)
-    sp = _Search(
-        sp_branch, dispersion, dim, sp_theta0, placeholders, _Wls(v_s), bounds
-    ).run(_MAX_EVALS)
-    sp_theta = sp.theta()
-    nugget_s = sp_theta["nugget"]
-    spatial = {k: v for k, v in sp_theta.items() if k != "nugget"}
-
-    # stage B: temporal marginal, every branch of the family
-    t, t_evals, t_starts, branches = _best_branch(
-        _temporal_starts(family, v_t, spatial), dispersion, dim, spatial, _Wls(v_t), bounds
+    sp = _search(
+        family, dispersion, dim, sp_theta0, _SPATIAL_PLACEHOLDERS[family], _Wls(v_s), bounds
     )
-    t_theta = t.theta()
-    at_edge = {"spatial": sp.at_edge(), "temporal": t.at_edge()}
+    spatial = {k: v for k, v in sp.theta.items() if k != "nugget"}
+
+    # stage B: temporal marginal
+    t_theta0 = _temporal_theta0(family, v_t, spatial)
+    t = _search(family, dispersion, dim, t_theta0, spatial, _Wls(v_t), bounds)
+    at_edge = {"spatial": sp.at_edge, "temporal": t.at_edge}
     _warn_at_edge(at_edge)
-    nugget = min(nugget_s, t_theta["nugget"])
-    model = _search_model(t.branch, dispersion, dim, {**spatial, **t_theta, "nugget": nugget})
+    nugget = min(sp.theta["nugget"], t.theta["nugget"])
     return FitResult(
-        model=model,
-        objective=float(sp.step.f + t.step.f),
-        n_evaluations=sp.step.calls + t_evals,
-        converged=bool(sp.step.converged and t.step.converged),
-        theta0={"spatial": sp_theta0, "temporal": t_starts},
-        theta_star={"spatial": spatial, "temporal": t_theta, "nugget": nugget},
-        branches=branches,
+        model=_search_model(family, dispersion, dim, {**spatial, **t.theta, "nugget": nugget}),
+        objective=float(sp.f + t.f),
+        n_evaluations=sp.calls + t.calls,
+        converged=bool(sp.converged and t.converged),
+        theta0={"spatial": sp_theta0, "temporal": t_theta0},
+        theta_star={"spatial": spatial, "temporal": t.theta, "nugget": nugget},
         at_edge=at_edge,
     )
-
-
-def _full_theta_from_model(m: KernelModel, branch: str) -> dict:
-    """Joint-stage start for one branch, derived from a model of its family."""
-    p = m.params
-    if branch == "ou":
-        # the kernel depends on a only through a/tau_c and scale/tau_c, so a
-        # is pinned to 1 and the two ratios are preserved
-        return {
-            "sigma0_sq": p.sigma0_sq,
-            "beta": p.beta,
-            "tau_c": p.tau_c / p.a,
-            "scale": p.scale / p.a if p.scale > 0 else 1e-6,
-            "nugget": max(m.nugget, 1e-12),
-        }
-    omega_d = damped_frequency(p)
-    theta = {
-        "c0": p.c0,
-        "epsilon": p.epsilon,
-        "tau_c": p.tau_c,
-        "interaction": p.interaction,
-        "nugget": max(m.nugget, 1e-12),
-    }
-    if branch == "underdamped":
-        theta["omega_d"] = omega_d if omega_d > 0.0 else 0.25 / p.tau_c
-    elif branch == "overdamped":
-        u = 2.0 * p.tau_c * omega_d
-        theta["damping_ratio"] = min(max(u, 0.05), 0.95)
-    return theta
 
 
 def fit_full(
@@ -1502,34 +1299,30 @@ def fit_full(
 
     ``theta0`` is the start: a model, or a fit result such as that of
     :func:`fit_marginals`, whose evaluations the returned count then
-    includes.  The start sets the family and the dispersion, and seeds every
-    damping regime of its family.  The winning branch's objective never
-    exceeds the objective of the start, because each branch falls back to
-    its start on failure.  ``bounds`` is checked as in :func:`fit_marginals`.
+    includes.  The start sets the family and the dispersion, and its
+    parameters are the one search's start.  The objective never exceeds
+    the start's, because the search only accepts steps that lower it.
+    ``bounds`` is checked as in :func:`fit_marginals`.
     """
     if isinstance(theta0, FitResult):
         start_model, evals0 = theta0.model, theta0.n_evaluations
     else:
         start_model, evals0 = theta0, 0
-    p = start_model.params
-    bounds = _checked_bounds(bounds, start_model.family)
+    p, family = start_model.params, start_model.family
+    bounds = _checked_bounds(bounds, family)
 
     v_st = space_time_variogram(data, r_bins=r_bins, tau_bins=tau_bins)
 
-    starts = [(b, _full_theta_from_model(start_model, b)) for b in _FAMILY_BRANCHES[start_model.family]]
-    best, evals, record, branches = _best_branch(
-        starts, p.dispersion, p.dim, {}, _Wls(v_st), bounds
-    )
-    theta = best.theta()
-    at_edge = {"joint": best.at_edge()}
+    start = _joint_theta0(start_model)
+    search = _search(family, p.dispersion, p.dim, start, {}, _Wls(v_st), bounds)
+    at_edge = {"joint": search.at_edge}
     _warn_at_edge(at_edge)
     return FitResult(
-        model=_search_model(best.branch, p.dispersion, p.dim, theta),
-        objective=float(best.step.f),
-        n_evaluations=evals0 + evals,
-        converged=bool(best.step.converged),
-        theta0=record,
-        theta_star=theta,
-        branches=branches,
+        model=_search_model(family, p.dispersion, p.dim, search.theta),
+        objective=float(search.f),
+        n_evaluations=evals0 + search.calls,
+        converged=bool(search.converged),
+        theta0=start,
+        theta_star=search.theta,
         at_edge=at_edge,
     )

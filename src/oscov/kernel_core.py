@@ -73,10 +73,12 @@ __all__ = [
 ]
 
 # Half-width of the band around omega0 * tau_c = 1/2 inside which parameters
-# are treated as critically damped.  Within the band the underdamped and
-# overdamped forms agree with the critical one to O(band^2) ~ 1e-18 relative,
-# far below double precision, so evaluating the critical form there is exact
-# for all practical purposes and removes the 0/0 hazards of the other two.
+# are treated as critically damped; evaluating the critical form there
+# removes the 0/0 hazards of the other two.  The kernel depends on u^2, which
+# is linear in delta = omega0 tau_c - 1/2, so it moves linearly in delta:
+# at the band's edge the underdamped and overdamped forms differ from the
+# critical one by at most 1.8e-9 of C(0, 0) (both dispersions, d = 1-3, lags
+# up to 12 tau_c), and a search that crosses the band sees a step that size.
 DELTA_CRIT = 1e-9
 
 # Below this value of u = 2 * tau_c * omega_d the overdamped bracket loses
@@ -201,9 +203,9 @@ class LdhoParams:
     ) -> "LdhoParams":
         """Build parameters from the damped frequency instead of ``omega0``.
 
-        The damped frequency is what an empirical variogram actually shows
-        (oscillation period for underdamped data, branch splitting for
-        overdamped data), so estimation code prefers this parametrization.
+        The damped frequency is what an empirical variogram shows: the
+        oscillation period of underdamped data, or the split between the
+        slow and fast decays of overdamped data.
 
         Notes
         -----
@@ -214,7 +216,8 @@ class LdhoParams:
 
         Requests with ``omega_d`` small enough that ``omega0 * tau_c`` lands
         inside the critical band collapse to the critical regime when
-        classified; that is intentional (the forms agree there to roundoff).
+        classified; that is intentional (the forms agree there to within
+        2e-9 of ``C(0, 0)``; see ``DELTA_CRIT``).
         """
         regime = Regime(regime) if not isinstance(regime, Regime) else regime
         tau_c = _check_positive("tau_c", tau_c)

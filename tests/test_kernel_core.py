@@ -34,7 +34,12 @@ from oscov import (
     temporal_kernel,
     vlrt_kernel,
 )
-from oscov.kernel_core import _OVERDAMPED_SERIES_CUT, _prepare_lags, euclidean_length
+from oscov.kernel_core import (
+    DELTA_CRIT,
+    _OVERDAMPED_SERIES_CUT,
+    _prepare_lags,
+    euclidean_length,
+)
 
 UNDER = LdhoParams(2.0, 3.0, 1.5 * math.pi, 1.0, 0.4)
 
@@ -392,6 +397,26 @@ def test_regime_continuity_at_boundary():
             critical, rs[:, None], taus[None, :]
         )
         assert np.max(np.abs(diff)) <= 1e-4 * v0
+
+
+def test_kernel_steps_linearly_across_the_critical_band():
+    """Just outside the ``DELTA_CRIT`` band, which fits search across, the
+    underdamped and overdamped forms lie within 1e-8 of C(0, 0) of the
+    critical form, and the step grows linearly in omega0 tau_c - 1/2."""
+    rs, taus = np.linspace(0.0, 5.0, 11)[:, None], np.linspace(0.0, 24.0, 25)[None, :]
+    edge = 1.01 * DELTA_CRIT
+    for dispersion in Dispersion:
+        for dim in (1, 2, 3):
+            critical = LdhoParams(1.0, 2.0, 0.25, 1.5, 0.7, dispersion, dim)
+            c = ldho_kernel(critical, rs, taus)
+            for sign, regime in ((1.0, Regime.UNDERDAMPED), (-1.0, Regime.OVERDAMPED)):
+                def step(delta):
+                    p = replace(critical, omega0=(0.5 + sign * delta) / critical.tau_c)
+                    assert classify_regime(p) is regime
+                    return np.max(np.abs(ldho_kernel(p, rs, taus) - c))
+
+                assert step(edge) <= 1e-8 * c[0, 0], (dispersion, dim, regime)
+                assert step(1e3 * edge) == pytest.approx(1e3 * step(edge), rel=0.02)
 
 
 def test_overdamped_collapses_to_critical_as_damped_frequency_vanishes():
