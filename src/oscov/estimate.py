@@ -90,6 +90,11 @@ _MAX_STEP = 2.0
 # Default search box: a factor this large either side of each start value.
 _BOUND_SPAN = 1e3
 
+# Prefix sums add whole slices, one numpy call each, once a slice holds this
+# many elements: a call costs about as much as np.cumsum spends on a few
+# hundred elements.
+_SLICE_MIN = 256
+
 
 class VariogramKind(str, Enum):
     SPATIAL_MARGINAL = "spatial_marginal"
@@ -104,7 +109,8 @@ class EmpiricalVariogram:
     ``r`` holds spatial bin centers, ``tau`` temporal ones; marginal kinds
     carry only the relevant axis (the other is ``None``).  Bins with no
     contributing pairs are dropped before construction, so every retained bin
-    has ``counts >= 1``.
+    has ``counts >= 1``; ``dropped`` holds the centers of the dropped bins,
+    one ``{"r": ..., "tau": ...}`` dict each with the kind's axes.
     """
 
     kind: VariogramKind
@@ -113,6 +119,7 @@ class EmpiricalVariogram:
     r: np.ndarray | None = None
     tau: np.ndarray | None = None
     tolerance: float = 0.0
+    dropped: tuple = ()
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
@@ -146,12 +153,21 @@ class EmpiricalVariogram:
         tolerance = float(self.tolerance)
         if not (math.isfinite(tolerance) and tolerance >= 0.0):
             raise DomainError(f"bin tolerance must be finite and >= 0, got {tolerance}")
+        axes = [name for name, arr in (("r", r), ("tau", tau)) if arr is not None]
+        try:
+            dropped = tuple({a: float(d[a]) for a in axes} for d in self.dropped)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"each dropped bin needs its {' and '.join(axes)}: {exc!r}") from exc
+        for d in dropped:
+            if not all(map(math.isfinite, d.values())) or d.get("r", 0.0) < 0.0:
+                raise DomainError("dropped bin centers must be finite lags, with r >= 0")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "dropped", dropped)
 
     def __len__(self) -> int:
         return self.gamma.size
@@ -174,7 +190,12 @@ class EmpiricalVariogram:
             entry["gamma"] = float(self.gamma[i])
             entry["n"] = int(self.counts[i])
             bins.append(entry)
-        return {"kind": self.kind.value, "bins": bins, "tolerance": self.tolerance}
+        return {
+            "kind": self.kind.value,
+            "bins": bins,
+            "tolerance": self.tolerance,
+            "dropped": [dict(d) for d in self.dropped],
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -191,7 +212,10 @@ class EmpiricalVariogram:
             tau = [float(b["tau"]) for b in bins] if bins and "tau" in bins[0] else None
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed variogram description: {exc!r}") from exc
-        return cls(kind=kind, gamma=gamma, counts=counts, r=r, tau=tau, tolerance=tol)
+        return cls(
+            kind=kind, gamma=gamma, counts=counts, r=r, tau=tau, tolerance=tol,
+            dropped=data.get("dropped", ()),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "EmpiricalVariogram":
@@ -277,6 +301,29 @@ def _sum_out(a: np.ndarray, axes: tuple) -> np.ndarray:
     return a.sum(axis=axes, keepdims=True) if axes else a
 
 
+def _prefix_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """``np.cumsum`` of ``a`` along ``axis``, with a zero slice in front.
+
+    ``np.cumsum`` walks each line along ``axis`` alone, so along any axis
+    but the last it strides a whole slice per element; when a slice's bytes
+    are a multiple of 4 KiB, every element of a line lands in one L1 cache
+    set.  Adding slice ``i`` to prefix ``i`` instead streams through
+    contiguous runs in the same order of additions, so the bits agree.  One
+    numpy call per slice only pays on slices of ``_SLICE_MIN`` elements or
+    more (a long, thin grid's time axis has slices of a few nodes), and not
+    along the last axis, whose slices are the strided ones.
+    """
+    n = a.shape[axis]
+    prefix = np.zeros(a.shape[:axis] + (n + 1,) + a.shape[axis + 1:])
+    if axis < a.ndim - 1 and a.size >= _SLICE_MIN * n:
+        into, terms = np.moveaxis(prefix, axis, 0), np.moveaxis(a, axis, 0)
+        for i in range(n):
+            np.add(into[i], terms[i], out=into[i + 1])
+    else:
+        np.cumsum(a, axis=axis, out=prefix[(slice(None),) * axis + (slice(1, None),)])
+    return prefix
+
+
 def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     """Squared-increment sums and pair counts for every lattice shift in reach.
 
@@ -291,7 +338,8 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     the autocorrelation of the mean-removed field from real FFTs along the
     axes a kept shift moves, each padded by its reach (up to a fast FFT
     length) so that no kept shift wraps, and ``A``, ``B`` are box sums of
-    ``z^2`` over the two overlap regions, taken from prefix sums.  An axis
+    ``z^2`` over the two overlap regions, taken from prefix sums
+    (:func:`_prefix_sums`: slice by slice where slices are large).  An axis
     that no shift moves is summed out first, from the power spectrum and
     from ``z^2``, so the spatial marginal runs 2-D transforms per time slice
     and the temporal marginal 1-D ones per node.
@@ -349,8 +397,7 @@ def _lag_table(f: FieldRealization, max_step: int, r_max: float):
     del z
     for axis in moved:
         n, h = g.shape[axis], shifts[axis]
-        prefix = np.zeros(box.shape[:axis] + (n + 1,) + box.shape[axis + 1:])
-        np.cumsum(box, axis=axis, out=prefix[(slice(None),) * axis + (slice(1, None),)])
+        prefix = _prefix_sums(box, axis)
         box = np.take(prefix, n - np.maximum(h, 0), axis=axis) - np.take(
             prefix, np.maximum(-h, 0), axis=axis
         )
@@ -382,17 +429,20 @@ def _grid_table(f: FieldRealization, max_step, r_max: float):
 
 def _drop_empty(kind, centers_r, centers_t, sums, counts, tolerance):
     """Assemble an EmpiricalVariogram with ``gamma = sums / 2 counts`` per bin,
-    warning for and dropping empty bins."""
+    warning for, dropping and recording empty bins."""
     gamma = 0.5 * np.asarray(sums, dtype=float).ravel()
     counts = np.asarray(counts, dtype=np.int64).ravel()
     keep = counts >= 1
+    dropped = []
     for idx in np.nonzero(~keep)[0]:
-        where = []
+        where = {}
         if centers_r is not None:
-            where.append(f"r={centers_r[idx]:g}")
+            where["r"] = float(centers_r[idx])
         if centers_t is not None:
-            where.append(f"tau={centers_t[idx]:g}")
-        warnings.warn(f"variogram bin ({', '.join(where)}) has no pairs; dropped", EmptyBin)
+            where["tau"] = float(centers_t[idx])
+        text = ", ".join(f"{a}={c:g}" for a, c in where.items())
+        warnings.warn(f"variogram bin ({text}) has no pairs; dropped", EmptyBin)
+        dropped.append(where)
     if not np.any(keep):
         raise EmptyBinError("every requested variogram bin is empty")
     return EmpiricalVariogram(
@@ -402,6 +452,7 @@ def _drop_empty(kind, centers_r, centers_t, sums, counts, tolerance):
         r=None if centers_r is None else np.asarray(centers_r, dtype=float)[keep],
         tau=None if centers_t is None else np.asarray(centers_t, dtype=float)[keep],
         tolerance=tolerance,
+        dropped=dropped,
     )
 
 

@@ -274,8 +274,28 @@ def test_lag_table_matches_the_whole_field_transform_byte_for_byte(g, max_step, 
     """The one-buffer forward pass and the partial inverse keep every kept
     entry's bits: 1- to 3-D grids with odd, even and non-5-smooth axis
     lengths, each reach zero in turn, and reaches capped at ``n - 1``."""
-    f = _random_field(g)
-    max_step = min(max_step, g.nt - 1)
+    _assert_whole_transform_bits(_random_field(g), min(max_step, g.nt - 1), r_max)
+
+
+@pytest.mark.parametrize(
+    "g, max_step, r_max",
+    [
+        (GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.4), 24, 6.5),
+        (GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.4), 0, 8.5),
+        (GridSpec(ns=(64, 64), ds=(1.0, 1.0), nt=128, dt=0.4), 40, 0.0),
+        (GridSpec(ns=(2,), ds=(1.0,), nt=4096, dt=0.4), 24, 6.5),
+    ],
+    ids=("64x64x128-joint", "64x64x128-spatial", "64x64x128-temporal", "2x4096-joint"),
+)
+def test_lag_table_keeps_its_bits_where_each_prefix_sum_runs(g, max_step, r_max):
+    """Prefix sums slice by slice (the 64x64x128 time and first space axes
+    at the joint reach) and by ``np.cumsum`` (the last axis, and every axis
+    of the long, thin grid, whose time slices hold two nodes) agree with
+    the oracle's ``np.cumsum`` to the bit."""
+    _assert_whole_transform_bits(_random_field(g), max_step, r_max)
+
+
+def _assert_whole_transform_bits(f: FieldRealization, max_step: int, r_max: float):
     got, want = _lag_table(f, max_step, r_max), _whole_transform_lag_table(f, max_step, r_max)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
@@ -2079,6 +2099,31 @@ def test_variogram_json_round_trip(tiny_field):
     assert np.array_equal(back.r, v.r)
     assert np.array_equal(back.tau, v.tau)
     assert back.tolerance == v.tolerance
+
+
+def test_variograms_record_their_dropped_bins(tiny_field):
+    """A time bin past the grid's time axis drops one bin per spatial bin; the
+    variogram keeps their centers through JSON, and a JSON without them
+    loads as none dropped."""
+    f, coords, flat = tiny_field
+    past = f.grid.nt * f.grid.dt
+    with pytest.warns(EmptyBin) as record:
+        v = space_time_variogram(
+            f, r_bins=np.array([1.0, 2.0]), tau_bins=np.array([0.5, past]), tolerance=0.5
+        )
+    assert v.dropped == ({"r": 1.0, "tau": past}, {"r": 2.0, "tau": past})
+    assert len(record) == len(v.dropped)
+    back = EmpiricalVariogram.from_json(v.to_json())
+    assert back.dropped == v.dropped
+    assert back.to_json() == v.to_json()
+    data = v.to_dict()
+    del data["dropped"]
+    assert EmpiricalVariogram.from_dict(data).dropped == ()
+    assert temporal_marginal_variogram(f, bins=np.array([0.5, 1.0])).dropped == ()
+    for bad in ([{"r": 1.0}], [{"r": -1.0, "tau": 0.5}], [{"r": 1.0, "tau": math.nan}], 5):
+        data["dropped"] = bad
+        with pytest.raises(DomainError, match="dropped bin"):
+            EmpiricalVariogram.from_dict(data)
 
 
 def test_malformed_variogram_json_raises():
